@@ -13,13 +13,13 @@ from .model import (BoundaryKind, BoundaryRegime, DegenerateRecoveryError,
 from .oracles import (McConfig, McEstimate, cn_domestic_spread,
                       credit_triangle, mc_discounted_fx, mc_leg_estimates,
                       mc_spread)
-from .pde import (PdeProblem, StabilityError, TimeGridConfig,
-                  assemble_pde1_rhs, assemble_pde2_rhs, jump_shift, rk4_march)
+from .pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
+                  jump_shift, rk4_sweep)
 from .pricing import (CdsSchedule, LegTerms, QuantoCdsPricer, SpreadReport,
                       domestic_params, domestic_spread, par_spread,
                       quanto_basis, terminal_condition)
-from .rbffd import (SpatialOperator, StencilWeights, assemble_L,
-                    build_axis_operators, rbf_fd_weights)
+from .rbffd import (StencilWeights, assemble_L, build_axis_operators,
+                    rbf_fd_weights)
 
 __version__ = "0.1.0"
 
@@ -28,10 +28,9 @@ __all__ = [
     "BoundaryKind", "BoundaryRegime", "validate_params",
     "boundary_regimes", "beta_stationary_params",
     "GridConfig", "Grid4D", "ScalarField", "build_grid", "interpolate",
-    "StencilWeights", "SpatialOperator", "rbf_fd_weights",
-    "build_axis_operators", "assemble_L",
-    "PdeProblem", "TimeGridConfig", "StabilityError",
-    "assemble_pde1_rhs", "assemble_pde2_rhs", "jump_shift", "rk4_march",
+    "StencilWeights", "rbf_fd_weights", "build_axis_operators", "assemble_L",
+    "StabilityError", "assemble_pde1_rhs", "assemble_pde2_rhs", "jump_shift",
+    "rk4_sweep",
     "CdsSchedule", "LegTerms", "SpreadReport", "QuantoCdsPricer",
     "terminal_condition", "par_spread", "domestic_params",
     "domestic_spread", "quanto_basis",

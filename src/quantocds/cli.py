@@ -25,7 +25,6 @@ import numpy as np
 from .grid import GridConfig
 from .model import ModelParams, ParameterError, validate_params
 from .oracles import McConfig, credit_triangle, mc_spread
-from .pde import TimeGridConfig
 from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
                       domestic_spread, quanto_basis)
 
@@ -62,7 +61,6 @@ class ConfigError(ValueError):
 class RunConfig:
     model: ModelParams
     grid: GridConfig
-    time: TimeGridConfig
     schedule: CdsSchedule
     task: str
     n_quad: int = 1
@@ -120,14 +118,26 @@ def load_config(path: str | Path) -> RunConfig:
 
     solver_raw = dict(raw.get("solver", {}))
     _reject_unknown(solver_raw, _SOLVER_KEYS, "solver")
-    time_cfg = TimeGridConfig(dt=float(solver_raw.get("dt", 0.05)))
-    n_quad = int(solver_raw.get("n_quad", 1))
-    workers = int(solver_raw.get("workers", 1))
+    try:
+        # legacy key: the march step is the quadrature step T/(m*n_quad),
+        # so dt is checked and otherwise ignored
+        dt = float(solver_raw.get("dt", 0.05))
+        if not 0.0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        n_quad = int(solver_raw.get("n_quad", 1))
+        workers = int(solver_raw.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver block invalid: {exc}") from exc
+    if workers < 1:
+        raise ConfigError("solver block invalid: workers must be >= 1")
 
     sched_raw = dict(raw.get("schedule", {}))
     _reject_unknown(sched_raw, _SCHEDULE_KEYS, "schedule")
-    schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)),
-                           m=int(sched_raw.get("m", 120)), n_quad=n_quad)
+    try:
+        schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)),
+                               m=int(sched_raw.get("m", 120)), n_quad=n_quad)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule block invalid: {exc}") from exc
 
     task = raw.get("task", "price")
     if task not in _TASKS:
@@ -138,7 +148,15 @@ def load_config(path: str | Path) -> RunConfig:
         sweep_raw = dict(raw["sweep"])
         _reject_unknown(sweep_raw, _SWEEP_KEYS, "sweep")
         sweep_param = sweep_raw.get("parameter")
-        sweep_vals = [float(v) for v in sweep_raw.get("values", [])]
+        if sweep_param is not None and not isinstance(sweep_param, str):
+            raise ConfigError("sweep.parameter must be a string")
+        try:
+            sweep_vals = [float(v) for v in sweep_raw.get("values", [])]
+            if sweep_param:
+                for v in sweep_vals:
+                    apply_sweep_value(model, sweep_param, v)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep block invalid: {exc}") from exc
     if task == "sweep":
         if not sweep_param:
             raise ConfigError("sweep task requires sweep.parameter")
@@ -147,10 +165,13 @@ def load_config(path: str | Path) -> RunConfig:
 
     mc_raw = dict(raw.get("mc", {}))
     _reject_unknown(mc_raw, _MC_KEYS, "mc")
-    mc = McConfig(n_paths=int(mc_raw.get("n_paths", 100_000)),
-                  step=float(mc_raw.get("step", 1.0 / 48.0)),
-                  seed=int(mc_raw.get("seed", 0)),
-                  antithetic=bool(mc_raw.get("antithetic", False)))
+    try:
+        mc = McConfig(n_paths=int(mc_raw.get("n_paths", 100_000)),
+                      step=float(mc_raw.get("step", 1.0 / 48.0)),
+                      seed=int(mc_raw.get("seed", 0)),
+                      antithetic=bool(mc_raw.get("antithetic", False)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc block invalid: {exc}") from exc
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -158,14 +179,15 @@ def load_config(path: str | Path) -> RunConfig:
     _reject_unknown(out_raw, {"dir"}, "output")
     out_dir = Path(out_raw.get("dir", "."))
 
-    return RunConfig(model=model, grid=grid, time=time_cfg, schedule=schedule,
+    return RunConfig(model=model, grid=grid, schedule=schedule,
                      task=task, n_quad=n_quad, workers=workers,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
                      mc=mc, out_dir=out_dir)
 
 
 def apply_sweep_value(p: ModelParams, parameter: str, value: float) -> ModelParams:
-    """Return params with one swept field (or rho pair) replaced."""
+    """Return params with one swept field (or rho pair) replaced and
+    validated (ParameterError when the value leaves the domain)."""
     if parameter.startswith("rho."):
         pair = parameter[4:]
         if pair not in _RHO_PAIRS:
@@ -201,7 +223,7 @@ def _write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) ->
 
 
 def _task_price(cfg: RunConfig) -> None:
-    report = quanto_basis(cfg.model, cfg.schedule, cfg.grid, cfg.time)
+    report = quanto_basis(cfg.model, cfg.schedule, cfg.grid)
     out = cfg.out_dir
     (out / "spread_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -216,17 +238,16 @@ def _task_price(cfg: RunConfig) -> None:
 
 
 def _sweep_one(args) -> tuple[float, float, float]:
-    p, grid, time_cfg, schedule, parameter, value = args
+    p, grid, schedule, parameter, value = args
     pv = apply_sweep_value(p, parameter, value)
-    pricer = QuantoCdsPricer(pv, grid, time_cfg)
+    pricer = QuantoCdsPricer(pv, grid)
     s, _ = pricer.spread(schedule)
-    s_d = domestic_spread(pv, schedule, method="pde4d",
-                          grid_cfg=grid, time_cfg=time_cfg)
+    s_d = domestic_spread(pv, schedule, method="pde4d", grid_cfg=grid)
     return value, s, s_d
 
 
 def _task_sweep(cfg: RunConfig) -> None:
-    jobs = [(cfg.model, cfg.grid, cfg.time, cfg.schedule,
+    jobs = [(cfg.model, cfg.grid, cfg.schedule,
              cfg.sweep_parameter, v) for v in cfg.sweep_values]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -252,10 +273,10 @@ def _task_benchmark(cfg: RunConfig) -> None:
     p = cfg.model
     p_flat = p.with_(kappa_y=0.0, sigma_y=0.0)
     runs = {
-        "sd_4d": 1e4 * domestic_spread(p, cfg.schedule, "pde4d", cfg.grid, cfg.time),
+        "sd_4d": 1e4 * domestic_spread(p, cfg.schedule, "pde4d", cfg.grid),
         "sd_1d": 1e4 * domestic_spread(p, cfg.schedule, "cn1d"),
         "sd_4d_flat": 1e4 * domestic_spread(p_flat, cfg.schedule, "pde4d",
-                                            cfg.grid, cfg.time),
+                                            cfg.grid),
         "sd_1d_flat": 1e4 * domestic_spread(p_flat, cfg.schedule, "cn1d"),
         "triangle": 1e4 * credit_triangle(p.lambda0, p.R0),
     }
@@ -274,7 +295,7 @@ def _task_benchmark(cfg: RunConfig) -> None:
 
 
 def _task_mc_check(cfg: RunConfig) -> None:
-    pricer = QuantoCdsPricer(cfg.model, cfg.grid, cfg.time)
+    pricer = QuantoCdsPricer(cfg.model, cfg.grid)
     s_pde, _ = pricer.spread(cfg.schedule)
     est = mc_spread(cfg.model, cfg.schedule, cfg.mc)
     z = abs(s_pde - est.mean) / est.std_error
@@ -313,6 +334,8 @@ def main(argv=None) -> int:
         if args.out:
             cfg.out_dir = Path(args.out)
         if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
             cfg.workers = args.threads
         if args.seed is not None:
             cfg.mc = McConfig(n_paths=cfg.mc.n_paths, step=cfg.mc.step,

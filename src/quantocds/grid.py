@@ -42,12 +42,12 @@ class GridConfig:
         for name in ("n_R", "n_rhat", "n_y", "n_z"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4 (3-point stencil support)")
-        if not self.rhat_max > 0.0:
-            raise ValueError("rhat_max must be positive")
-        if not self.y_min < 0.0:
-            raise ValueError("y_min must be negative")
-        if not self.z_max > 0.0:
-            raise ValueError("z_max must be positive")
+        if not 0.0 < self.rhat_max < np.inf:
+            raise ValueError("rhat_max must be positive and finite")
+        if not -np.inf < self.y_min < 0.0:
+            raise ValueError("y_min must be negative and finite")
+        if not 0.0 < self.z_max < np.inf:
+            raise ValueError("z_max must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ admissible domain, classification of the degenerate PDE boundaries
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -105,6 +105,9 @@ def validate_params(p: ModelParams) -> ModelParams:
         if not cond:
             raise ParameterError(msg)
 
+    for f in fields(p):
+        if f.name != "rho":
+            req(bool(np.isfinite(getattr(p, f.name))), f"{f.name} not finite")
     for name in ("sigma_R", "sigma_rhat", "sigma_y", "sigma_z"):
         req(getattr(p, name) >= 0.0, f"{name} negative")
     req(p.kappa_R >= 0.0, "kappa_R negative")
@@ -118,6 +121,7 @@ def validate_params(p: ModelParams) -> ModelParams:
 
     rho = np.asarray(p.rho, dtype=float)
     req(rho.shape == (4, 4), "rho not 4x4")
+    req(bool(np.all(np.isfinite(rho))), "rho not finite")
     req(np.allclose(rho, rho.T, atol=1e-12), "rho not symmetric")
     req(np.allclose(np.diag(rho), 1.0, atol=1e-12), "rho diagonal not unit")
     req(bool(np.all(np.abs(rho) <= 1.0 + 1e-12)), "rho entry outside [-1, 1]")

@@ -50,8 +50,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1000:
             raise ValueError("n_paths must be >= 1000 for reported estimates")
-        if self.step > 1.0 / 48.0 + 1e-12:
-            raise ValueError("step must be <= 1/48 yr")
+        if not 0.0 < self.step <= 1.0 / 48.0 + 1e-12:
+            raise ValueError("step must be positive and <= 1/48 yr")
 
 
 @dataclass(frozen=True)

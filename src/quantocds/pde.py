@@ -1,15 +1,16 @@
 """Right-hand sides of the two pricing PDEs, jump shift, and RK4 marching.
 
 Both equations are integrated backward from the terminal date; with
-tau = T - t they become forward ODE systems dU/dtau = A U + source in
-the method-of-lines sense.  The post-default equation governs the bond
+tau = T - t they become forward ODE systems dU/dtau = A U in the
+method-of-lines sense.  The post-default equation governs the bond
 value u (operator L - r); the pre-default equation governs v (operator
-L - (r + lambda) - lambda*gamma_z*z*d/dz, affine source lambda*u_hat
-from the jump coupling).  Time stepping is classical explicit RK4.
+L - (r + lambda) - lambda*gamma_z*z*d/dz), coupled to u through the
+jump term lambda*u_hat, which the pricer carries as an off-diagonal
+block of one stacked operator.  Time stepping is classical explicit
+RK4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,18 +18,15 @@ import scipy.sparse as sps
 
 from .grid import Grid4D, ScalarField, interpolation_matrix
 from .model import ModelParams
-from .rbffd import SpatialOperator, assemble_L, build_axis_operators, lift_axis_operator
+from .rbffd import assemble_L, build_axis_operators, lift_axis_operator
 
 __all__ = [
-    "PdeProblem",
-    "TimeGridConfig",
     "StabilityError",
     "assemble_pde1_rhs",
     "assemble_pde2_rhs",
     "jump_shift",
     "jump_shift_matrix",
     "coupling_shift_matrix",
-    "rk4_march",
     "rk4_sweep",
 ]
 
@@ -37,67 +35,33 @@ class StabilityError(RuntimeError):
     """Explicit march produced non-finite values."""
 
 
-@dataclass(frozen=True)
-class TimeGridConfig:
-    """Target backward step in years.  Marches shrink the step so an
-    integral number of steps lands exactly on the horizon."""
-
-    dt: float = 0.05
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-
-    def steps_for(self, horizon: float) -> tuple[int, float]:
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        n = max(1, int(np.ceil(horizon / self.dt - 1e-12)))
-        return n, horizon / n
-
-
-@dataclass
-class PdeProblem:
-    """One backward solve: operator, terminal data and optional source."""
-
-    equation: str                    # "post-default" | "pre-default"
-    horizon: float
-    terminal: ScalarField
-    operator: SpatialOperator
-    source: np.ndarray | None = None
-
-
 def assemble_pde1_rhs(grid: Grid4D, p: ModelParams,
-                      L: SpatialOperator | None = None) -> SpatialOperator:
+                      L: sps.csr_matrix | None = None) -> sps.csr_matrix:
     """Backward RHS of the post-default equation: L - r."""
     if L is None:
         L = assemble_L(grid, p)
-    A = (L.matrix - p.r_dom * sps.identity(grid.size, format="csr")).tocsr()
-    return SpatialOperator(A, "post-default", L.boundary_kinds)
+    return (L - p.r_dom * sps.identity(grid.size, format="csr")).tocsr()
 
 
 def assemble_pde2_rhs(grid: Grid4D, p: ModelParams,
-                      u_hat: ScalarField | None = None,
-                      L: SpatialOperator | None = None
-                      ) -> tuple[SpatialOperator, np.ndarray]:
-    """Backward RHS of the pre-default equation and its affine source.
+                      L: sps.csr_matrix | None = None) -> sps.csr_matrix:
+    """Backward RHS of the pre-default equation.
 
     Operator: L - (r + lambda) - lambda*gamma_z*z*D1_z with lambda = e^y
     nodewise; the compensator convection keeps discounted Z a martingale
-    before default.  Source: lambda * u_hat (zero field when u_hat is
-    None, e.g. in the coupon-leg solve where the post-default value
-    vanishes identically).
+    before default.  The coupling lambda*u_hat is not part of it: the
+    pricer adds it as the off-diagonal block of the stacked operator.
     """
     if L is None:
         L = assemble_L(grid, p)
     _, _, y, z = grid.coordinate_fields()
     lam = np.exp(y)
-    A = L.matrix - sps.diags(p.r_dom + lam)
+    A = L - sps.diags(p.r_dom + lam)
     if p.gamma_z != 0.0:
         d1z, _ = build_axis_operators(grid.axes[3])
         D1z = lift_axis_operator(grid.shape, 3, d1z)
         A = A - sps.diags(lam * p.gamma_z * z) @ D1z
-    source = lam * u_hat.values if u_hat is not None else np.zeros(grid.size)
-    return SpatialOperator(A.tocsr(), "pre-default", L.boundary_kinds), source
+    return A.tocsr()
 
 
 def jump_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
@@ -146,57 +110,35 @@ def jump_shift(u: ScalarField, p: ModelParams) -> ScalarField:
     return ScalarField(u.grid, S @ u.values)
 
 
-def _rk4_step(A: sps.spmatrix, v: np.ndarray, h: float,
-              source: np.ndarray | None) -> np.ndarray:
-    # overflow past the stability limit is handled: the marchers test
-    # isfinite after every step and raise StabilityError
+def _rk4_step(A: sps.spmatrix, v: np.ndarray, h: float) -> np.ndarray:
+    # overflow past the stability limit is handled: rk4_sweep tests
+    # isfinite after every step and raises StabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        if source is None:
-            k1 = A @ v
-            k2 = A @ (v + 0.5 * h * k1)
-            k3 = A @ (v + 0.5 * h * k2)
-            k4 = A @ (v + h * k3)
-        else:
-            k1 = A @ v + source
-            k2 = A @ (v + 0.5 * h * k1) + source
-            k3 = A @ (v + 0.5 * h * k2) + source
-            k4 = A @ (v + h * k3) + source
+        k1 = A @ v
+        k2 = A @ (v + 0.5 * h * k1)
+        k3 = A @ (v + 0.5 * h * k2)
+        k4 = A @ (v + h * k3)
         return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_march(problem: PdeProblem, cfg: TimeGridConfig) -> ScalarField:
-    """March the terminal field back over the full horizon.
-
-    Raises StabilityError naming the offending step if the explicit
-    scheme blows up (the operator's spectral radius is the caller's
-    responsibility; the engine detects rather than repairs).
-    """
-    nsteps, h = cfg.steps_for(problem.horizon)
-    A = problem.operator.matrix
-    v = problem.terminal.values.copy()
-    for k in range(nsteps):
-        v = _rk4_step(A, v, h, problem.source)
-        if not np.all(np.isfinite(v)):
-            raise StabilityError(
-                f"non-finite values at step {k + 1}/{nsteps} of {problem.equation} "
-                f"march (dt={h:.4g}); reduce the time step")
-    return ScalarField(problem.terminal.grid, v)
-
-
 def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
-              record: Callable[[np.ndarray, int], float],
-              source: np.ndarray | None = None) -> np.ndarray:
+              record: Callable[[np.ndarray, int], float | np.ndarray]) -> np.ndarray:
     """Fixed-step RK4 recording ``record(v, k)`` after every step.
 
     Because the operators are time independent and terminal data scales
-    linearly, one sweep of m steps prices all m nested horizons at once;
-    the returned array holds the recorded values at steps 0..nsteps.
+    linearly, one sweep of m steps prices all m nested horizons at once.
+    ``record`` returns a scalar or a vector; row k of the returned array
+    holds the step-k record, for k = 0..nsteps.  Raises StabilityError
+    naming the step at which the explicit scheme blows up (the
+    operator's spectral radius is the caller's responsibility; the
+    engine detects rather than repairs).
     """
     v = v0.copy()
-    out = np.empty(nsteps + 1)
-    out[0] = record(v, 0)
+    first = np.asarray(record(v, 0), dtype=float)
+    out = np.empty((nsteps + 1,) + first.shape)
+    out[0] = first
     for k in range(nsteps):
-        v = _rk4_step(A, v, h, source)
+        v = _rk4_step(A, v, h)
         if not np.all(np.isfinite(v)):
             raise StabilityError(
                 f"non-finite values at sweep step {k + 1}/{nsteps} (dt={h:.4g})")

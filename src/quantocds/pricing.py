@@ -20,23 +20,23 @@ quadrature nodes per coupon interval, and the par spread is
 
 Because the operators are time independent and the terminal data scale
 as 1/T, a single fixed-step sweep prices every quadrature maturity at
-once; the per-maturity solves (one backward problem per date, an
-embarrassingly parallel task set) remain available and agree with the
-sweep to RK4 accuracy.
+once.  Only the readout at x0 is ever used, so the pricer marches the
+readout row backward under the transposed stacked operator (the adjoint
+of the three forward sweeps) and takes every leg as a dot product with
+its payoff; one sweep gives w and all three density proxies.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
 
 from .grid import Grid4D, GridConfig, ScalarField, build_grid, interpolation_matrix
 from .model import ModelParams, validate_params
-from .pde import (PdeProblem, TimeGridConfig, assemble_pde1_rhs,
-                  assemble_pde2_rhs, coupling_shift_matrix, rk4_march,
-                  rk4_sweep)
+from .pde import (assemble_pde1_rhs, assemble_pde2_rhs,
+                  coupling_shift_matrix, rk4_sweep)
 from .rbffd import assemble_L
 
 __all__ = [
@@ -70,8 +70,8 @@ class CdsSchedule:
     n_quad: int = 1
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("maturity must be positive")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError("maturity must be positive and finite")
         if self.m < 1 or self.n_quad < 1:
             raise ValueError("m and n_quad must be >= 1")
 
@@ -178,146 +178,83 @@ def par_spread(terms: LegTerms) -> float:
 class QuantoCdsPricer:
     """Backward PDE pricer on a fixed grid for one parameter set.
 
-    Assembles the spatial operators once; individual solves are sparse
-    matrix-vector marches.  The market-state readout interpolates the
-    solution fields at x0 = (R0, rhat0, y0, z0); with a truncated z axis
-    (deep FX devaluation) the readout extrapolates the nearly-z-linear
-    fields from the boundary cell.
+    The post-default (A1) and pre-default (A2) operators are coupled by
+    the jump term into the block lower-triangular system
+
+        S = [[A1, 0], [Lambda C, A2]]
+
+    acting on (post-default, pre-default) fields.  The legs only need
+    the market-state readout r (multilinear interpolation at x0 =
+    (R0, rhat0, y0, z0)) of P(hS)^k v0, where P is the RK4 step
+    polynomial, so the pricer keeps only S^T and sweeps u_k = P(hS^T)^k
+    [0; r] once; each leg is the dot product of u_k with its payoff.
+    With a truncated z axis (deep FX devaluation) the readout row
+    extrapolates the nearly-z-linear fields from the boundary cell.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None,
-                 time_cfg: TimeGridConfig | None = None,
                  epsilon: float | None = None):
         self.p = validate_params(p)
         self.grid_cfg = grid_cfg or GridConfig()
-        self.time_cfg = time_cfg or TimeGridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
-        self._L = assemble_L(self.grid, self.p, epsilon)
-        self._A1 = assemble_pde1_rhs(self.grid, self.p, self._L)
-        self._A2, _ = assemble_pde2_rhs(self.grid, self.p, None, self._L)
+        L = assemble_L(self.grid, self.p, epsilon)
+        A1 = assemble_pde1_rhs(self.grid, self.p, L)
+        A2 = assemble_pde2_rhs(self.grid, self.p, L)
+        del L                       # lower the peak of the block build
         _, _, y, _ = self.grid.coordinate_fields()
-        self._lam = np.exp(y)
-        C = coupling_shift_matrix(self.grid, self.p)
-        self._stacked = sps.bmat(
-            [[self._A1.matrix, None], [sps.diags(self._lam) @ C, self._A2.matrix]],
-            format="csr")
-        self._readout = interpolation_matrix(self.grid, self.p.x0[None, :])
+        coupling = sps.diags(np.exp(y)) @ coupling_shift_matrix(self.grid, self.p)
+        # S^T, built from transposed blocks so S itself is never formed
+        self._stacked = sps.bmat([[A1.T, coupling.T], [None, A2.T]], format="csr")
+        self._readout = interpolation_matrix(self.grid, self.p.x0[None, :]).toarray()[0]
 
-    # -- readout -----------------------------------------------------------
+    def leg_curves(self, schedule: CdsSchedule) -> dict[str, np.ndarray]:
+        """w and the density proxy of every terminal kind at every
+        quadrature date, from one adjoint sweep.
 
-    def value_at_x0(self, f: ScalarField | np.ndarray) -> float:
-        v = f.values if isinstance(f, ScalarField) else f
-        return float((self._readout @ v)[0])
-
-    # -- per-maturity solves (independent backward problems) ---------------
-
-    def solve_w(self, maturity: float) -> tuple[ScalarField, float]:
-        """Pre-default FX-converted discount w for one maturity.
-
-        Step 1 is the closed-form zero (a recovery-less bond expires
-        worthless post default), so only the pre-default equation is
-        marched, with terminal z.
+        The pre-default half u[N:] of the sweep pairs with the terminal
+        z (w, whose post-default value vanishes); the post-default half
+        u[:N] pairs with the post-default terminal of each kind.  Those terminals scale as
+        1/T, so the sweep uses the T = 1 fields and divides the step-k
+        value by the horizon k*h.
         """
-        _, _, _, z = self.grid.coordinate_fields()
-        prob = PdeProblem("pre-default", maturity, ScalarField(self.grid, z.copy()),
-                          self._A2, source=None)
-        fld = rk4_march(prob, self.time_cfg)
-        return fld, self.value_at_x0(fld)
-
-    def solve_g_family(self, kind: str, maturity: float) -> float:
-        """Default-density proxy of the given kind at x0 for one maturity.
-
-        Marches the coupled (post-default, pre-default) pair; the RK4
-        stages advance the post-default field and feed the translated
-        coupling source within each stage.
-        """
-        if maturity == 0.0:
-            return 0.0
-        tc = terminal_condition(kind, self.grid, self.p, maturity)
         n = self.grid.size
-        v0 = np.concatenate([tc.values, np.zeros(n)])
-        nsteps, h = self.time_cfg.steps_for(maturity)
-        vals = rk4_sweep(self._stacked, v0, h, nsteps,
-                         lambda v, k: self.value_at_x0(v[n:]))
-        return float(vals[-1])
-
-    # -- swept solves (all quadrature maturities in one march) -------------
-
-    def w_curve(self, schedule: CdsSchedule) -> np.ndarray:
-        """w at every quadrature date, one fixed-step sweep."""
         _, _, _, z = self.grid.coordinate_fields()
-        return rk4_sweep(self._A2.matrix, z.copy(), schedule.quad_step,
-                         schedule.m * schedule.n_quad,
-                         lambda v, k: self.value_at_x0(v))[1:]
+        terminals = np.stack([terminal_condition(kind, self.grid, self.p, 1.0).values
+                              for kind in TERMINAL_KINDS])
+
+        def record(u: np.ndarray, k: int) -> np.ndarray:
+            return np.concatenate(([u[n:] @ z], terminals @ u[:n]))
+
+        u0 = np.concatenate([np.zeros(n), self._readout])
+        vals = rk4_sweep(self._stacked, u0, schedule.quad_step,
+                         schedule.m * schedule.n_quad, record)[1:]
+        curves = {"w": vals[:, 0]}
+        for i, kind in enumerate(TERMINAL_KINDS):
+            curves[kind] = vals[:, i + 1] / schedule.quad_dates
+        return curves
 
     def g_curve(self, kind: str, schedule: CdsSchedule) -> np.ndarray:
-        """Density proxy of one kind at every quadrature date.
+        """Density proxy of one kind at every quadrature date."""
+        if kind not in TERMINAL_KINDS:
+            raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
+        return self.leg_curves(schedule)[kind]
 
-        The terminal fields scale as 1/T, so the sweep marches the
-        unscaled field and divides the step-k readout by the horizon
-        k*h; this matches the per-maturity solves to RK4 accuracy.
-        """
-        unscaled = terminal_condition(kind, self.grid, self.p, 1.0).values
-        n = self.grid.size
-        v0 = np.concatenate([unscaled, np.zeros(n)])
-        vals = rk4_sweep(self._stacked, v0, schedule.quad_step,
-                         schedule.m * schedule.n_quad,
-                         lambda v, k: self.value_at_x0(v[n:]))
-        taus = schedule.quad_step * np.arange(1, schedule.m * schedule.n_quad + 1)
-        return vals[1:] / taus
-
-    # -- legs and spread ----------------------------------------------------
-
-    def _solves_for(self, nu: float) -> tuple[float, float, float]:
-        return (self.solve_w(nu)[1],
-                self.solve_g_family("protection", nu),
-                self.solve_g_family("accrual", nu))
-
-    def leg_terms(self, schedule: CdsSchedule, per_maturity: bool = False,
-                  workers: int = 1) -> LegTerms:
-        """Quadrature cell integrals A_i, B_i, C_i, D_i for i = 1..m.
-
-        ``per_maturity=True`` prices every quadrature date by its own
-        independent backward solve instead of the shared sweep
-        (verification path; identical up to the RK4 step difference).
-        The per-maturity solves form an independent task set and run as
-        a parallel map when ``workers`` exceeds one; the reduction keeps
-        the natural date ordering, so results match the serial run.
-        """
-        nus = schedule.quad_dates
-        if per_maturity:
-            if workers > 1:
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    triples = list(pool.map(self._solves_for, nus))
-            else:
-                triples = [self._solves_for(nu) for nu in nus]
-            w, gb, gt = (np.array(col) for col in zip(*triples))
-        else:
-            w = self.w_curve(schedule)
-            gb = self.g_curve("protection", schedule)
-            gt = self.g_curve("accrual", schedule)
+    def leg_terms(self, schedule: CdsSchedule) -> LegTerms:
+        """Quadrature cell integrals A_i, B_i, C_i, D_i for i = 1..m."""
+        curves = self.leg_curves(schedule)
         h = schedule.quad_step
         nq, m = schedule.n_quad, schedule.m
         t_left = schedule.coupon_interval * np.arange(0, m)
-        w, gb, gt = (a.reshape(m, nq) for a in (w, gb, gt))
-        nu_cells = nus.reshape(m, nq)
+        w, gb, gt = (curves[k].reshape(m, nq) for k in ("w", "protection", "accrual"))
+        nu_cells = schedule.quad_dates.reshape(m, nq)
         A = h * w.sum(axis=1)
         B = h * gb.sum(axis=1)
         C = h * (nu_cells * gt).sum(axis=1)
         D = h * t_left * gt.sum(axis=1)
         return LegTerms(A, B, C, D)
 
-    def coupon_leg_discrete(self, schedule: CdsSchedule) -> float:
-        """Diagnostic: coupon annuity as dt * sum_i w(t_i) over coupon
-        dates (the discrete-sum form; the integral form feeds the spread)."""
-        sched_c = CdsSchedule(schedule.T, schedule.m, 1)
-        w = self.w_curve(sched_c)
-        return float(schedule.coupon_interval * np.sum(w))
-
-    def spread(self, schedule: CdsSchedule, per_maturity: bool = False
-               ) -> tuple[float, LegTerms]:
-        terms = self.leg_terms(schedule, per_maturity=per_maturity)
+    def spread(self, schedule: CdsSchedule) -> tuple[float, LegTerms]:
+        terms = self.leg_terms(schedule)
         return par_spread(terms), terms
 
 
@@ -340,7 +277,6 @@ def domestic_params(p: ModelParams) -> ModelParams:
 def domestic_spread(p: ModelParams, schedule: CdsSchedule,
                     method: str = "auto",
                     grid_cfg: GridConfig | None = None,
-                    time_cfg: TimeGridConfig | None = None,
                     n_y: int = 201) -> float:
     """Domestic par spread s_d.
 
@@ -359,38 +295,38 @@ def domestic_spread(p: ModelParams, schedule: CdsSchedule,
         return cn_domestic_spread(p, schedule, n_y=n_y)
     if method != "pde4d":
         raise ValueError(f"unknown domestic method {method!r}")
-    pricer = QuantoCdsPricer(domestic_params(p), grid_cfg, time_cfg)
+    pricer = QuantoCdsPricer(domestic_params(p), grid_cfg)
     s_d, _ = pricer.spread(schedule)
     return s_d
 
 
 def quanto_basis(p: ModelParams, schedule: CdsSchedule,
-                 grid_cfg: GridConfig | None = None,
-                 time_cfg: TimeGridConfig | None = None) -> SpreadReport:
+                 grid_cfg: GridConfig | None = None) -> SpreadReport:
     """Foreign spread, domestic spread and their difference.
 
     The basis is quoted against the domestic spread computed by the same
     four-factor engine (reduced parameters), so shared discretization
     bias cancels; the 1D Crank-Nicolson value is attached when the
     recovery is frozen.  The (1+gamma_z)-proportional reference level is
-    included in the metadata for sweep outputs.
+    included in the metadata for sweep outputs.  ``x0_interpolated``
+    records whether x0 lies inside the grid hull on every axis (False
+    means the readout extrapolated).
     """
     t0 = time.time()
-    pricer = QuantoCdsPricer(p, grid_cfg, time_cfg)
+    pricer = QuantoCdsPricer(p, grid_cfg)
     s, legs = pricer.spread(schedule)
-    s_d = domestic_spread(p, schedule, method="pde4d",
-                          grid_cfg=grid_cfg, time_cfg=time_cfg)
+    s_d = domestic_spread(p, schedule, method="pde4d", grid_cfg=grid_cfg)
     s_d_1d = None
     if p.kappa_R == 0.0 and p.sigma_R == 0.0:
         s_d_1d = domestic_spread(p, schedule, method="cn1d")
     meta = {
         "grid_shape": list(pricer.grid.shape),
-        "dt": (time_cfg or TimeGridConfig()).dt,
         "quad_step": schedule.quad_step,
         "gamma_z": p.gamma_z,
         "gamma_rhat": p.gamma_rhat,
         "reference_line": (1.0 + p.gamma_z) * s_d,
-        "x0_interpolated": True,
+        "x0_interpolated": all(bool(a[0] <= x <= a[-1])
+                               for a, x in zip(pricer.grid.axes, p.x0)),
         "runtime_s": round(time.time() - t0, 3),
     }
     return SpreadReport(s=s, s_d=s_d, s_d_1d=s_d_1d, legs=legs, meta=meta)

@@ -38,7 +38,6 @@ from .model import ModelParams, boundary_regimes, BoundaryKind
 
 __all__ = [
     "StencilWeights",
-    "SpatialOperator",
     "ShapeParameterError",
     "rbf_fd_weights",
     "build_axis_operators",
@@ -64,23 +63,6 @@ class StencilWeights:
     weights: np.ndarray
     order: int
     epsilon: float
-
-
-@dataclass(frozen=True)
-class SpatialOperator:
-    """Sparse N x N spatial discretization plus provenance metadata."""
-
-    matrix: sps.csr_matrix
-    equation: str
-    boundary_kinds: dict
-    time_independent: bool = True
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        return self.matrix @ other
 
 
 def _gaussian_rhs(nodes: np.ndarray, center: float, eps: float, order: int) -> np.ndarray:
@@ -226,7 +208,7 @@ def _boundary_row_mask(grid: Grid4D, axis: int, drop_low: bool, drop_high: bool)
     return sps.diags(mask)
 
 
-def assemble_L(grid: Grid4D, p: ModelParams, epsilon: float | None = None) -> SpatialOperator:
+def assemble_L(grid: Grid4D, p: ModelParams, epsilon: float | None = None) -> sps.csr_matrix:
     """Assemble the full diffusion-convection operator on the grid.
 
     Coefficients are evaluated nodewise; rhat is clipped at zero inside
@@ -290,8 +272,4 @@ def assemble_L(grid: Grid4D, p: ModelParams, epsilon: float | None = None) -> Sp
     for coef, a, b in mixed:
         if np.any(coef != 0.0):
             L = L + sps.diags(coef) @ (D1[a] @ D1[b])
-    return SpatialOperator(
-        matrix=L.tocsr(),
-        equation="L",
-        boundary_kinds={k: v.kind.value for k, v in regimes.items()},
-    )
+    return L.tocsr()

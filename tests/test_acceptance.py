@@ -15,7 +15,7 @@ import pytest
 from quantocds.grid import GridConfig
 from quantocds.model import BoundaryKind, ModelParams, boundary_regimes
 from quantocds.oracles import McConfig, credit_triangle, mc_spread
-from quantocds.pde import TimeGridConfig, jump_shift
+from quantocds.pde import jump_shift
 from quantocds.pricing import (CdsSchedule, QuantoCdsPricer, domestic_spread,
                                par_spread, quanto_basis)
 

@@ -1,10 +1,14 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantocds.cli import (ConfigError, apply_sweep_value, load_config, main)
-from quantocds.model import ModelParams
+from quantocds.model import ModelParams, ParameterError
 
 
 def write_config(tmp_path, payload):
@@ -32,7 +36,7 @@ class TestConfigParsing:
         assert np.array_equal(cfg.model.rho, np.eye(4))
         assert cfg.schedule.T == 5.0 and cfg.schedule.m == 120
         assert cfg.grid.n_R == 10
-        assert cfg.time.dt == 0.05
+        assert cfg.schedule.n_quad == 1 and cfg.workers == 1
         assert cfg.task == "price"
 
     def test_unknown_keys_rejected(self, tmp_path):
@@ -136,8 +140,62 @@ class TestMain:
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--task", "price"]) == 1
 
+    @pytest.mark.parametrize("payload, argv", [
+        ({"solver": {"n_quad": 0}}, []),
+        ({"schedule": {"T": -1}}, []),
+        ({"task": "sweep", "sweep": {"parameter": "gamma_z", "values": [-1.5]}}, []),
+        ({"solver": {"workers": 0}}, []),
+        ({}, ["--threads", "0"]),
+        ({"solver": {"dt": 0.0}}, []),
+        ({"solver": {"dt": float("nan")}}, []),
+        ({"model": {"r_dom": float("nan")}}, []),
+        ({"schedule": {"T": float("inf")}}, []),
+    ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
+            "dt=0", "dt=nan", "r_dom=nan", "T=inf"])
+    def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
+        cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path / "out")}})
+        assert main(["--config", cfg, *argv]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_maturity_exits_2(self, tmp_path, capsys):
+        # 1e400 parses to inf
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schedule": {"T": 1e400}}')
+        assert main(["--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_dt_is_ignored(self, tmp_path):
+        # solver.dt is accepted for older configs but steers nothing
+        spreads = []
+        for solver in ({}, {"dt": 0.05}, {"dt": 0.3}):
+            cfg = small_run(tmp_path, solver=solver)
+            assert main(["--config", cfg]) == 0
+            rep = json.loads((tmp_path / "out" / "spread_report.json").read_text())
+            spreads.append(rep["s_bps"])
+        assert spreads[0] == spreads[1] == spreads[2]
+
     def test_task_override(self, tmp_path):
         cfg = small_run(tmp_path, task="sweep",
                         sweep={"parameter": "gamma_z", "values": [0.0]})
         assert main(["--config", cfg, "--task", "price"]) == 0
         assert (tmp_path / "out" / "spread_report.json").exists()
+
+
+_MODEL_SCALARS = [f.name for f in fields(ModelParams) if f.name != "rho"]
+_NON_FINITE_FIELDS = ([("model", k) for k in _MODEL_SCALARS]
+                      + [("grid", k) for k in ("rhat_max", "y_min", "z_max")]
+                      + [("schedule", "T"), ("solver", "dt"), ("mc", "step")])
+
+
+class TestNonFiniteInput:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(_NON_FINITE_FIELDS),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejected_at_load(self, tmp_path_factory, field, value):
+        # a non-finite field is a config error, never a solver failure
+        section, key = field
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises((ParameterError, ValueError, ConfigError)):
+            load_config(str(path))

@@ -95,7 +95,7 @@ class TestLegEstimates:
         from quantocds.pricing import QuantoCdsPricer
         legs = mc_leg_estimates(P, SCHED, McConfig(n_paths=100_000, seed=17))
         w_mc = legs["w_maturity"]
-        _, w_pde = QuantoCdsPricer(P, GridConfig(n_y=28, n_rhat=28)).solve_w(5.0)
+        w_pde = QuantoCdsPricer(P, GridConfig(n_y=28, n_rhat=28)).leg_curves(SCHED)["w"][-1]
         assert abs(w_pde - w_mc.mean) < 3 * w_mc.std_error
         assert w_mc.mean <= P.z0          # supermartingale bound
         assert legs["protection"].std_error > 0

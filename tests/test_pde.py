@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid
+from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid, interpolate
 from quantocds.model import ModelParams
-from quantocds.pde import (PdeProblem, StabilityError, TimeGridConfig,
-                           assemble_pde1_rhs, assemble_pde2_rhs, jump_shift,
-                           rk4_march)
-from quantocds.rbffd import assemble_L, build_axis_operators, lift_axis_operator
+from quantocds.pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
+                           jump_shift, rk4_sweep)
+from quantocds.rbffd import assemble_L, build_axis_operators
 
 
 def degenerate_grid(rhat_at: float, y_at: float) -> Grid4D:
@@ -22,28 +21,17 @@ def degenerate_grid(rhat_at: float, y_at: float) -> Grid4D:
     ))
 
 
+def march(A, v0: np.ndarray, horizon: float, dt: float) -> np.ndarray:
+    """Terminal field marched back over the horizon in steps of dt."""
+    n = int(round(horizon / dt))
+    return rk4_sweep(A, v0, horizon / n, n, lambda v, k: v)[-1]
+
+
 def frozen_params(**kw) -> ModelParams:
     base = dict(sigma_R=0.0, kappa_R=0.0, sigma_rhat=0.0, kappa_rhat=0.0,
                 sigma_y=0.0, kappa_y=0.0, sigma_z=0.0)
     base.update(kw)
     return ModelParams().with_(**base)
-
-
-class TestTimeGridConfig:
-    def test_steps_shrink_to_fit(self):
-        cfg = TimeGridConfig(dt=0.05)
-        n, h = cfg.steps_for(5.0)
-        assert n == 100 and h == pytest.approx(0.05)
-        n, h = cfg.steps_for(1.0 / 24.0)
-        assert n == 1 and h == pytest.approx(1.0 / 24.0)
-        n, h = cfg.steps_for(0.12)
-        assert n == 3 and h == pytest.approx(0.04)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            TimeGridConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            TimeGridConfig().steps_for(-1.0)
 
 
 class TestRk4:
@@ -55,10 +43,7 @@ class TestRk4:
         # decoupled nodes: A = -rate * I exercises the marching kernel
         g = self.grid1()
         A = sps.identity(g.size, format="csr") * (-rate)
-        from quantocds.rbffd import SpatialOperator
-        prob = PdeProblem("post-default", horizon, ScalarField(g, np.ones(g.size)),
-                          SpatialOperator(A, "post-default", {}))
-        return rk4_march(prob, TimeGridConfig(dt=dt)).values[0]
+        return march(A, np.ones(g.size), horizon, dt)[0]
 
     def test_linear_decay(self):
         # true global RK4 error at dt = 0.05 over one unit of decay is
@@ -76,11 +61,17 @@ class TestRk4:
         # must be detected, not silently integrated
         p = ModelParams().with_(sigma_y=25.0)
         g = build_grid(GridConfig(), p)
-        A2, _ = assemble_pde2_rhs(g, p)
+        A2 = assemble_pde2_rhs(g, p)
         _, _, _, z = g.coordinate_fields()
-        prob = PdeProblem("pre-default", 5.0, ScalarField(g, z.copy()), A2)
         with pytest.raises(StabilityError, match="step"):
-            rk4_march(prob, TimeGridConfig(dt=0.05))
+            march(A2, z.copy(), 5.0, 0.05)
+
+    def test_vector_records_match_scalar_records(self):
+        A = sps.diags([-1.0, -2.0], format="csr")
+        vec = rk4_sweep(A, np.ones(2), 0.1, 10, lambda v, k: v.copy())
+        first = rk4_sweep(A, np.ones(2), 0.1, 10, lambda v, k: v[0])
+        assert vec.shape == (11, 2) and first.shape == (11,)
+        assert np.array_equal(vec[:, 0], first)
 
     def test_march_linear_in_terminal_data(self):
         p = ModelParams()
@@ -89,12 +80,8 @@ class TestRk4:
         rng = np.random.default_rng(9)
         f = rng.standard_normal(g.size)
         h = rng.standard_normal(g.size)
-        cfg = TimeGridConfig(dt=0.05)
-        def march(vals):
-            return rk4_march(PdeProblem("post-default", 1.0, ScalarField(g, vals), A1),
-                             cfg).values
-        lhs = march(2.0 * f + 3.0 * h)
-        rhs = 2.0 * march(f) + 3.0 * march(h)
+        lhs = march(A1, 2.0 * f + 3.0 * h, 1.0, 0.05)
+        rhs = 2.0 * march(A1, f, 1.0, 0.05) + 3.0 * march(A1, h, 1.0, 0.05)
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() / scale < 1e-9
 
@@ -107,9 +94,7 @@ class TestPde1:
         g = degenerate_grid(rhat_at=0.02, y_at=-4.0)
         A1 = assemble_pde1_rhs(g, p, assemble_L(g, p))
         c = 3.7
-        prob = PdeProblem("post-default", 1.0, ScalarField(g, np.full(g.size, c)), A1)
-        out = rk4_march(prob, TimeGridConfig(dt=0.05))
-        from quantocds.grid import interpolate
+        out = ScalarField(g, march(A1, np.full(g.size, c), 1.0, 0.05))
         got = interpolate(out, [0.45, 0.02, -4.0, 1.15])
         assert abs(got - c * np.exp(-0.02)) < 1e-6
 
@@ -119,11 +104,10 @@ class TestPde1:
         A1 = assemble_pde1_rhs(g, p, assemble_L(g, p))
         rng = np.random.default_rng(2)
         f = rng.standard_normal(g.size)
-        prob = PdeProblem("post-default", 1.0, ScalarField(g, f.copy()), A1)
-        out = rk4_march(prob, TimeGridConfig(dt=0.05))
+        out = march(A1, f, 1.0, 0.05)
         # interior rows of L vanish identically; edge rows only carry the
         # residual of one-sided stencils on random data
-        assert np.abs(out.values - f).max() < 1e-6
+        assert np.abs(out - f).max() < 1e-6
 
 
 class TestPde1Bound:
@@ -134,9 +118,7 @@ class TestPde1Bound:
         g = build_grid(GridConfig(), p)
         A1 = assemble_pde1_rhs(g, p)
         _, _, _, z = g.coordinate_fields()
-        out = rk4_march(PdeProblem("post-default", 1.0, ScalarField(g, z.copy()), A1),
-                        TimeGridConfig(dt=0.05))
-        from quantocds.grid import interpolate
+        out = ScalarField(g, march(A1, z.copy(), 1.0, 0.05))
         got = interpolate(out, [0.45, 0.03, -4.089, 1.15])
         assert got <= p.z0 * 1.001
 
@@ -145,12 +127,9 @@ class TestPde2:
     def test_scalar_decay_with_constant_hazard(self):
         p = frozen_params(rhat0=0.02, y0=-1.0)
         g = degenerate_grid(rhat_at=0.02, y_at=-1.0)
-        A2, src = assemble_pde2_rhs(g, p, None, assemble_L(g, p))
-        assert np.all(src == 0.0)
+        A2 = assemble_pde2_rhs(g, p, assemble_L(g, p))
         c = 1.0
-        prob = PdeProblem("pre-default", 1.0, ScalarField(g, np.full(g.size, c)), A2)
-        out = rk4_march(prob, TimeGridConfig(dt=0.05))
-        from quantocds.grid import interpolate
+        out = ScalarField(g, march(A2, np.full(g.size, c), 1.0, 0.05))
         lam = np.exp(-1.0)
         got = interpolate(out, [0.45, 0.02, -1.0, 1.15])
         assert abs(got - c * np.exp(-(0.02 + lam))) < 1e-5
@@ -162,13 +141,13 @@ class TestPde2:
         g = build_grid(GridConfig(), p)
         L = assemble_L(g, p)
         A1 = assemble_pde1_rhs(g, p, L)
-        A2, _ = assemble_pde2_rhs(g, p, None, L)
+        A2 = assemble_pde2_rhs(g, p, L)
         _, _, y, _ = g.coordinate_fields()
         lam = np.exp(y)
         rng = np.random.default_rng(4)
         v = rng.standard_normal(g.size)
-        lhs = A2.matrix @ v + lam * v
-        rhs = A1.matrix @ v
+        lhs = A2 @ v + lam * v
+        rhs = A1 @ v
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -202,10 +181,10 @@ class TestBoundaryRows:
         # boundary-masked D2 must kill fields affine in y on those rows
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        L = assemble_L(g, p).matrix
+        L = assemble_L(g, p)
         idx = g.unflatten_index(np.arange(g.size))
         # isolate the y-diffusion block by differencing two operators
-        Lref = assemble_L(g, p.with_(sigma_y=0.0)).matrix
+        Lref = assemble_L(g, p.with_(sigma_y=0.0))
         D2y_block = L - Lref
         _, _, y, _ = g.coordinate_fields()
         out = D2y_block @ (1.0 + 3.0 * y)

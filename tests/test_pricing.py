@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from quantocds.grid import GridConfig, build_grid
+from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams
-from quantocds.pricing import (CdsSchedule, DegenerateAnnuityError, LegTerms,
+from quantocds.pde import (assemble_pde1_rhs, assemble_pde2_rhs,
+                           coupling_shift_matrix, rk4_sweep)
+from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
+                               DegenerateAnnuityError, LegTerms,
                                QuantoCdsPricer, domestic_params,
                                domestic_spread, par_spread, quanto_basis,
                                terminal_condition)
@@ -29,6 +33,21 @@ class TestSchedule:
             CdsSchedule(T=-1.0)
         with pytest.raises(ValueError):
             CdsSchedule(m=0)
+        with pytest.raises(ValueError):
+            CdsSchedule(T=np.inf)
+
+    def test_quadrature_steps_land_on_maturity(self):
+        # the march step is the quadrature step: m * n_quad steps of it
+        # end exactly on the maturity
+        for T, m, nq in ((5.0, 120, 1), (5.0, 120, 4), (1.0, 12, 3), (0.12, 1, 3)):
+            sched = CdsSchedule(T=T, m=m, n_quad=nq)
+            assert m * nq * sched.quad_step == pytest.approx(T, rel=1e-14)
+            assert sched.quad_dates.size == m * nq
+            assert sched.quad_dates[-1] == pytest.approx(T, rel=1e-14)
+
+    def test_rejects_zero_quadrature_nodes(self):
+        with pytest.raises(ValueError, match="n_quad"):
+            CdsSchedule(n_quad=0)
 
 
 class TestTerminalCondition:
@@ -68,52 +87,78 @@ class TestTerminalCondition:
             terminal_condition("w", g, P, 1.0)
 
 
+def forward_system(p: ModelParams):
+    """Grid, pre-default operator A2, the stacked system
+    S = [[A1, 0], [Lambda C, A2]] and the readout row r at x0."""
+    g = build_grid(GridConfig(), p)
+    A1, A2 = assemble_pde1_rhs(g, p), assemble_pde2_rhs(g, p)
+    _, _, y, _ = g.coordinate_fields()
+    S = sps.bmat([[A1, None],
+                  [sps.diags(np.exp(y)) @ coupling_shift_matrix(g, p), A2]], format="csr")
+    return g, A2, S, interpolation_matrix(g, p.x0[None, :])
+
+
+def forward_curves(p: ModelParams, schedule: CdsSchedule) -> dict[str, np.ndarray]:
+    """Reference legs from one forward sweep per leg of the stacked
+    system, read out at x0."""
+    g, A2, S, r = forward_system(p)
+    n = g.size
+    _, _, _, z = g.coordinate_fields()
+    nsteps, h = schedule.m * schedule.n_quad, schedule.quad_step
+    curves = {"w": rk4_sweep(A2, z, h, nsteps, lambda v, k: (r @ v)[0])[1:]}
+    for kind in TERMINAL_KINDS:
+        v0 = np.concatenate([terminal_condition(kind, g, p, 1.0).values, np.zeros(n)])
+        vals = rk4_sweep(S, v0, h, nsteps, lambda v, k: (r @ v[n:])[0])
+        curves[kind] = vals[1:] / schedule.quad_dates
+    return curves
+
+
 class TestSolveW:
     def test_scalar_limit(self):
         # hazard pushed to zero and rhat frozen at rhat0: w = z0 e^{-rhat0 T}
-        from quantocds.grid import Grid4D, interpolate
-        from quantocds.pde import PdeProblem, TimeGridConfig, assemble_pde2_rhs, rk4_march
-        from quantocds.grid import ScalarField
+        from quantocds.grid import Grid4D, ScalarField, interpolate
         p = P.with_(sigma_R=0.0, kappa_R=0.0, sigma_rhat=0.0, kappa_rhat=0.0,
                     sigma_y=0.0, kappa_y=0.0, sigma_z=0.0, y0=-40.0)
         g = Grid4D((np.linspace(0, 1, 4), np.linspace(0.03, 0.03 + 1e-9, 4),
                     np.linspace(-40.0, -40.0 + 1e-9, 4), np.linspace(0, 4, 10)))
-        A2, _ = assemble_pde2_rhs(g, p, None)
+        A2 = assemble_pde2_rhs(g, p)
         _, _, _, z = g.coordinate_fields()
-        out = rk4_march(PdeProblem("pre-default", 5.0, ScalarField(g, z.copy()), A2),
-                        TimeGridConfig(0.05))
-        got = interpolate(out, [0.45, 0.03, -40.0, 1.15])
+        out = rk4_sweep(A2, z, 0.05, 100, lambda v, k: v)[-1]
+        got = interpolate(ScalarField(g, out), [0.45, 0.03, -40.0, 1.15])
         assert got == pytest.approx(1.15 * np.exp(-0.03 * 5.0), rel=1e-3)
 
     def test_martingale_bound_at_defaults(self, pricer):
-        w = pricer.w_curve(SCHED)
+        w = pricer.leg_curves(SCHED)["w"]
         assert np.all(w >= 0.0)
         assert np.all(w <= P.z0 * 1.02)
 
     def test_deeper_devaluation_raises_w(self):
         # the compensator adds positive pre-default drift to Z
-        w0 = QuantoCdsPricer(P).solve_w(5.0)[1]
-        w1 = QuantoCdsPricer(P.with_(gamma_z=-0.5)).solve_w(5.0)[1]
+        w0 = QuantoCdsPricer(P).leg_curves(SCHED)["w"][-1]
+        w1 = QuantoCdsPricer(P.with_(gamma_z=-0.5)).leg_curves(SCHED)["w"][-1]
         assert w1 >= w0
 
     def test_per_maturity_matches_sweep(self, pricer):
-        w_sweep = pricer.w_curve(SCHED)
+        # independent backward solve from the terminal z at each maturity
+        g, A2, _, r = forward_system(P)
+        _, _, _, z = g.coordinate_fields()
+        w_sweep = pricer.leg_curves(SCHED)["w"]
         for j in (0, 59, 119):
-            nu = SCHED.quad_dates[j]
-            _, w_pm = pricer.solve_w(nu)
+            w_pm = rk4_sweep(A2, z, SCHED.quad_step, j + 1, lambda v, k: (r @ v)[0])[-1]
             assert w_pm == pytest.approx(w_sweep[j], rel=1e-6)
 
     def test_both_published_march_steps_agree(self):
-        # the source text quotes both 0.05 and 0.0625 for the time step
-        from quantocds.pde import TimeGridConfig
-        a = QuantoCdsPricer(P, time_cfg=TimeGridConfig(0.05)).solve_w(5.0)[1]
-        b = QuantoCdsPricer(P, time_cfg=TimeGridConfig(0.0625)).solve_w(5.0)[1]
+        # halving the march step (n_quad = 2) leaves w at maturity unchanged
+        a = QuantoCdsPricer(P).leg_curves(CdsSchedule(n_quad=1))["w"][-1]
+        b = QuantoCdsPricer(P).leg_curves(CdsSchedule(n_quad=2))["w"][-1]
         assert a == pytest.approx(b, rel=1e-6)
 
 
 class TestGFamily:
     def test_zero_horizon(self, pricer):
-        assert pricer.solve_g_family("protection", 0.0) == 0.0
+        # density proxies vanish at zero horizon by convention
+        tb = terminal_condition("protection", pricer.grid, P, 0.0)
+        assert np.all(tb.values == 0.0)
 
     def test_superposition_of_solves(self, pricer):
         gr = pricer.g_curve("recovery", SCHED)
@@ -122,12 +167,20 @@ class TestGFamily:
         scale = np.abs(gt).max()
         assert np.abs(gr + gb - gt).max() / scale < 1e-8
 
+
     def test_per_maturity_matches_sweep(self, pricer):
+        # independent backward solve from the protection terminal at
+        # maturity nu, marched to the market state
+        g, _, S, r = forward_system(P)
+        n = g.size
         gb = pricer.g_curve("protection", SCHED)
         for j in (23, 119):
             nu = SCHED.quad_dates[j]
-            assert pricer.solve_g_family("protection", nu) == pytest.approx(
-                gb[j], rel=1e-5)
+            v0 = np.concatenate([terminal_condition("protection", g, P, nu).values,
+                                 np.zeros(n)])
+            g_pm = rk4_sweep(S, v0, SCHED.quad_step, j + 1,
+                             lambda v, k: (r @ v[n:])[0])[-1]
+            assert g_pm == pytest.approx(gb[j], rel=1e-5)
 
 
 class TestLegTerms:
@@ -151,18 +204,25 @@ class TestLegTerms:
         s4 = par_spread(pricer.leg_terms(CdsSchedule(n_quad=4)))
         assert abs(s1 - s4) * 1e4 < 1.0       # under 1 bps
 
-    def test_per_maturity_path_agrees(self):
-        # verification path: independent backward solves per maturity
-        sched = CdsSchedule(T=1.0, m=12)
-        pricer = QuantoCdsPricer(P.with_(gamma_z=-0.3))
-        fast = pricer.leg_terms(sched)
-        slow = pricer.leg_terms(sched, per_maturity=True)
-        for a, b in ((fast.A, slow.A), (fast.B, slow.B), (fast.C, slow.C)):
-            assert np.allclose(a, b, rtol=1e-5, atol=1e-12)
+    @pytest.mark.parametrize("kw", [{}, {"gamma_z": -0.3}, {"gamma_rhat": 4.0}],
+                             ids=["defaults", "gamma_z", "gamma_rhat"])
+    def test_adjoint_sweep_matches_forward_sweeps(self, kw):
+        # one sweep of the readout under S^T reproduces the forward
+        # sweep of every leg: the RK4 polynomial transposes exactly
+        p = P.with_(**kw)
+        adjoint = QuantoCdsPricer(p).leg_curves(SCHED)
+        forward = forward_curves(p, SCHED)
+        assert set(adjoint) == set(forward)
+        for name, want in forward.items():
+            rel = np.abs(adjoint[name] - want).max() / np.abs(want).max()
+            assert rel <= 1e-12, name
 
     def test_discrete_coupon_diagnostic_close_to_integral(self, pricer):
+        # dt * sum_i w(t_i) over coupon dates, read off a sweep four times
+        # finer, matches the n_quad = 1 coupon annuity
         terms = pricer.leg_terms(SCHED)
-        disc = pricer.coupon_leg_discrete(SCHED)
+        w_fine = pricer.leg_curves(CdsSchedule(n_quad=4))["w"]
+        disc = SCHED.coupon_interval * float(np.sum(w_fine[3::4]))
         assert disc == pytest.approx(float(np.sum(terms.A)), rel=1e-6)
 
 
@@ -230,3 +290,11 @@ class TestDomesticAndBasis:
         assert d["basis_bps"] == pytest.approx(rep.s_bps - rep.s_d_bps)
         assert rep.s_d_1d is not None          # frozen recovery at defaults
         assert rep.meta["grid_shape"] == [10, 10, 10, 10]
+        assert rep.meta["quad_step"] == SCHED.quad_step
+        assert "dt" not in rep.meta
+        assert rep.meta["x0_interpolated"] is True
+
+    def test_report_flags_extrapolated_readout(self):
+        # gamma_z = -0.9 truncates z_max to 0.4, below z0 = 1.15
+        rep = quanto_basis(P.with_(gamma_z=-0.9), SCHED)
+        assert rep.meta["x0_interpolated"] is False

@@ -135,14 +135,14 @@ class TestAssembleL:
         p = ModelParams().with_(sigma_rhat=0.0, kappa_rhat=0.0, sigma_y=0.0,
                                 kappa_y=0.0, sigma_z=0.0, r_dom=0.0, rhat0=0.0)
         g = build_grid(GridConfig(rhat_max=1e-12), p)
-        L = assemble_L(g, p).matrix
+        L = assemble_L(g, p)
         assert abs(L).max() < 1e-10
 
     def test_recovery_diffusion_vanishes_at_R_boundaries(self):
         p = ModelParams().with_(sigma_R=0.3, kappa_R=0.5)
         g = build_grid(GridConfig(), p)
-        with_diff = assemble_L(g, p).matrix
-        without = assemble_L(g, p.with_(sigma_R=0.0)).matrix
+        with_diff = assemble_L(g, p)
+        without = assemble_L(g, p.with_(sigma_R=0.0))
         diff = (with_diff - without).tocsr()     # the pure R-diffusion block
         idxR = g.unflatten_index(np.arange(g.size))[0]
         rows_at_edge = np.where((idxR == 0) | (idxR == g.shape[0] - 1))[0]
@@ -159,7 +159,7 @@ class TestAssembleL:
         p = ModelParams()
         g = build_grid(GridConfig(), p)
         R, rr, y, z = g.coordinate_fields()
-        got = assemble_L(g, p).matrix @ z
+        got = assemble_L(g, p) @ z
         want = (p.r_dom - rr) * z
         idx = g.unflatten_index(np.arange(g.size))
         interior = np.all([(idx[k] > 0) & (idx[k] < g.shape[k] - 1)
@@ -170,9 +170,9 @@ class TestAssembleL:
     def test_block_linearity_in_sigma_squared(self):
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        L0 = assemble_L(g, p.with_(sigma_y=0.0)).matrix
-        L1 = assemble_L(g, p.with_(sigma_y=0.4)).matrix
-        L2 = assemble_L(g, p.with_(sigma_y=0.4 * np.sqrt(2))).matrix
+        L0 = assemble_L(g, p.with_(sigma_y=0.0))
+        L1 = assemble_L(g, p.with_(sigma_y=0.4))
+        L2 = assemble_L(g, p.with_(sigma_y=0.4 * np.sqrt(2)))
         lhs = (L2 - L0).toarray()
         rhs = 2.0 * (L1 - L0).toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -182,6 +182,6 @@ class TestAssembleL:
         g = build_grid(GridConfig(), p)
         rho = np.eye(4)
         rho[0, 2] = rho[2, 0] = 0.8               # R-z correlation
-        L_corr = assemble_L(g, p.with_(rho=rho)).matrix
-        L_none = assemble_L(g, p).matrix
+        L_corr = assemble_L(g, p.with_(rho=rho))
+        L_none = assemble_L(g, p)
         assert abs(L_corr - L_none).max() > 1e-6
