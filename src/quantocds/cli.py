@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -63,7 +63,6 @@ class RunConfig:
     grid: GridConfig
     schedule: CdsSchedule
     task: str
-    n_quad: int = 1
     workers: int = 1
     sweep_parameter: str | None = None
     sweep_values: list[float] = field(default_factory=list)
@@ -157,19 +156,17 @@ def load_config(path: str | Path) -> RunConfig:
                     apply_sweep_value(model, sweep_param, v)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep block invalid: {exc}") from exc
-    if task == "sweep":
-        if not sweep_param:
-            raise ConfigError("sweep task requires sweep.parameter")
-        if not sweep_vals:
-            raise ConfigError("sweep task requires a non-empty sweep.values list")
+    _check_sweep_task(task, sweep_param, sweep_vals)
 
     mc_raw = dict(raw.get("mc", {}))
     _reject_unknown(mc_raw, _MC_KEYS, "mc")
     try:
+        antithetic = mc_raw.get("antithetic", False)
+        if not isinstance(antithetic, bool):
+            raise ValueError("antithetic must be a boolean")
         mc = McConfig(n_paths=int(mc_raw.get("n_paths", 100_000)),
                       step=float(mc_raw.get("step", 1.0 / 48.0)),
-                      seed=int(mc_raw.get("seed", 0)),
-                      antithetic=bool(mc_raw.get("antithetic", False)))
+                      seed=int(mc_raw.get("seed", 0)), antithetic=antithetic)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc block invalid: {exc}") from exc
 
@@ -180,9 +177,18 @@ def load_config(path: str | Path) -> RunConfig:
     out_dir = Path(out_raw.get("dir", "."))
 
     return RunConfig(model=model, grid=grid, schedule=schedule,
-                     task=task, n_quad=n_quad, workers=workers,
+                     task=task, workers=workers,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
                      mc=mc, out_dir=out_dir)
+
+
+def _check_sweep_task(task: str, parameter: str | None, values: list[float]) -> None:
+    if task != "sweep":
+        return
+    if not parameter:
+        raise ConfigError("sweep task requires sweep.parameter")
+    if not values:
+        raise ConfigError("sweep task requires a non-empty sweep.values list")
 
 
 def apply_sweep_value(p: ModelParams, parameter: str, value: float) -> ModelParams:
@@ -338,10 +344,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--threads must be >= 1")
             cfg.workers = args.threads
         if args.seed is not None:
-            cfg.mc = McConfig(n_paths=cfg.mc.n_paths, step=cfg.mc.step,
-                              seed=args.seed, antithetic=cfg.mc.antithetic)
-        if cfg.task == "sweep" and not cfg.sweep_values:
-            raise ConfigError("sweep task requires a non-empty sweep.values list")
+            try:
+                cfg.mc = replace(cfg.mc, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed invalid: {exc}") from exc
+        _check_sweep_task(cfg.task, cfg.sweep_parameter, cfg.sweep_values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .model import ModelParams, ParameterError, validate_params
+from .model import ModelParams, validate_params
 
 if TYPE_CHECKING:
     from .pricing import CdsSchedule
@@ -52,6 +52,8 @@ class McConfig:
             raise ValueError("n_paths must be >= 1000 for reported estimates")
         if not 0.0 < self.step <= 1.0 / 48.0 + 1e-12:
             raise ValueError("step must be positive and <= 1/48 yr")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,6 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
     """
     cfg = cfg or McConfig()
     validate_params(p)
-    eig = np.linalg.eigvalsh(np.asarray(p.rho, dtype=float))
-    if eig.min() < -1e-10:
-        raise ParameterError("rho not PSD; Cholesky factorization impossible")
-
     prot, ann, _ = _run_blocks(p, schedule, cfg)
     s = prot.mean() / ann.mean()
     resid = prot - s * ann
@@ -258,7 +256,8 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     state is read out by linear interpolation at y0.
     """
     if p.kappa_R != 0.0 or p.sigma_R != 0.0:
-        raise ValueError("1D reduction requires kappa_R = sigma_R = 0")
+        raise ValueError("1D reduction requires frozen recovery "
+                         "(kappa_R = sigma_R = 0)")
     y = np.linspace(y_min, 0.0, n_y)
     lam = np.exp(y)
     D1, D2 = _fd_axis_ops(y)
@@ -273,44 +272,22 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     M = sps.bmat([[A1, None], [sps.diags(lam), A2]], format="csc")
     lhs = spla.splu((I2 - 0.5 * h * M).tocsc())
     rhs = (I2 + 0.5 * h * M).tocsc()
-    I1 = sps.identity(n_y, format="csc")
-    lhs_w = spla.splu((I1 - 0.5 * h * A2).tocsc())
-    rhs_w = (I1 + 0.5 * h * A2).tocsc()
 
-    def readout(f: np.ndarray) -> float:
-        return float(np.interp(p.y0, y, f))
-
-    # coupon curve: terminal 1 (z excluded from the domestic contract)
-    v = np.ones(n_y)
-    w = np.empty(nsteps + 1)
-    w[0] = 1.0
+    # One march of the columns [1; 0] and [0; 1].  The first gives the
+    # accrual density proxy times the horizon (terminal data are linear
+    # in 1/T); under frozen recovery protection is (1 - R0) times it.
+    # The second keeps a zero post-default block (M is block lower
+    # triangular), so its pre-default block is the coupon curve w.
+    uv = np.kron(np.eye(2), np.ones((n_y, 1)))
+    vals = np.empty((nsteps, 2))
     for k in range(nsteps):
-        v = lhs_w.solve(rhs_w @ v)
-        w[k + 1] = readout(v)
+        uv = lhs.solve(rhs @ uv)
+        vals[k] = [np.interp(p.y0, y, f) for f in uv[n_y:].T]
+    taus = schedule.quad_dates
+    gtil, w = vals[:, 0] / taus, vals[:, 1]
 
-    def density_curve(scale: float) -> np.ndarray:
-        # step-1 terminal is scale/T; sweep the unscaled field, then
-        # divide by the horizon (terminal data linear in 1/T)
-        uv = np.concatenate([np.full(n_y, scale), np.zeros(n_y)])
-        out = np.zeros(nsteps + 1)
-        for k in range(nsteps):
-            uv = lhs.solve(rhs @ uv)
-            out[k + 1] = readout(uv[n_y:])
-        taus = h * np.arange(nsteps + 1)
-        out[1:] = out[1:] / taus[1:]
-        return out
-
-    gbar = density_curve(1.0 - p.R0)
-    gtil = density_curve(1.0)
-
-    taus = h * np.arange(nsteps + 1)
-    dtc = schedule.coupon_interval
-    Asum = Bsum = CDsum = 0.0
-    for i in range(1, schedule.m + 1):
-        for k in range(1, schedule.n_quad + 1):
-            j = (i - 1) * schedule.n_quad + k
-            nu = taus[j]
-            Asum += h * w[j]
-            Bsum += h * gbar[j]
-            CDsum += h * (nu - (i - 1) * dtc) * gtil[j]
-    return Bsum / (Asum + CDsum)
+    # right-endpoint quadrature; the common weight h cancels in the ratio
+    t_left = np.repeat(schedule.coupon_interval * np.arange(schedule.m),
+                       schedule.n_quad)
+    protection = (1.0 - p.R0) * gtil.sum()
+    return protection / (w.sum() + ((taus - t_left) * gtil).sum())

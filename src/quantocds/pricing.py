@@ -192,12 +192,11 @@ class QuantoCdsPricer:
     extrapolates the nearly-z-linear fields from the boundary cell.
     """
 
-    def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None,
-                 epsilon: float | None = None):
+    def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
         self.p = validate_params(p)
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
-        L = assemble_L(self.grid, self.p, epsilon)
+        L = assemble_L(self.grid, self.p)
         A1 = assemble_pde1_rhs(self.grid, self.p, L)
         A2 = assemble_pde2_rhs(self.grid, self.p, L)
         del L                       # lower the peak of the block build
@@ -274,25 +273,17 @@ def domestic_params(p: ModelParams) -> ModelParams:
                    kappa_rhat=0.0, sigma_rhat=0.0, rho=rho)
 
 
-def domestic_spread(p: ModelParams, schedule: CdsSchedule,
-                    method: str = "auto",
-                    grid_cfg: GridConfig | None = None,
-                    n_y: int = 201) -> float:
+def domestic_spread(p: ModelParams, schedule: CdsSchedule, method: str,
+                    grid_cfg: GridConfig | None = None) -> float:
     """Domestic par spread s_d.
 
     method 'cn1d' runs the one-dimensional Crank-Nicolson benchmark
     (valid only with frozen recovery, kappa_R = sigma_R = 0); 'pde4d'
-    runs the full engine on the reduced parameter set; 'auto' picks the
-    1D path when the recovery is frozen.
+    runs the full engine on the reduced parameter set.
     """
-    if method == "auto":
-        method = "cn1d" if (p.kappa_R == 0.0 and p.sigma_R == 0.0) else "pde4d"
     if method == "cn1d":
-        if p.kappa_R != 0.0 or p.sigma_R != 0.0:
-            raise ValueError("1D benchmark requires frozen recovery "
-                             "(kappa_R = sigma_R = 0)")
         from .oracles import cn_domestic_spread
-        return cn_domestic_spread(p, schedule, n_y=n_y)
+        return cn_domestic_spread(p, schedule)
     if method != "pde4d":
         raise ValueError(f"unknown domestic method {method!r}")
     pricer = QuantoCdsPricer(domestic_params(p), grid_cfg)

@@ -43,11 +43,14 @@ __all__ = [
     "build_axis_operators",
     "lift_axis_operator",
     "assemble_L",
-    "default_epsilon",
     "CONDITION_LIMIT",
 ]
 
 CONDITION_LIMIT = 1e12
+
+# (low, high) boundary names of each grid axis, as keyed by boundary_regimes
+_AXIS_BOUNDARIES = (("R=0", "R=1"), ("rhat=0", "rhat=max"),
+                   ("y=min", "y=max"), ("z=0", "z=max"))
 
 
 class ShapeParameterError(ValueError):
@@ -147,45 +150,30 @@ def rbf_fd_weights(nodes, center: float, epsilon: float, order: int) -> StencilW
     return StencilWeights(center, nodes, w, order, epsilon)
 
 
-def default_epsilon(n: int) -> float:
-    """eps = 2h on the unit-length axis with n nodes."""
-    return 2.0 / (n - 1)
-
-
-def build_axis_operators(coords: np.ndarray, epsilon: float | None = None
-                         ) -> tuple[sps.csr_matrix, sps.csr_matrix]:
+def build_axis_operators(coords: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     """Per-axis sparse D1, D2 from 3-point RBF-FD stencils.
 
-    Interior rows use centered stencils, the first and last rows
-    one-sided ones.  Weights are generated on the axis mapped to unit
-    length (where eps defaults to 2h) and scaled back, so the matrices
-    differentiate in the physical coordinate.
+    On a uniform axis the weights do not depend on the node, so each
+    order needs three stencils: one-sided at the first and last rows,
+    centered everywhere in between.  They are generated on the axis
+    mapped to unit length with eps = 2h = 2/(n-1) and scaled back, so
+    the matrices differentiate in the physical coordinate.
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.size
     if n < 4:
         raise ValueError("axis needs at least 4 nodes")
     length = coords[-1] - coords[0]
-    h = 1.0 / (n - 1)
-    eps = default_epsilon(n) if epsilon is None else epsilon
-    xs = np.array([0.0, h, 2.0 * h])
+    h, eps = 1.0 / (n - 1), 2.0 / (n - 1)
+    cols = (np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)).ravel()
+    indptr = 3 * np.arange(n + 1)
     mats = []
     for order in (1, 2):
-        rows = np.zeros((n, 3))
-        cols = np.zeros((n, 3), dtype=int)
-        for i in range(n):
-            if i == 0:
-                w = rbf_fd_weights(xs, 0.0, eps, order).weights
-                cols[i] = (0, 1, 2)
-            elif i == n - 1:
-                w = rbf_fd_weights(xs, 2.0 * h, eps, order).weights
-                cols[i] = (n - 3, n - 2, n - 1)
-            else:
-                w = rbf_fd_weights(xs, h, eps, order).weights
-                cols[i] = (i - 1, i, i + 1)
-            rows[i] = w / length**order
-        indptr = 3 * np.arange(n + 1)
-        mats.append(sps.csr_matrix((rows.ravel(), cols.ravel(), indptr), shape=(n, n)))
+        w = np.empty((n, 3))
+        w[0], w[1:-1], w[-1] = (_uniform3_weights(h, eps, pos, order)
+                                for pos in ("left", "mid", "right"))
+        mats.append(sps.csr_matrix(((w / length**order).ravel(), cols, indptr),
+                                   shape=(n, n)))
     return mats[0], mats[1]
 
 
@@ -208,32 +196,27 @@ def _boundary_row_mask(grid: Grid4D, axis: int, drop_low: bool, drop_high: bool)
     return sps.diags(mask)
 
 
-def assemble_L(grid: Grid4D, p: ModelParams, epsilon: float | None = None) -> sps.csr_matrix:
+def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     """Assemble the full diffusion-convection operator on the grid.
 
     Coefficients are evaluated nodewise; rhat is clipped at zero inside
     square roots (the CIR diffusion is only defined for rhat >= 0, and
-    jump-extended grids never go negative anyway).  Boundary regimes:
-    rows on a vanishing-second-derivative boundary lose the D2
-    contribution normal to that boundary; degenerate-pde boundaries
-    keep the PDE row, whose normal diffusion coefficient vanishes there
-    by itself.  One-sided first-derivative stencils at the edges come
-    from the axis operators.
+    jump-extended grids never go negative anyway).  Boundary regimes
+    come from ``boundary_regimes``: rows on a vanishing-second-derivative
+    boundary lose the D2 contribution normal to that boundary;
+    degenerate-pde boundaries keep the PDE row, whose normal diffusion
+    coefficient vanishes there by itself.  One-sided first-derivative
+    stencils at the edges come from the axis operators.
     """
     regimes = boundary_regimes(p)
     shape = grid.shape
-    axis_mats = [build_axis_operators(a, epsilon) for a in grid.axes]
+    axis_mats = [build_axis_operators(a) for a in grid.axes]
     D1 = [lift_axis_operator(shape, k, m[0]) for k, m in enumerate(axis_mats)]
     D2 = [lift_axis_operator(shape, k, m[1]) for k, m in enumerate(axis_mats)]
 
     van = BoundaryKind.VANISHING_SECOND_DERIVATIVE
-    drops = [
-        (regimes["R=0"].kind is van, regimes["R=1"].kind is van),
-        (regimes["rhat=0"].kind is van, True),   # rhat=max always far
-        (True, True),                            # y=min, y=max
-        (True, True),                            # z=0, z=max
-    ]
-    for k, (lo, hi) in enumerate(drops):
+    for k, names in enumerate(_AXIS_BOUNDARIES):
+        lo, hi = (regimes[b].kind is van for b in names)
         if lo or hi:
             D2[k] = _boundary_row_mask(grid, k, lo, hi) @ D2[k]
 

@@ -150,8 +150,13 @@ class TestMain:
         ({"solver": {"dt": float("nan")}}, []),
         ({"model": {"r_dom": float("nan")}}, []),
         ({"schedule": {"T": float("inf")}}, []),
+        ({"sweep": {"values": [0.0]}}, ["--task", "sweep"]),
+        ({"task": "mc-check", "mc": {"seed": -1}}, []),
+        ({"mc": {"antithetic": "false"}}, []),
+        ({}, ["--seed", "-1"]),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
-            "dt=0", "dt=nan", "r_dom=nan", "T=inf"])
+            "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
+            "mc.seed=-1", "mc.antithetic=string", "seed=-1"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
         cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path / "out")}})
         assert main(["--config", cfg, *argv]) == 2

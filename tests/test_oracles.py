@@ -122,3 +122,9 @@ class TestCnBenchmark:
     def test_full_recovery_zero(self):
         p = P.with_(R0=1.0, kappa_y=0.0, sigma_y=0.0)
         assert cn_domestic_spread(p, SCHED) == pytest.approx(0.0, abs=1e-15)
+
+    def test_protection_proportional_to_loss(self):
+        # under frozen recovery only the protection leg carries R0, as 1 - R0
+        ratio = cn_domestic_spread(P.with_(R0=0.45), SCHED) / cn_domestic_spread(
+            P.with_(R0=0.0), SCHED)
+        assert ratio == pytest.approx(0.55, rel=1e-12)

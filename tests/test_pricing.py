@@ -260,11 +260,6 @@ class TestDomesticAndBasis:
         with pytest.raises(ValueError, match="recovery"):
             domestic_spread(P.with_(sigma_R=0.3, kappa_R=0.5), SCHED, method="cn1d")
 
-    def test_auto_dispatch(self):
-        s_auto = domestic_spread(P, SCHED, method="auto")
-        s_1d = domestic_spread(P, SCHED, method="cn1d")
-        assert s_auto == s_1d
-
     def test_degenerated_foreign_contract_has_zero_basis(self):
         # pricing the domestic reduction through the foreign pipeline
         # reproduces the domestic spread exactly

@@ -97,15 +97,16 @@ class TestAxisOperators:
         assert set(D2[0].indices) == {0, 1, 2}
         assert set(D2[-1].indices) == {7, 8, 9}
 
-    def test_rows_collocate_scaled_basis(self):
+    @pytest.mark.parametrize("n", [4, 10, 16])
+    def test_rows_collocate_scaled_basis(self, n):
         # operators built on the unit-mapped axis differentiate the
         # correspondingly scaled Gaussians in physical coordinates
-        x = np.linspace(-6.0, 0.0, 10)
+        x = np.linspace(-6.0, 0.0, n)
         L = x[-1] - x[0]
-        eps_phys = (2.0 / 9.0) / L
+        eps_phys = (2.0 / (n - 1)) / L
         D1, D2 = build_axis_operators(x)
-        for row in (0, 4, 9):
-            lo = 0 if row == 0 else (7 if row == 9 else row - 1)
+        for row in range(n):
+            lo = 0 if row == 0 else (n - 3 if row == n - 1 else row - 1)
             stencil = x[lo:lo + 3]
             for xj in stencil:
                 phi, dphi, d2phi = gaussian(eps_phys, xj)
