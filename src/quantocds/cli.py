@@ -76,6 +76,15 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _integer(value, name: str) -> int:
+    """An integer field: a JSON integer, or a float with no fractional
+    part (10.0); booleans and fractional values are config errors."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_rho(raw) -> np.ndarray:
     rho = np.eye(4)
     if isinstance(raw, dict):
@@ -110,6 +119,9 @@ def load_config(path: str | Path) -> RunConfig:
 
     grid_raw = dict(raw.get("grid", {}))
     _reject_unknown(grid_raw, _GRID_KEYS, "grid")
+    for key in ("n_R", "n_rhat", "n_y", "n_z"):
+        if key in grid_raw:
+            grid_raw[key] = _integer(grid_raw[key], f"grid.{key}")
     try:
         grid = GridConfig(**grid_raw)
     except (TypeError, ValueError) as exc:
@@ -123,18 +135,18 @@ def load_config(path: str | Path) -> RunConfig:
         dt = float(solver_raw.get("dt", 0.05))
         if not 0.0 < dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        n_quad = int(solver_raw.get("n_quad", 1))
-        workers = int(solver_raw.get("workers", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver block invalid: {exc}") from exc
+    n_quad = _integer(solver_raw.get("n_quad", 1), "solver.n_quad")
+    workers = _integer(solver_raw.get("workers", 1), "solver.workers")
     if workers < 1:
         raise ConfigError("solver block invalid: workers must be >= 1")
 
     sched_raw = dict(raw.get("schedule", {}))
     _reject_unknown(sched_raw, _SCHEDULE_KEYS, "schedule")
+    m = _integer(sched_raw.get("m", 120), "schedule.m")
     try:
-        schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)),
-                               m=int(sched_raw.get("m", 120)), n_quad=n_quad)
+        schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)), m=m, n_quad=n_quad)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schedule block invalid: {exc}") from exc
 
@@ -160,13 +172,14 @@ def load_config(path: str | Path) -> RunConfig:
 
     mc_raw = dict(raw.get("mc", {}))
     _reject_unknown(mc_raw, _MC_KEYS, "mc")
+    n_paths = _integer(mc_raw.get("n_paths", 100_000), "mc.n_paths")
+    seed = _integer(mc_raw.get("seed", 0), "mc.seed")
     try:
         antithetic = mc_raw.get("antithetic", False)
         if not isinstance(antithetic, bool):
             raise ValueError("antithetic must be a boolean")
-        mc = McConfig(n_paths=int(mc_raw.get("n_paths", 100_000)),
-                      step=float(mc_raw.get("step", 1.0 / 48.0)),
-                      seed=int(mc_raw.get("seed", 0)), antithetic=antithetic)
+        mc = McConfig(n_paths=n_paths, step=float(mc_raw.get("step", 1.0 / 48.0)),
+                      seed=seed, antithetic=antithetic)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc block invalid: {exc}") from exc
 

@@ -16,7 +16,7 @@ import scipy.sparse as sps
 from .model import ModelParams
 
 __all__ = ["GridConfig", "Grid4D", "ScalarField", "build_grid",
-           "interpolate", "interpolation_matrix"]
+           "interpolate", "interpolation_matrix", "restrict_to_cells"]
 
 AXIS_NAMES = ("R", "rhat", "y", "z")
 
@@ -128,6 +128,16 @@ def _cells_and_weights(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
     t = (x - axis[i]) / (axis[i + 1] - axis[i])
     return i, t
+
+
+def restrict_to_cells(grid: Grid4D, point, axes) -> Grid4D:
+    """Sub-grid keeping, on each axis in ``axes``, only the two nodes of
+    the cell that ``interpolation_matrix`` uses for ``point``."""
+    kept = list(grid.axes)
+    for k in axes:
+        i, _ = _cells_and_weights(grid.axes[k], point[k])
+        kept[k] = grid.axes[k][i:i + 2]
+    return Grid4D(tuple(kept))
 
 
 def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:

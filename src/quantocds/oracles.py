@@ -23,7 +23,10 @@ if TYPE_CHECKING:
     from .pricing import CdsSchedule
 
 __all__ = ["McConfig", "McEstimate", "credit_triangle", "mc_spread",
-           "cn_domestic_spread"]
+           "cn_domestic_spread", "CN_Y_MIN"]
+
+# lower end of the 1D benchmark's log-hazard axis [CN_Y_MIN, 0]
+CN_Y_MIN = -6.0
 
 
 def credit_triangle(lam: float, R: float) -> float:
@@ -247,10 +250,11 @@ def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
 
 
 def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
-                       n_y: int = 201, y_min: float = -6.0) -> float:
+                       n_y: int = 201, y_min: float = CN_Y_MIN) -> float:
     """Domestic par spread from the 1D log-hazard reduction.
 
-    Requires frozen recovery.  Crank-Nicolson in time on the coupled
+    Requires frozen recovery and y0 on the axis [y_min, 0] (the linear
+    readout would clamp outside it).  Crank-Nicolson in time on the coupled
     (post-default, pre-default) pair, with the same 1/T-style terminal
     data and right-endpoint quadrature as the 4D engine; the market
     state is read out by linear interpolation at y0.
@@ -258,6 +262,9 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     if p.kappa_R != 0.0 or p.sigma_R != 0.0:
         raise ValueError("1D reduction requires frozen recovery "
                          "(kappa_R = sigma_R = 0)")
+    if not y_min <= p.y0 <= 0.0:
+        raise ValueError(f"y0 = {p.y0} lies off the 1D log-hazard axis "
+                         f"[{y_min}, 0.0]")
     y = np.linspace(y_min, 0.0, n_y)
     lam = np.exp(y)
     D1, D2 = _fd_axis_ops(y)

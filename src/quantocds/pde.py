@@ -18,7 +18,8 @@ import scipy.sparse as sps
 
 from .grid import Grid4D, ScalarField, interpolation_matrix
 from .model import ModelParams
-from .rbffd import assemble_L, build_axis_operators, lift_axis_operator
+from .rbffd import (assemble_L, build_axis_operators, lift_axis_operator,
+                    operator_terms)
 
 __all__ = [
     "StabilityError",
@@ -27,6 +28,7 @@ __all__ = [
     "jump_shift",
     "jump_shift_matrix",
     "coupling_shift_matrix",
+    "inert_axes",
     "rk4_sweep",
 ]
 
@@ -102,6 +104,25 @@ def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
         shifted = rr / (1.0 + p.gamma_rhat)
     pts = np.stack([R, shifted, y, z], axis=1)
     return interpolation_matrix(grid, pts)
+
+
+def inert_axes(grid: Grid4D, p: ModelParams) -> tuple[int, ...]:
+    """Axes along which the stacked system never couples two slices.
+
+    An axis is inert when every term of ``operator_terms`` that
+    differentiates along it vanishes on the grid, when it is not z
+    under an FX jump (the compensator lambda*gamma_z*z*D1_z of the
+    pre-default operator) and when it is not rhat under a rate jump
+    (the coupling shift interpolates along rhat).  On an inert axis
+    both operators act slice by slice.
+    """
+    live = {k for coef, axes in operator_terms(grid, p)
+            if np.any(coef != 0.0) for k in axes}
+    if p.gamma_z != 0.0:
+        live.add(3)
+    if p.gamma_rhat != 0.0:
+        live.add(1)
+    return tuple(k for k in range(len(grid.axes)) if k not in live)
 
 
 def jump_shift(u: ScalarField, p: ModelParams) -> ScalarField:

@@ -33,10 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .grid import Grid4D, GridConfig, ScalarField, build_grid, interpolation_matrix
+from .grid import (Grid4D, GridConfig, ScalarField, build_grid,
+                   interpolation_matrix, restrict_to_cells)
 from .model import ModelParams, validate_params
+from .oracles import CN_Y_MIN
 from .pde import (assemble_pde1_rhs, assemble_pde2_rhs,
-                  coupling_shift_matrix, rk4_sweep)
+                  coupling_shift_matrix, inert_axes, rk4_sweep)
 from .rbffd import assemble_L
 
 __all__ = [
@@ -101,6 +103,22 @@ class LegTerms:
     B: np.ndarray   # integral of gbar   (protection)
     C: np.ndarray   # integral of nu * gtilde
     D: np.ndarray   # t_{i-1} * integral of gtilde
+
+    @classmethod
+    def from_curves(cls, curves: dict[str, np.ndarray],
+                    schedule: CdsSchedule) -> LegTerms:
+        """Right-endpoint cell integrals of the w, protection and accrual
+        curves sampled at every quadrature date."""
+        h = schedule.quad_step
+        nq, m = schedule.n_quad, schedule.m
+        t_left = schedule.coupon_interval * np.arange(0, m)
+        w, gb, gt = (curves[k].reshape(m, nq) for k in ("w", "protection", "accrual"))
+        nu_cells = schedule.quad_dates.reshape(m, nq)
+        A = h * w.sum(axis=1)
+        B = h * gb.sum(axis=1)
+        C = h * (nu_cells * gt).sum(axis=1)
+        D = h * t_left * gt.sum(axis=1)
+        return cls(A, B, C, D)
 
     def accrual(self) -> np.ndarray:
         return self.C - self.D
@@ -190,21 +208,31 @@ class QuantoCdsPricer:
     [0; r] once; each leg is the dot product of u_k with its payoff.
     With a truncated z axis (deep FX devaluation) the readout row
     extrapolates the nearly-z-linear fields from the boundary cell.
+
+    S couples no two slices of an inert axis (``pde.inert_axes``:
+    frozen recovery, a frozen foreign rate without a rate jump, a
+    frozen hazard), so the sweep started from r stays on the two slices
+    of each inert axis that bracket x0 and is exactly zero elsewhere.
+    The pricer therefore builds S^T, r and the payoffs on ``solve_grid``,
+    the configured ``grid`` cut to those two slices on every inert
+    axis; its rows are the full-grid rows, entry for entry.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
         self.p = validate_params(p)
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
-        L = assemble_L(self.grid, self.p)
-        A1 = assemble_pde1_rhs(self.grid, self.p, L)
-        A2 = assemble_pde2_rhs(self.grid, self.p, L)
+        self.inert_axes = inert_axes(self.grid, self.p)
+        self.solve_grid = g = restrict_to_cells(self.grid, self.p.x0, self.inert_axes)
+        L = assemble_L(g, self.p)
+        A1 = assemble_pde1_rhs(g, self.p, L)
+        A2 = assemble_pde2_rhs(g, self.p, L)
         del L                       # lower the peak of the block build
-        _, _, y, _ = self.grid.coordinate_fields()
-        coupling = sps.diags(np.exp(y)) @ coupling_shift_matrix(self.grid, self.p)
+        _, _, y, _ = g.coordinate_fields()
+        coupling = sps.diags(np.exp(y)) @ coupling_shift_matrix(g, self.p)
         # S^T, built from transposed blocks so S itself is never formed
         self._stacked = sps.bmat([[A1.T, coupling.T], [None, A2.T]], format="csr")
-        self._readout = interpolation_matrix(self.grid, self.p.x0[None, :]).toarray()[0]
+        self._readout = interpolation_matrix(g, self.p.x0[None, :]).toarray()[0]
 
     def leg_curves(self, schedule: CdsSchedule) -> dict[str, np.ndarray]:
         """w and the density proxy of every terminal kind at every
@@ -216,9 +244,10 @@ class QuantoCdsPricer:
         1/T, so the sweep uses the T = 1 fields and divides the step-k
         value by the horizon k*h.
         """
-        n = self.grid.size
-        _, _, _, z = self.grid.coordinate_fields()
-        terminals = np.stack([terminal_condition(kind, self.grid, self.p, 1.0).values
+        g = self.solve_grid
+        n = g.size
+        _, _, _, z = g.coordinate_fields()
+        terminals = np.stack([terminal_condition(kind, g, self.p, 1.0).values
                               for kind in TERMINAL_KINDS])
 
         def record(u: np.ndarray, k: int) -> np.ndarray:
@@ -240,17 +269,7 @@ class QuantoCdsPricer:
 
     def leg_terms(self, schedule: CdsSchedule) -> LegTerms:
         """Quadrature cell integrals A_i, B_i, C_i, D_i for i = 1..m."""
-        curves = self.leg_curves(schedule)
-        h = schedule.quad_step
-        nq, m = schedule.n_quad, schedule.m
-        t_left = schedule.coupon_interval * np.arange(0, m)
-        w, gb, gt = (curves[k].reshape(m, nq) for k in ("w", "protection", "accrual"))
-        nu_cells = schedule.quad_dates.reshape(m, nq)
-        A = h * w.sum(axis=1)
-        B = h * gb.sum(axis=1)
-        C = h * (nu_cells * gt).sum(axis=1)
-        D = h * t_left * gt.sum(axis=1)
-        return LegTerms(A, B, C, D)
+        return LegTerms.from_curves(self.leg_curves(schedule), schedule)
 
     def spread(self, schedule: CdsSchedule) -> tuple[float, LegTerms]:
         terms = self.leg_terms(schedule)
@@ -298,20 +317,24 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     The basis is quoted against the domestic spread computed by the same
     four-factor engine (reduced parameters), so shared discretization
     bias cancels; the 1D Crank-Nicolson value is attached when the
-    recovery is frozen.  The (1+gamma_z)-proportional reference level is
-    included in the metadata for sweep outputs.  ``x0_interpolated``
-    records whether x0 lies inside the grid hull on every axis (False
-    means the readout extrapolated).
+    recovery is frozen and y0 lies on its log-hazard axis.  The
+    (1+gamma_z)-proportional reference level is included in the
+    metadata for sweep outputs.  ``grid_shape`` is the configured grid
+    and ``solve_shape`` the grid the foreign sweep marched (two nodes
+    on each inert axis).  ``x0_interpolated`` records whether x0 lies
+    inside the grid hull on every axis (False means the readout
+    extrapolated).
     """
     t0 = time.time()
     pricer = QuantoCdsPricer(p, grid_cfg)
     s, legs = pricer.spread(schedule)
     s_d = domestic_spread(p, schedule, method="pde4d", grid_cfg=grid_cfg)
     s_d_1d = None
-    if p.kappa_R == 0.0 and p.sigma_R == 0.0:
+    if p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0:
         s_d_1d = domestic_spread(p, schedule, method="cn1d")
     meta = {
         "grid_shape": list(pricer.grid.shape),
+        "solve_shape": list(pricer.solve_grid.shape),
         "quad_step": schedule.quad_step,
         "gamma_z": p.gamma_z,
         "gamma_rhat": p.gamma_rhat,

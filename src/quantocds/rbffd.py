@@ -42,6 +42,7 @@ __all__ = [
     "rbf_fd_weights",
     "build_axis_operators",
     "lift_axis_operator",
+    "operator_terms",
     "assemble_L",
     "CONDITION_LIMIT",
 ]
@@ -196,63 +197,74 @@ def _boundary_row_mask(grid: Grid4D, axis: int, drop_low: bool, drop_high: bool)
     return sps.diags(mask)
 
 
-def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
-    """Assemble the full diffusion-convection operator on the grid.
+def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The 14 terms of L as (nodal coefficient, axes) pairs, in the order
+    ``assemble_L`` sums them.
 
-    Coefficients are evaluated nodewise; rhat is clipped at zero inside
-    square roots (the CIR diffusion is only defined for rhat >= 0, and
-    jump-extended grids never go negative anyway).  Boundary regimes
-    come from ``boundary_regimes``: rows on a vanishing-second-derivative
-    boundary lose the D2 contribution normal to that boundary;
-    degenerate-pde boundaries keep the PDE row, whose normal diffusion
-    coefficient vanishes there by itself.  One-sided first-derivative
-    stencils at the edges come from the axis operators.
+    ``axes`` names the derivative: (k,) is d/dx_k, (k, k) is
+    d^2/dx_k^2, and (a, b) with a != b is the mixed derivative
+    D1_a D1_b.  Coefficients are evaluated nodewise; rhat is clipped at
+    zero inside square roots (the CIR diffusion is only defined for
+    rhat >= 0, and jump-extended grids never go negative anyway).
     """
-    regimes = boundary_regimes(p)
-    shape = grid.shape
-    axis_mats = [build_axis_operators(a) for a in grid.axes]
-    D1 = [lift_axis_operator(shape, k, m[0]) for k, m in enumerate(axis_mats)]
-    D2 = [lift_axis_operator(shape, k, m[1]) for k, m in enumerate(axis_mats)]
-
-    van = BoundaryKind.VANISHING_SECOND_DERIVATIVE
-    for k, names in enumerate(_AXIS_BOUNDARIES):
-        lo, hi = (regimes[b].kind is van for b in names)
-        if lo or hi:
-            D2[k] = _boundary_row_mask(grid, k, lo, hi) @ D2[k]
-
     R, rr, y, z = grid.coordinate_fields()
     RR = np.clip(R * (1.0 - R), 0.0, None)
     rp = np.clip(rr, 0.0, None)
     rho = np.asarray(p.rho, dtype=float)
     one = np.ones(grid.size)
-
-    terms = [
+    return [
         # pure second derivatives
-        (0.5 * p.sigma_R**2 * RR, D2[0]),
-        (0.5 * p.sigma_rhat**2 * rp, D2[1]),
-        (0.5 * p.sigma_y**2 * one, D2[2]),
-        (0.5 * p.sigma_z**2 * z**2, D2[3]),
+        (0.5 * p.sigma_R**2 * RR, (0, 0)),
+        (0.5 * p.sigma_rhat**2 * rp, (1, 1)),
+        (0.5 * p.sigma_y**2 * one, (2, 2)),
+        (0.5 * p.sigma_z**2 * z**2, (3, 3)),
         # convection
-        (p.kappa_R * (p.theta_R - R), D1[0]),
-        (p.kappa_rhat * (p.theta_rhat - rr), D1[1]),
-        (p.kappa_y * (p.theta_y - y), D1[2]),
-        ((p.r_dom - rr) * z, D1[3]),
+        (p.kappa_R * (p.theta_R - R), (0,)),
+        (p.kappa_rhat * (p.theta_rhat - rr), (1,)),
+        (p.kappa_y * (p.theta_y - y), (2,)),
+        ((p.r_dom - rr) * z, (3,)),
+        # mixed derivatives; correlation indices follow (R, rhat, z, y)
+        (rho[0, 1] * p.sigma_R * p.sigma_rhat * np.sqrt(RR * rp), (0, 1)),
+        (rho[0, 2] * p.sigma_R * p.sigma_z * z * np.sqrt(RR), (0, 3)),
+        (rho[1, 2] * p.sigma_rhat * p.sigma_z * z * np.sqrt(rp), (3, 1)),
+        (rho[0, 3] * p.sigma_R * p.sigma_y * np.sqrt(RR), (0, 2)),
+        (rho[1, 3] * p.sigma_rhat * p.sigma_y * np.sqrt(rp), (2, 1)),
+        (rho[3, 2] * p.sigma_y * p.sigma_z * z, (2, 3)),
     ]
-    # mixed derivatives; correlation indices follow (R, rhat, z, y)
-    mixed = [
-        (rho[0, 1] * p.sigma_R * p.sigma_rhat * np.sqrt(RR * rp), 0, 1),
-        (rho[0, 2] * p.sigma_R * p.sigma_z * z * np.sqrt(RR), 0, 3),
-        (rho[1, 2] * p.sigma_rhat * p.sigma_z * z * np.sqrt(rp), 3, 1),
-        (rho[0, 3] * p.sigma_R * p.sigma_y * np.sqrt(RR), 0, 2),
-        (rho[1, 3] * p.sigma_rhat * p.sigma_y * np.sqrt(rp), 2, 1),
-        (rho[3, 2] * p.sigma_y * p.sigma_z * z, 2, 3),
-    ]
+
+
+def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
+    """Assemble the full diffusion-convection operator on the grid.
+
+    Sums the nonzero terms of ``operator_terms``.  Boundary regimes
+    come from ``boundary_regimes``: rows on a vanishing-second-derivative
+    boundary lose the D2 contribution normal to that boundary;
+    degenerate-pde boundaries keep the PDE row, whose normal diffusion
+    coefficient vanishes there by itself.  One-sided first-derivative
+    stencils at the edges come from the axis operators.  Axis operators
+    are built only for axes some nonzero term differentiates along, so
+    an axis no term uses may have fewer nodes than a stencil needs.
+    """
+    regimes = boundary_regimes(p)
+    van = BoundaryKind.VANISHING_SECOND_DERIVATIVE
+    terms = [(coef, axes) for coef, axes in operator_terms(grid, p)
+             if np.any(coef != 0.0)]
+    D1, D2 = {}, {}
+    for k in sorted({k for _, axes in terms for k in axes}):
+        d1, d2 = build_axis_operators(grid.axes[k])
+        D1[k] = lift_axis_operator(grid.shape, k, d1)
+        D2[k] = lift_axis_operator(grid.shape, k, d2)
+        lo, hi = (regimes[b].kind is van for b in _AXIS_BOUNDARIES[k])
+        if lo or hi:
+            D2[k] = _boundary_row_mask(grid, k, lo, hi) @ D2[k]
 
     L = sps.csr_matrix((grid.size, grid.size))
-    for coef, op in terms:
-        if np.any(coef != 0.0):
-            L = L + sps.diags(coef) @ op
-    for coef, a, b in mixed:
-        if np.any(coef != 0.0):
-            L = L + sps.diags(coef) @ (D1[a] @ D1[b])
+    for coef, axes in terms:
+        if len(axes) == 1:
+            op = D1[axes[0]]
+        elif axes[0] == axes[1]:
+            op = D2[axes[0]]
+        else:
+            op = D1[axes[0]] @ D1[axes[1]]
+        L = L + sps.diags(coef) @ op
     return L.tocsr()

@@ -66,6 +66,16 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, {
                 "task": "sweep", "sweep": {"parameter": "gamma_z", "values": []}}))
 
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {
+            "grid": {"n_y": 12.0}, "schedule": {"m": 24.0},
+            "solver": {"n_quad": 2.0, "workers": 1.0},
+            "mc": {"n_paths": 2000.0, "seed": 3.0}}))
+        assert (cfg.grid.n_y, cfg.schedule.m, cfg.schedule.n_quad, cfg.workers,
+                cfg.mc.n_paths, cfg.mc.seed) == (12, 24, 2, 1, 2000, 3)
+        assert all(type(v) is int for v in (cfg.grid.n_y, cfg.schedule.m,
+                                            cfg.mc.n_paths, cfg.mc.seed))
+
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -154,9 +164,25 @@ class TestMain:
         ({"task": "mc-check", "mc": {"seed": -1}}, []),
         ({"mc": {"antithetic": "false"}}, []),
         ({}, ["--seed", "-1"]),
+        ({"task": "mc-check", "mc": {"seed": 1.5}}, []),
+        ({"task": "mc-check", "mc": {"n_paths": 2500.9}}, []),
+        ({"schedule": {"m": 12.5}}, []),
+        ({"solver": {"n_quad": 1.5}}, []),
+        ({"solver": {"workers": 1.5}}, []),
+        ({"grid": {"n_y": 10.7}}, []),
+        ({"task": "mc-check", "mc": {"seed": True}}, []),
+        ({"task": "mc-check", "mc": {"n_paths": True}}, []),
+        ({"schedule": {"m": True}}, []),
+        ({"solver": {"n_quad": True}}, []),
+        ({"solver": {"workers": True}}, []),
+        ({"grid": {"n_z": True}}, []),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
-            "mc.seed=-1", "mc.antithetic=string", "seed=-1"])
+            "mc.seed=-1", "mc.antithetic=string", "seed=-1",
+            "mc.seed=1.5", "mc.n_paths=2500.9", "m=12.5", "n_quad=1.5",
+            "workers=1.5", "grid.n_y=10.7", "mc.seed=true",
+            "mc.n_paths=true", "m=true", "n_quad=true", "workers=true",
+            "grid.n_z=true"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
         cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path / "out")}})
         assert main(["--config", cfg, *argv]) == 2

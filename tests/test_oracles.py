@@ -114,6 +114,16 @@ class TestCnBenchmark:
         with pytest.raises(ValueError):
             cn_domestic_spread(P.with_(sigma_R=0.2, kappa_R=0.3), SCHED)
 
+    @pytest.mark.parametrize("y0", [0.5, 2.0, -7.0])
+    def test_refuses_y0_off_its_axis(self, y0):
+        # the readout used to clamp to the end node of [-6, 0]
+        with pytest.raises(ValueError, match=r"y0 = .*\[-6.0, 0.0\]"):
+            cn_domestic_spread(P.with_(y0=y0), SCHED)
+
+    def test_axis_ends_are_on_the_axis(self):
+        for y0 in (-6.0, 0.0):
+            assert np.isfinite(cn_domestic_spread(P.with_(y0=y0), SCHED))
+
     def test_grid_refinement_stable(self):
         a = cn_domestic_spread(P, SCHED, n_y=101)
         b = cn_domestic_spread(P, SCHED, n_y=201)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams
@@ -14,6 +16,31 @@ from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
 
 P = ModelParams()
 SCHED = CdsSchedule()
+
+_RHO_RZ = np.eye(4)
+_RHO_RZ[0, 2] = _RHO_RZ[2, 0] = 0.8
+_CORRELATED = P.with_(sigma_R=0.3, kappa_R=0.5, rho=_RHO_RZ)
+_GRID16 = GridConfig(n_R=16, n_rhat=16, n_y=16, n_z=16)
+# name -> (params, grid config, axes the pricer should find inert)
+REDUCTION_CASES = {
+    "defaults": (P, None, (0,)),
+    "gamma_z": (P.with_(gamma_z=-0.3), None, (0,)),
+    "gamma_z=-0.5": (P.with_(gamma_z=-0.5), None, (0,)),
+    # z_max shrinks to 0.4 < z0: the readout extrapolates along z
+    "gamma_z=-0.9": (P.with_(gamma_z=-0.9), None, (0,)),
+    # the coupling shift interpolates along rhat, so rhat stays active
+    # even when its dynamics are frozen
+    "gamma_rhat": (P.with_(gamma_rhat=4.0), None, (0,)),
+    "frozen-rhat-gamma_rhat": (P.with_(kappa_rhat=0.0, sigma_rhat=0.0, gamma_rhat=4.0),
+                               None, (0,)),
+    "domestic": (domestic_params(P), None, (0, 1)),
+    "domestic-flat-hazard": (domestic_params(P.with_(kappa_y=0.0, sigma_y=0.0)),
+                             None, (0, 1, 2)),
+    "R0-on-node": (P.with_(R0=float(np.linspace(0.0, 1.0, 10)[4])), None, (0,)),
+    "rhat0-outside-hull": (domestic_params(P).with_(rhat0=1.3), None, (0, 1)),
+    "correlated-n16": (_CORRELATED, _GRID16, ()),
+    "correlated-n16-domestic": (domestic_params(_CORRELATED), _GRID16, (1,)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +114,10 @@ class TestTerminalCondition:
             terminal_condition("w", g, P, 1.0)
 
 
-def forward_system(p: ModelParams):
-    """Grid, pre-default operator A2, the stacked system
-    S = [[A1, 0], [Lambda C, A2]] and the readout row r at x0."""
-    g = build_grid(GridConfig(), p)
+def forward_system(p: ModelParams, grid_cfg: GridConfig | None = None):
+    """Full-grid reference: grid, pre-default operator A2, the stacked
+    system S = [[A1, 0], [Lambda C, A2]] and the readout row r at x0."""
+    g = build_grid(grid_cfg or GridConfig(), p)
     A1, A2 = assemble_pde1_rhs(g, p), assemble_pde2_rhs(g, p)
     _, _, y, _ = g.coordinate_fields()
     S = sps.bmat([[A1, None],
@@ -98,10 +125,11 @@ def forward_system(p: ModelParams):
     return g, A2, S, interpolation_matrix(g, p.x0[None, :])
 
 
-def forward_curves(p: ModelParams, schedule: CdsSchedule) -> dict[str, np.ndarray]:
-    """Reference legs from one forward sweep per leg of the stacked
-    system, read out at x0."""
-    g, A2, S, r = forward_system(p)
+def forward_curves(p: ModelParams, schedule: CdsSchedule,
+                   grid_cfg: GridConfig | None = None) -> dict[str, np.ndarray]:
+    """Reference legs from one forward sweep per leg of the full-grid
+    stacked system, read out at x0."""
+    g, A2, S, r = forward_system(p, grid_cfg)
     n = g.size
     _, _, _, z = g.coordinate_fields()
     nsteps, h = schedule.m * schedule.n_quad, schedule.quad_step
@@ -204,18 +232,43 @@ class TestLegTerms:
         s4 = par_spread(pricer.leg_terms(CdsSchedule(n_quad=4)))
         assert abs(s1 - s4) * 1e4 < 1.0       # under 1 bps
 
-    @pytest.mark.parametrize("kw", [{}, {"gamma_z": -0.3}, {"gamma_rhat": 4.0}],
-                             ids=["defaults", "gamma_z", "gamma_rhat"])
-    def test_adjoint_sweep_matches_forward_sweeps(self, kw):
-        # one sweep of the readout under S^T reproduces the forward
-        # sweep of every leg: the RK4 polynomial transposes exactly
-        p = P.with_(**kw)
-        adjoint = QuantoCdsPricer(p).leg_curves(SCHED)
-        forward = forward_curves(p, SCHED)
+    @pytest.mark.parametrize("case", list(REDUCTION_CASES), ids=list(REDUCTION_CASES))
+    def test_adjoint_sweep_matches_forward_sweeps(self, case):
+        # one sweep of the readout under S^T, marched on the solve grid,
+        # reproduces the forward sweep of every leg on the full grid:
+        # the RK4 polynomial transposes exactly and no step leaves the
+        # two slices of an inert axis that bracket x0
+        p, grid_cfg, inert = REDUCTION_CASES[case]
+        pricer = QuantoCdsPricer(p, grid_cfg)
+        assert pricer.inert_axes == inert
+        adjoint = pricer.leg_curves(SCHED)
+        forward = forward_curves(p, SCHED, grid_cfg)
         assert set(adjoint) == set(forward)
         for name, want in forward.items():
             rel = np.abs(adjoint[name] - want).max() / np.abs(want).max()
             assert rel <= 1e-12, name
+        s, legs = pricer.spread(SCHED)
+        want_legs = LegTerms.from_curves(forward, SCHED)
+        assert s == pytest.approx(par_spread(want_legs), rel=1e-12, abs=0.0)
+        for leg in "ABCD":
+            got, want = getattr(legs, leg), getattr(want_legs, leg)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), leg
+
+    @pytest.mark.parametrize("case", list(REDUCTION_CASES), ids=list(REDUCTION_CASES))
+    def test_inert_axes_are_uncoupled_on_full_grid(self, case):
+        # no entry of the full-grid S joins two slices of an axis the
+        # pricer drops, so the reduction is exact whatever L contains
+        p, grid_cfg, _ = REDUCTION_CASES[case]
+        pricer = QuantoCdsPricer(p, grid_cfg)
+        g, _, S, _ = forward_system(p, grid_cfg)
+        S = S.tocoo()
+        nz = S.data != 0.0
+        rows = g.unflatten_index(S.row[nz] % g.size)
+        cols = g.unflatten_index(S.col[nz] % g.size)
+        for k in pricer.inert_axes:
+            assert np.array_equal(rows[k], cols[k]), k
+        assert pricer.solve_grid.shape == tuple(
+            2 if k in pricer.inert_axes else n for k, n in enumerate(g.shape))
 
     def test_discrete_coupon_diagnostic_close_to_integral(self, pricer):
         # dt * sum_i w(t_i) over coupon dates, read off a sweep four times
@@ -285,11 +338,76 @@ class TestDomesticAndBasis:
         assert d["basis_bps"] == pytest.approx(rep.s_bps - rep.s_d_bps)
         assert rep.s_d_1d is not None          # frozen recovery at defaults
         assert rep.meta["grid_shape"] == [10, 10, 10, 10]
+        assert rep.meta["solve_shape"] == [2, 10, 10, 10]   # frozen recovery
         assert rep.meta["quad_step"] == SCHED.quad_step
         assert "dt" not in rep.meta
         assert rep.meta["x0_interpolated"] is True
+
+    def test_cn_value_attached_only_on_its_axis(self):
+        # the 1D oracle's log-hazard axis is [-6, 0]; the 4D grid here
+        # reaches y0 = -7, the oracle does not
+        rep = quanto_basis(P.with_(y0=-7.0), SCHED, GridConfig(y_min=-8.0))
+        assert rep.s_d_1d is None
+        assert rep.to_dict()["s_d_1d_bps"] is None
+        assert quanto_basis(P.with_(y0=0.0), SCHED).s_d_1d is not None
+        # stochastic recovery: the oracle does not apply
+        assert quanto_basis(P.with_(sigma_R=0.3, kappa_R=0.5), SCHED).s_d_1d is None
 
     def test_report_flags_extrapolated_readout(self):
         # gamma_z = -0.9 truncates z_max to 0.4, below z0 = 1.15
         rep = quanto_basis(P.with_(gamma_z=-0.9), SCHED)
         assert rep.meta["x0_interpolated"] is False
+
+
+_AXIS = {"R": 0, "rhat": 1, "y": 2}
+
+
+def _rate(lo: float, hi: float):
+    return st.one_of(st.just(0.0), st.floats(lo, hi))
+
+
+@st.composite
+def admissible_params(draw, frozen: tuple[str, ...]) -> ModelParams:
+    """Admissible parameters inside the explicit march's stability region
+    on a 6^4 grid; kappa and sigma are zero on every axis in ``frozen``."""
+    rho = np.eye(4)
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        # |rho_ij| <= 0.3 keeps the matrix diagonally dominant, so PSD
+        rho[i, j] = rho[j, i] = draw(st.floats(-0.3, 0.3))
+    kw = dict(
+        R0=draw(st.floats(0.0, 0.9)), theta_R=draw(st.floats(0.05, 0.95)),
+        kappa_R=draw(_rate(0.05, 1.0)), sigma_R=draw(_rate(0.05, 0.4)),
+        rhat0=draw(st.floats(0.0, 0.2)), theta_rhat=draw(st.floats(0.0, 0.2)),
+        kappa_rhat=draw(_rate(0.01, 0.5)), sigma_rhat=draw(_rate(0.01, 0.2)),
+        y0=draw(st.floats(-5.5, -2.0)), theta_y=draw(st.floats(-8.0, -1.0)),
+        kappa_y=draw(_rate(1e-4, 0.5)), sigma_y=draw(_rate(0.05, 0.6)),
+        z0=draw(st.floats(0.5, 2.0)), sigma_z=draw(st.floats(0.0, 0.3)),
+        r_dom=draw(st.floats(0.0, 0.1)),
+        gamma_z=draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.5))),
+        gamma_rhat=draw(st.one_of(st.just(0.0), st.floats(-0.5, 4.0))),
+        rho=rho)
+    for name in frozen:
+        kw[f"kappa_{name}"] = kw[f"sigma_{name}"] = 0.0
+    return ModelParams(**kw)
+
+
+class TestAdmissibleParams:
+    GRID = GridConfig(n_R=6, n_rhat=6, n_y=6, n_z=6)
+    SCHED = CdsSchedule(T=3.0, m=36)
+
+    @pytest.mark.parametrize("frozen", [(), ("R",), ("R", "rhat"), ("R", "rhat", "y")],
+                             ids=["none", "R", "R-rhat", "R-rhat-y"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_spread_finite_positive_and_exact(self, frozen, data):
+        p = data.draw(admissible_params(frozen))
+        pricer = QuantoCdsPricer(p, self.GRID)
+        want_inert = {_AXIS[a] for a in frozen}
+        if p.gamma_rhat != 0.0:
+            want_inert.discard(_AXIS["rhat"])
+        assert want_inert <= set(pricer.inert_axes)
+        s, _ = pricer.spread(self.SCHED)
+        assert np.isfinite(s) and s > 0.0
+        ref = par_spread(LegTerms.from_curves(forward_curves(p, self.SCHED, self.GRID),
+                                              self.SCHED))
+        assert s == pytest.approx(ref, rel=1e-12, abs=0.0)
