@@ -51,6 +51,12 @@ class McConfig:
     block_size: int = 25_000
 
     def __post_init__(self):
+        for name in ("n_paths", "block_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.block_size < 1:
+            raise ValueError("block_size must be positive")
         if self.n_paths < 1000:
             raise ValueError("n_paths must be >= 1000 for reported estimates")
         if not 0.0 < self.step <= 1.0 / 48.0 + 1e-12:
@@ -75,31 +81,34 @@ class McEstimate:
         return 1e4 * self.std_error
 
 
-def _simulate_block(p: ModelParams, schedule, cfg: McConfig, rng,
-                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mean_reverting(out, x, level, kappa, theta, dt, vol, dw, tmp) -> None:
+    """out = x + kappa * (theta - level) * dt + vol * dw, evaluated in
+    place left to right, so it rounds exactly as the written expression."""
+    np.subtract(theta, level, out=out)
+    out *= kappa
+    out *= dt
+    out += x
+    out += np.multiply(vol, dw, out=tmp)
+
+
+def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
+                    expo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of paths; returns per-path samples of the protection
     leg, the annuity (coupon plus accrual, discounted and FX converted)
-    and the survival-weighted discounted terminal FX Z_T e^{-rT} 1."""
-    dtc = schedule.coupon_interval
-    nsub = int(round(dtc / cfg.step))
-    nsub = max(1, nsub)
-    dt = dtc / nsub
-    nsteps = schedule.m * nsub
-    sqdt = np.sqrt(dt)
-    chol = np.linalg.cholesky(np.asarray(p.rho, dtype=float)
-                              + 1e-14 * np.eye(4))
-    r = p.r_dom
-    gz, gr = p.gamma_z, p.gamma_rhat
+    and the survival-weighted discounted terminal FX Z_T e^{-rT} 1.
 
-    if cfg.antithetic:
-        half = (n + 1) // 2
-        base = rng.standard_normal((nsteps, half, 4))
-        normals = np.concatenate([base, -base], axis=1)[:, :n, :]
-        expo = rng.exponential(size=half)
-        expo = np.concatenate([expo, expo])[:n]
-    else:
-        normals = rng.standard_normal((nsteps, n, 4))
-        expo = rng.exponential(size=n)
+    ``normals[k]`` holds the step-k normals of the first
+    ``normals.shape[1]`` paths; under antithetic sampling the remaining
+    paths take their negation.  ``expo`` holds every path's default
+    threshold.  The Euler step updates preallocated arrays in place.
+    """
+    n = expo.size
+    nsteps, half = normals.shape[:2]
+    dt = dtc / nsub
+    sqdt = np.sqrt(dt)
+    cholT = np.ascontiguousarray(np.linalg.cholesky(np.asarray(p.rho, dtype=float)
+                                                    + 1e-14 * np.eye(4)).T)
+    r, gz = p.r_dom, p.gamma_z
 
     R = np.full(n, p.R0)
     rr = np.full(n, p.rhat0)
@@ -110,44 +119,70 @@ def _simulate_block(p: ModelParams, schedule, cfg: McConfig, rng,
     prot = np.zeros(n)
     annuity = np.zeros(n)
     accr = np.zeros(n)
+    dW = np.empty((4, n)).T          # column-major: each factor's draws contiguous
+    mirrored = np.empty((n, 4)) if half < n else None
+    lam, gam_next, x, vol, rp, tmp = (np.empty(n) for _ in range(6))
+    newly = np.empty(n, bool)
 
     t = 0.0
     for k in range(nsteps):
-        dW = (normals[k] @ chol.T) * sqdt
-        lam = np.exp(Y)
+        draw = normals[k]
+        if mirrored is not None:
+            mirrored[:half] = draw
+            np.negative(draw[:n - half], out=mirrored[half:])
+            draw = mirrored
+        np.matmul(draw, cholT, out=dW)
+        dW *= sqdt
+        np.exp(Y, out=lam)
         # left-rectangle intensity integration; default when the
         # accumulated hazard crosses the exponential threshold
-        gam_next = gam + lam * dt
-        newly = alive & (gam_next >= expo)
+        np.multiply(lam, dt, out=gam_next)
+        gam_next += gam
+        np.greater_equal(gam_next, expo, out=newly)
+        newly &= alive
         if newly.any():
-            frac = np.clip((expo[newly] - gam[newly])
-                           / np.maximum(lam[newly] * dt, 1e-300), 0.0, 1.0)
+            d = np.flatnonzero(newly)
+            frac = np.clip((expo[d] - gam[d])
+                           / np.maximum(lam[d] * dt, 1e-300), 0.0, 1.0)
             td = t + frac * dt
             # drift the FX to the default time, then apply the jump
-            zd = Z[newly] * (1.0 + (r - rr[newly] - lam[newly] * gz) * frac * dt)
+            zd = Z[d] * (1.0 + (r - rr[d] - lam[d] * gz) * frac * dt)
             zd = zd * (1.0 + gz)
             disc = np.exp(-r * td)
-            prot[newly] = (1.0 - R[newly]) * zd * disc
+            prot[d] = (1.0 - R[d]) * zd * disc
             n_cpn = np.floor(td / dtc)
-            accr[newly] = zd * disc * (td - n_cpn * dtc)
-        # pre-default dynamics with the FX martingale compensator
-        a = alive & ~newly
-        sqR = np.sqrt(np.clip(R * (1.0 - R), 0.0, None))
-        sqr = np.sqrt(np.clip(rr, 0.0, None))
-        Rn = R + p.kappa_R * (p.theta_R - R) * dt + p.sigma_R * sqR * dW[:, 0]
-        rrn = rr + p.kappa_rhat * (p.theta_rhat - np.clip(rr, 0.0, None)) * dt \
-            + p.sigma_rhat * sqr * dW[:, 1]
-        Zn = Z * (1.0 + (r - rr - lam * gz) * dt + p.sigma_z * dW[:, 2])
-        Yn = Y + p.kappa_y * (p.theta_y - Y) * dt + p.sigma_y * dW[:, 3]
-        R[a] = np.clip(Rn[a], 1e-9, 1.0 - 1e-9)
-        rr[a] = rrn[a]
-        Z[a] = np.maximum(Zn[a], 0.0)
-        Y[a] = Yn[a]
-        gam[a] = gam_next[a]
-        alive = a
+            accr[d] = zd * disc * (td - n_cpn * dtc)
+            alive[d] = False
+        gam, gam_next = gam_next, gam
+        # pre-default dynamics with the FX martingale compensator.  Each
+        # factor's new value is written to the spare array x, which then
+        # trades places with it; Z reads the old rhat, so rhat goes last.
+        # Defaulted paths keep moving, but no output reads them again.
+        np.subtract(1.0, R, out=vol)
+        vol *= R
+        np.sqrt(np.clip(vol, 0.0, None, out=vol), out=vol)
+        vol *= p.sigma_R
+        _mean_reverting(x, R, R, p.kappa_R, p.theta_R, dt, vol, dW[:, 0], tmp)
+        R, x = np.clip(x, 1e-9, 1.0 - 1e-9, out=x), R
+        _mean_reverting(x, Y, Y, p.kappa_y, p.theta_y, dt, p.sigma_y, dW[:, 3], tmp)
+        Y, x = x, Y
+        np.subtract(r, rr, out=x)
+        x -= np.multiply(lam, gz, out=tmp)
+        x *= dt
+        x += 1.0
+        x += np.multiply(p.sigma_z, dW[:, 2], out=tmp)
+        x *= Z
+        Z, x = np.maximum(x, 0.0, out=x), Z
+        np.clip(rr, 0.0, None, out=rp)
+        np.sqrt(rp, out=vol)
+        vol *= p.sigma_rhat
+        _mean_reverting(x, rr, rp, p.kappa_rhat, p.theta_rhat, dt, vol, dW[:, 1], tmp)
+        rr, x = x, rr
         t = (k + 1) * dt
         if (k + 1) % nsub == 0:
-            annuity[alive] += Z[alive] * np.exp(-r * t) * dtc
+            np.multiply(Z, np.exp(-r * t), out=tmp)
+            tmp *= dtc
+            np.add(annuity, tmp, out=annuity, where=alive)
     w_final = np.where(alive, Z * np.exp(-r * t), 0.0)
     return prot, annuity + accr, w_final
 
@@ -160,6 +195,10 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
     standard error comes from the delta method on the ratio.  With a
     fixed seed the estimate is bit-reproducible because each block of
     paths draws from a Philox substream jumped by its block index.
+
+    Protection and accrual are paid at the simulated default time, so
+    the rate jump ``gamma_rhat``, which acts only after default, does
+    not enter the estimate.
     """
     cfg = cfg or McConfig()
     validate_params(p)
@@ -171,16 +210,32 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
 
 
 def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
+    """Per-path samples of ``cfg.n_paths`` paths, simulated in blocks.
+
+    Block b draws from Philox(seed) jumped b times: first the normals of
+    all its steps as one (steps, paths, 4) array, then the default
+    thresholds; under antithetic sampling it draws both for half the
+    paths, rounded up.  One buffer holds the normals of every block.
+    """
+    dtc = schedule.coupon_interval
+    nsub = max(1, int(round(dtc / cfg.step)))
+    nsteps = schedule.m * nsub
+
+    def drawn(n: int) -> int:
+        return (n + 1) // 2 if cfg.antithetic else n
+
+    buf = np.empty(nsteps * drawn(min(cfg.block_size, cfg.n_paths)) * 4)
     parts = ([], [], [])
-    done = 0
-    block = 0
-    while done < cfg.n_paths:
-        n = min(cfg.block_size, cfg.n_paths - done)
+    for block, start in enumerate(range(0, cfg.n_paths, cfg.block_size)):
+        n = min(cfg.block_size, cfg.n_paths - start)
+        m = drawn(n)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
-        for store, sample in zip(parts, _simulate_block(p, schedule, cfg, rng, n)):
+        normals = buf[:nsteps * m * 4].reshape(nsteps, m, 4)
+        rng.standard_normal(out=normals)
+        # antithetic pairs (i, m + i) share their threshold
+        expo = np.resize(rng.exponential(size=m), n)
+        for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo)):
             store.append(sample)
-        done += n
-        block += 1
     return tuple(np.concatenate(s) for s in parts)
 
 
@@ -239,14 +294,17 @@ def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     and vanishing second derivative at both ends."""
     n = y.size
     h = y[1] - y[0]
-    D1 = sps.lil_matrix((n, n))
-    D2 = sps.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        D1[i, i - 1], D1[i, i + 1] = -0.5 / h, 0.5 / h
-        D2[i, i - 1], D2[i, i], D2[i, i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
-    D1[0, 0], D1[0, 1], D1[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D1[-1, -1], D1[-1, -2], D1[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D1.tocsr(), D2.tocsr()
+    mid = np.arange(1, n - 1)[:, None]
+    # (rows, columns, weights times h) of the first row, the centred rows
+    # and the last row of D1
+    rows, cols, w = (np.concatenate(part) for part in zip(
+        ([0] * 3, [0, 1, 2], [-1.5, 2.0, -0.5]),
+        (np.repeat(mid, 2), (mid + [-1, 1]).ravel(), np.tile([-0.5, 0.5], n - 2)),
+        ([n - 1] * 3, [n - 3, n - 2, n - 1], [0.5, -2.0, 1.5])))
+    D1 = sps.csr_matrix((w / h, (rows, cols)), shape=(n, n))
+    D2 = sps.csr_matrix((np.tile([1.0, -2.0, 1.0], n - 2) / h**2,
+                         (np.repeat(mid, 3), (mid + [-1, 0, 1]).ravel())), shape=(n, n))
+    return D1, D2
 
 
 def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",

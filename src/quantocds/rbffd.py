@@ -28,6 +28,7 @@ functions and the discretization loses consistency.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,12 +180,28 @@ def build_axis_operators(coords: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_ma
 
 
 def lift_axis_operator(shape, axis: int, M: sps.spmatrix) -> sps.csr_matrix:
-    """Kronecker-lift a per-axis matrix to the full tensor-product grid."""
-    out = None
-    for k, n in enumerate(shape):
-        f = M if k == axis else sps.identity(n, format="csr")
-        out = f if out is None else sps.kron(out, f, format="csr")
-    return out.tocsr()
+    """Lift a per-axis matrix to the full tensor-product grid.
+
+    Returns the Kronecker product I (x) M (x) I in CSR, built directly:
+    row (a, i, b) holds, in M's order and with M's explicit zeros, the
+    entries of row i at columns (a*n + j)*inner + b.  Every row of M
+    must store the same number of entries, as the 3-point stencil rows
+    of ``build_axis_operators`` do.
+    """
+    M = sps.csr_matrix(M)
+    n = shape[axis]
+    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    width = np.diff(M.indptr)
+    if M.shape != (n, n) or np.any(width != width[0]):
+        raise ValueError(f"need an {n}x{n} matrix with the same number of "
+                         "stored entries in every row")
+    cols = M.indices.reshape(n, -1)[None, :, None, :]
+    cols = ((np.arange(outer)[:, None, None, None] * n + cols) * inner
+            + np.arange(inner)[None, None, :, None])
+    data = np.broadcast_to(M.data.reshape(n, -1)[None, :, None, :], cols.shape)
+    size = outer * n * inner
+    return sps.csr_matrix((data.ravel(), cols.ravel(), width[0] * np.arange(size + 1)),
+                          shape=(size, size))
 
 
 def _boundary_row_mask(grid: Grid4D, axis: int, drop_low: bool, drop_high: bool) -> sps.dia_matrix:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from quantocds.model import ModelParams, ParameterError
-from quantocds.oracles import (McConfig, cn_domestic_spread, credit_triangle,
-                               mc_spread)
+from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, cn_domestic_spread,
+                               credit_triangle, mc_leg_estimates, mc_spread)
 from quantocds.pricing import CdsSchedule, domestic_params
 
 P = ModelParams()
@@ -34,6 +35,17 @@ class TestMcConfig:
     def test_path_floor(self):
         with pytest.raises(ValueError):
             McConfig(n_paths=999)
+
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5, 1000.0, True])
+    def test_rejects_bad_block_size(self, block_size):
+        # a zero block never advances the block loop
+        with pytest.raises(ValueError, match="block_size"):
+            McConfig(block_size=block_size)
+
+    @pytest.mark.parametrize("n_paths", [2500.5, 2000.0, "2000"])
+    def test_rejects_non_integer_n_paths(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            McConfig(n_paths=n_paths)
 
 
 class TestMcSpread:
@@ -83,6 +95,48 @@ class TestMcSpread:
         est = mc_spread(P, SCHED, McConfig(n_paths=4000, seed=9, antithetic=True))
         assert est.std_error > 0.0
 
+    def test_rate_jump_does_not_enter(self):
+        # protection and accrual are paid at default, before the rate jumps
+        cfg = McConfig(n_paths=2000)
+        assert mc_spread(P.with_(gamma_rhat=4.0), SCHED, cfg) == mc_spread(P, SCHED, cfg)
+
+
+_RHO_RZ = np.eye(4)
+_RHO_RZ[0, 2] = _RHO_RZ[2, 0] = 0.8
+# name -> (params, config, {leg: (mean, std_error)}).  The values pin the
+# seeded stream: block b draws from Philox(seed) jumped b times, first
+# the normals of all its steps, then its default thresholds.
+STREAM_CASES = {
+    "defaults": (P, McConfig(n_paths=3000), {
+        "protection": (0.054405900843476296, 0.003123870968870753),
+        "annuity": (5.003367287453012, 0.019167185309603166),
+        "w_maturity": (0.8481074468253379, 0.006314079061189281)}),
+    "correlated-gamma_z": (
+        P.with_(sigma_R=0.3, kappa_R=0.5, rho=_RHO_RZ, gamma_z=-0.5),
+        McConfig(n_paths=3000, seed=1), {
+            "protection": (0.04160115325524075, 0.0023131328446744717),
+            "annuity": (5.125589558539782, 0.020330980381391018),
+            "w_maturity": (0.8878546846115272, 0.006803469099857635)}),
+    "antithetic-odd": (P, McConfig(n_paths=3001, seed=2, antithetic=True, block_size=1000), {
+        "protection": (0.05130926880888995, 0.003042083207953823),
+        "annuity": (5.020681737520051, 0.01922231771409198),
+        "w_maturity": (0.8507789750008192, 0.0063060577325950475)}),
+    "step=1/100": (P, McConfig(n_paths=3000, seed=3, step=1.0 / 100.0), {
+        "protection": (0.05577689437110354, 0.003169675162126594),
+        "annuity": (4.966743089073731, 0.02040298153209853),
+        "w_maturity": (0.8425125717729783, 0.006364828438636189)}),
+}
+
+
+class TestMcStream:
+    @pytest.mark.parametrize("name", list(STREAM_CASES))
+    def test_leg_estimates_pinned(self, name):
+        p, cfg, expected = STREAM_CASES[name]
+        legs = mc_leg_estimates(p, SCHED, cfg)
+        for leg, (mean, se) in expected.items():
+            assert legs[leg].mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert legs[leg].std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
 
 class TestLegEstimates:
     def test_pde_w_within_three_se(self):
@@ -91,7 +145,6 @@ class TestLegEstimates:
         # ratios); at a refined grid the discounted-FX value must agree
         # with simulation at Monte Carlo resolution
         from quantocds.grid import GridConfig
-        from quantocds.oracles import mc_leg_estimates
         from quantocds.pricing import QuantoCdsPricer
         legs = mc_leg_estimates(P, SCHED, McConfig(n_paths=100_000, seed=17))
         w_mc = legs["w_maturity"]
@@ -132,6 +185,21 @@ class TestCnBenchmark:
     def test_full_recovery_zero(self):
         p = P.with_(R0=1.0, kappa_y=0.0, sigma_y=0.0)
         assert cn_domestic_spread(p, SCHED) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 101, 201])
+    def test_fd_axis_ops_match_entrywise_reference(self, n):
+        y = np.linspace(CN_Y_MIN, 0.0, n)
+        h = y[1] - y[0]
+        D1 = sps.lil_matrix((n, n))
+        D2 = sps.lil_matrix((n, n))
+        for i in range(1, n - 1):
+            D1[i, i - 1], D1[i, i + 1] = -0.5 / h, 0.5 / h
+            D2[i, i - 1], D2[i, i], D2[i, i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
+        D1[0, 0], D1[0, 1], D1[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+        D1[-1, -1], D1[-1, -2], D1[-1, -3] = 1.5 / h, -2.0 / h, 0.5 / h
+        for got, ref in zip(_fd_axis_ops(y), (D1.tocsr(), D2.tocsr())):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
     def test_protection_proportional_to_loss(self):
         # under frozen recovery only the protection leg carries R0, as 1 - R0

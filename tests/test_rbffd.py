@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from quantocds.grid import GridConfig, build_grid
 from quantocds.model import ModelParams
@@ -112,6 +113,28 @@ class TestAxisOperators:
                 phi, dphi, d2phi = gaussian(eps_phys, xj)
                 assert abs(D1[row].toarray().ravel() @ phi(x) - dphi(x[row])) < 1e-10
                 assert abs(D2[row].toarray().ravel() @ phi(x) - d2phi(x[row])) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(10, 10, 10, 10), (2, 10, 10, 10), (12, 11, 13, 9),
+                                       (2, 2, 10, 10), (4,)])
+    def test_lift_equals_kronecker_product(self, shape):
+        # reference: I (x) M (x) I as chained sps.kron, stored entries included
+        for axis, n in enumerate(shape):
+            if n < 4:
+                continue
+            for M in build_axis_operators(np.linspace(0.0, 3.0, n)):
+                ref = None
+                for k, m in enumerate(shape):
+                    f = M if k == axis else sps.identity(m, format="csr")
+                    ref = f if ref is None else sps.kron(ref, f, format="csr")
+                got = lift_axis_operator(shape, axis, M)
+                assert got.shape == ref.shape
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+    def test_lift_refuses_ragged_rows(self):
+        M = sps.csr_matrix(np.triu(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="same number of stored entries"):
+            lift_axis_operator((3, 4), 1, M)
 
     def test_mixed_derivative_product_oracle(self):
         # lifted D1_R @ D1_z applied to f = R*z equals 1 at interior nodes
