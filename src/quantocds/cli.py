@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridConfig
-from .model import ModelParams, ParameterError, validate_params
+from .model import ModelParams, validate_params
 from .oracles import McConfig, credit_triangle, mc_spread
 from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
                       domestic_spread, quanto_basis)
@@ -76,6 +76,16 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _section(raw: dict, name: str, allowed: set) -> dict:
+    """A copy of config section ``name``: a JSON object (empty when
+    absent) holding only keys in ``allowed``."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} block must be an object")
+    _reject_unknown(section, allowed, name)
+    return dict(section)
+
+
 def _integer(value, name: str) -> int:
     """An integer field: a JSON integer, or a float with no fractional
     part (10.0); booleans and fractional values are config errors."""
@@ -86,14 +96,18 @@ def _integer(value, name: str) -> int:
 
 
 def _parse_rho(raw) -> np.ndarray:
-    rho = np.eye(4)
     if isinstance(raw, dict):
         _reject_unknown(raw, set(_RHO_PAIRS), "model.rho")
-        for name, val in raw.items():
-            i, j = _RHO_PAIRS[name]
-            rho[i, j] = rho[j, i] = float(val)
-        return rho
-    arr = np.asarray(raw, dtype=float)
+    try:
+        if isinstance(raw, dict):
+            rho = np.eye(4)
+            for name, val in raw.items():
+                i, j = _RHO_PAIRS[name]
+                rho[i, j] = rho[j, i] = float(val)
+            return rho
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.rho invalid: {exc}") from exc
     if arr.shape != (4, 4):
         raise ConfigError("model.rho must be a 4x4 matrix or a pair mapping")
     return arr
@@ -108,17 +122,15 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config root")
 
-    model_raw = dict(raw.get("model", {}))
-    _reject_unknown(model_raw, _MODEL_KEYS, "model")
+    model_raw = _section(raw, "model", _MODEL_KEYS)
     if "rho" in model_raw:
         model_raw["rho"] = _parse_rho(model_raw["rho"])
     try:
         model = validate_params(ModelParams(**model_raw))
-    except (TypeError, ParameterError) as exc:
+    except (TypeError, ValueError) as exc:     # ParameterError is a ValueError
         raise ConfigError(f"model block invalid: {exc}") from exc
 
-    grid_raw = dict(raw.get("grid", {}))
-    _reject_unknown(grid_raw, _GRID_KEYS, "grid")
+    grid_raw = _section(raw, "grid", _GRID_KEYS)
     for key in ("n_R", "n_rhat", "n_y", "n_z"):
         if key in grid_raw:
             grid_raw[key] = _integer(grid_raw[key], f"grid.{key}")
@@ -127,8 +139,7 @@ def load_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
-    solver_raw = dict(raw.get("solver", {}))
-    _reject_unknown(solver_raw, _SOLVER_KEYS, "solver")
+    solver_raw = _section(raw, "solver", _SOLVER_KEYS)
     try:
         # legacy key: the march step is the quadrature step T/(m*n_quad),
         # so dt is checked and otherwise ignored
@@ -142,8 +153,7 @@ def load_config(path: str | Path) -> RunConfig:
     if workers < 1:
         raise ConfigError("solver block invalid: workers must be >= 1")
 
-    sched_raw = dict(raw.get("schedule", {}))
-    _reject_unknown(sched_raw, _SCHEDULE_KEYS, "schedule")
+    sched_raw = _section(raw, "schedule", _SCHEDULE_KEYS)
     m = _integer(sched_raw.get("m", 120), "schedule.m")
     try:
         schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)), m=m, n_quad=n_quad)
@@ -156,8 +166,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     sweep_param, sweep_vals = None, []
     if "sweep" in raw:
-        sweep_raw = dict(raw["sweep"])
-        _reject_unknown(sweep_raw, _SWEEP_KEYS, "sweep")
+        sweep_raw = _section(raw, "sweep", _SWEEP_KEYS)
         sweep_param = sweep_raw.get("parameter")
         if sweep_param is not None and not isinstance(sweep_param, str):
             raise ConfigError("sweep.parameter must be a string")
@@ -170,8 +179,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"sweep block invalid: {exc}") from exc
     _check_sweep_task(task, sweep_param, sweep_vals)
 
-    mc_raw = dict(raw.get("mc", {}))
-    _reject_unknown(mc_raw, _MC_KEYS, "mc")
+    mc_raw = _section(raw, "mc", _MC_KEYS)
     n_paths = _integer(mc_raw.get("n_paths", 100_000), "mc.n_paths")
     seed = _integer(mc_raw.get("seed", 0), "mc.seed")
     try:
@@ -183,16 +191,14 @@ def load_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc block invalid: {exc}") from exc
 
-    out_raw = raw.get("output", {})
-    if not isinstance(out_raw, dict):
-        raise ConfigError("output block must be an object")
-    _reject_unknown(out_raw, {"dir"}, "output")
-    out_dir = Path(out_raw.get("dir", "."))
+    out_dir = _section(raw, "output", {"dir"}).get("dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError("output.dir must be a string")
 
     return RunConfig(model=model, grid=grid, schedule=schedule,
                      task=task, workers=workers,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
-                     mc=mc, out_dir=out_dir)
+                     mc=mc, out_dir=Path(out_dir))
 
 
 def _check_sweep_task(task: str, parameter: str | None, values: list[float]) -> None:

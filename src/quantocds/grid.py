@@ -18,9 +18,6 @@ from .model import ModelParams
 __all__ = ["GridConfig", "Grid4D", "ScalarField", "build_grid",
            "interpolate", "interpolation_matrix", "restrict_to_cells"]
 
-AXIS_NAMES = ("R", "rhat", "y", "z")
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Axis bounds and node counts before any jump adjustment.
@@ -145,33 +142,22 @@ def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:
 
     Row m of the result applied to a flattened field gives the
     multilinear interpolation (or out-of-hull extrapolation) at
-    ``points[m]``.  At most 16 entries per row.
+    ``points[m]``.  Each row holds the 16 corners of the point's cell in
+    ascending column order; a corner's weight is the product of the
+    per-axis linear weights, taken in axis order.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 4:
         raise ValueError("points must have 4 columns (R, rhat, y, z)")
     m = pts.shape[0]
-    cells, locs = [], []
-    for k in range(4):
-        i, t = _cells_and_weights(grid.axes[k], pts[:, k])
-        cells.append(i)
-        locs.append(t)
-    rows, cols, vals = [], [], []
-    for corner in range(16):
-        bits = [(corner >> k) & 1 for k in range(4)]
-        w = np.ones(m)
-        multi = []
-        for k in range(4):
-            w = w * (locs[k] if bits[k] else 1.0 - locs[k])
-            multi.append(cells[k] + bits[k])
-        rows.append(np.arange(m))
-        cols.append(grid.flatten_index(multi))
-        vals.append(w)
-    out = sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, grid.size))
-    out.sum_duplicates()
-    return out
+    cols, vals = np.zeros((m, 1), dtype=np.intp), np.ones((m, 1))
+    for k, axis in enumerate(grid.axes):
+        i, t = _cells_and_weights(axis, pts[:, k])
+        corners, weights = np.stack([i, i + 1], axis=1), np.stack([1.0 - t, t], axis=1)
+        cols = (cols[:, :, None] * len(axis) + corners[:, None, :]).reshape(m, -1)
+        vals = (vals[:, :, None] * weights[:, None, :]).reshape(m, -1)
+    return sps.csr_matrix((vals.ravel(), cols.ravel(), 16 * np.arange(m + 1)),
+                          shape=(m, grid.size))
 
 
 def interpolate(f: ScalarField, x) -> float:

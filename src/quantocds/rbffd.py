@@ -204,16 +204,6 @@ def lift_axis_operator(shape, axis: int, M: sps.spmatrix) -> sps.csr_matrix:
                           shape=(size, size))
 
 
-def _boundary_row_mask(grid: Grid4D, axis: int, drop_low: bool, drop_high: bool) -> sps.dia_matrix:
-    idx = grid.unflatten_index(np.arange(grid.size))[axis]
-    mask = np.ones(grid.size)
-    if drop_low:
-        mask[idx == 0] = 0.0
-    if drop_high:
-        mask[idx == grid.shape[axis] - 1] = 0.0
-    return sps.diags(mask)
-
-
 def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The 14 terms of L as (nodal coefficient, axes) pairs, in the order
     ``assemble_L`` sums them.
@@ -269,11 +259,12 @@ def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     D1, D2 = {}, {}
     for k in sorted({k for _, axes in terms for k in axes}):
         d1, d2 = build_axis_operators(grid.axes[k])
+        for row, b in zip((0, -1), _AXIS_BOUNDARIES[k]):
+            if regimes[b].kind is van:
+                # zeroed in place: lift_axis_operator needs three stored entries per row
+                d2.data.reshape(-1, 3)[row] = 0.0
         D1[k] = lift_axis_operator(grid.shape, k, d1)
         D2[k] = lift_axis_operator(grid.shape, k, d2)
-        lo, hi = (regimes[b].kind is van for b in _AXIS_BOUNDARIES[k])
-        if lo or hi:
-            D2[k] = _boundary_row_mask(grid, k, lo, hi) @ D2[k]
 
     L = sps.csr_matrix((grid.size, grid.size))
     for coef, axes in terms:

@@ -176,15 +176,30 @@ class TestMain:
         ({"solver": {"n_quad": True}}, []),
         ({"solver": {"workers": True}}, []),
         ({"grid": {"n_z": True}}, []),
+        ({"model": 5}, []),
+        ({"grid": [1, 2]}, []),
+        ({"solver": "x"}, []),
+        ({"schedule": 3}, []),
+        ({"sweep": [0.1]}, []),
+        ({"mc": None}, []),
+        ({"model": {"rho": "abc"}}, []),
+        ({"model": {"rho": {"R_z": "x"}}}, []),
+        ({"model": {"rho": {"R_z": None}}}, []),
+        ({"model": {"rho": [[1, 0], [0]]}}, []),
+        ({"model": {"R0": [1, 2]}}, []),
+        ({"output": {"dir": 5}}, []),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
             "mc.seed=-1", "mc.antithetic=string", "seed=-1",
             "mc.seed=1.5", "mc.n_paths=2500.9", "m=12.5", "n_quad=1.5",
             "workers=1.5", "grid.n_y=10.7", "mc.seed=true",
             "mc.n_paths=true", "m=true", "n_quad=true", "workers=true",
-            "grid.n_z=true"])
+            "grid.n_z=true", "model=5", "grid=list", "solver=string",
+            "schedule=3", "sweep=list", "mc=null", "rho=string",
+            "rho.R_z=string", "rho.R_z=null", "rho=ragged", "R0=list",
+            "output.dir=5"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
-        cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path / "out")}})
+        cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}, **payload})
         assert main(["--config", cfg, *argv]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

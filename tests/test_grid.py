@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from quantocds.grid import (Grid4D, GridConfig, ScalarField, build_grid,
-                            interpolate)
+                            interpolate, interpolation_matrix, restrict_to_cells)
 from quantocds.model import ModelParams
 
 
@@ -80,6 +82,45 @@ def test_interpolation_linear_in_field():
     combo = ScalarField(g, 1.3 * f.values + 0.7 * h.values)
     assert abs(interpolate(combo, x)
                - (1.3 * interpolate(f, x) + 0.7 * interpolate(h, x))) < 1e-12
+
+
+def corner_products(grid: Grid4D, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference rows of the interpolation matrix, one corner at a time:
+    each corner weight is a product over the axes in axis order, each
+    column the corner's flat index."""
+    cells, locs = [], []
+    for axis, x in zip(grid.axes, pts.T):
+        i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
+        cells.append(i)
+        locs.append((x - axis[i]) / (axis[i + 1] - axis[i]))
+    data, cols = [], []
+    for bits in itertools.product((0, 1), repeat=4):
+        w = np.ones(len(pts))
+        for t, b in zip(locs, bits):
+            w = w * (t if b else 1.0 - t)
+        data.append(w)
+        cols.append(np.ravel_multi_index([i + b for i, b in zip(cells, bits)], grid.shape))
+    return np.stack(data, axis=1), np.stack(cols, axis=1)
+
+
+def test_interpolation_matrix_matches_corner_products():
+    # points inside the hull, beyond it and on nodes, on a full grid and
+    # on a solve grid whose R and rhat axes keep two nodes
+    rng = np.random.default_rng(9)
+    g = default_grid(gamma_z=-0.5)
+    for grid in (g, restrict_to_cells(g, ModelParams().x0, (0, 1))):
+        lo = np.array([a[0] for a in grid.axes])
+        span = np.array([a[-1] for a in grid.axes]) - lo
+        inside = lo + span * rng.random((500, 4))
+        beyond = lo - 0.5 * span + 2.0 * span * rng.random((500, 4))
+        on_nodes = np.stack([a[rng.integers(0, len(a), 200)] for a in grid.axes], axis=1)
+        for pts in (inside, beyond, on_nodes):
+            E = interpolation_matrix(grid, pts)
+            data, cols = corner_products(grid, pts)
+            assert np.array_equal(E.indptr, 16 * np.arange(len(pts) + 1))
+            assert np.array_equal(E.data.reshape(-1, 16), data)
+            assert np.array_equal(E.indices.reshape(-1, 16), cols)
+            assert np.all(np.diff(cols, axis=1) > 0)
 
 
 def test_extrapolation_continuous_across_hull():

@@ -1,11 +1,16 @@
+import itertools
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantocds.cli import ConfigError, load_config
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
-from quantocds.model import ModelParams
+from quantocds.model import ModelParams, ParameterError
 from quantocds.pde import (assemble_pde1_rhs, assemble_pde2_rhs,
                            coupling_shift_matrix, rk4_sweep)
 from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
@@ -359,6 +364,46 @@ class TestDomesticAndBasis:
         assert rep.meta["x0_interpolated"] is False
 
 
+_RHO_SIX = np.eye(4)
+for (_i, _j), _v in zip(itertools.combinations(range(4), 2),
+                        (0.2, -0.15, 0.1, 0.25, -0.1, 0.05)):
+    _RHO_SIX[_i, _j] = _RHO_SIX[_j, _i] = _v
+# name -> (params, grid config, (s, sum A, sum B, sum (C - D))), recorded
+# from the 16-corner interpolation loop and the diagonal boundary-row
+# mask that the per-axis builders replaced, bit for bit
+SPREAD_PINS = {
+    "defaults": (P, None, (0.010313036701408833, 5.036009333094522,
+                           0.05197715834915105, 0.003937663511299322)),
+    "gamma_z=-0.5": (P.with_(gamma_z=-0.5), None, (
+        0.005120064075664396, 5.150692636740276, 0.02638210952289092,
+        0.0019986446608250704)),
+    "gamma_rhat=4": (P.with_(gamma_rhat=4.0), None, (
+        0.01048236709755911, 5.181751460947181, 0.05436018946601276,
+        0.0041181961716676325)),
+    # R=0 and R=1 both take vanishing-second-derivative rows
+    "vanishing-R": (P.with_(sigma_R=0.5, kappa_R=0.1), None, (
+        0.011700916182856213, 5.036017499245853, 0.05897209300150366,
+        0.003937670068801169)),
+    "six-rho-12x11x13x9": (P.with_(sigma_R=0.3, kappa_R=0.5, rho=_RHO_SIX),
+                           GridConfig(n_R=12, n_rhat=11, n_y=13, n_z=9), (
+        0.014414880668448704, 5.027915915426546, 0.07253334922049796,
+        0.003922425022500155)),
+    "domestic": (domestic_params(P), None, (
+        0.010329980901470167, 4.572131882774979, 0.04726702498756768,
+        0.0035808352263308834)),
+}
+
+
+class TestSpreadPins:
+    @pytest.mark.parametrize("case", list(SPREAD_PINS))
+    def test_pinned(self, case):
+        p, grid_cfg, want = SPREAD_PINS[case]
+        s, legs = QuantoCdsPricer(p, grid_cfg).spread(SCHED)
+        got = (s, np.sum(legs.A), np.sum(legs.B), np.sum(legs.accrual()))
+        for name, g, w in zip(("s", "A", "B", "C-D"), got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
+
+
 _AXIS = {"R": 0, "rhat": 1, "y": 2}
 
 
@@ -411,3 +456,67 @@ class TestAdmissibleParams:
         ref = par_spread(LegTerms.from_curves(forward_curves(p, self.SCHED, self.GRID),
                                               self.SCHED))
         assert s == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_BELOW_ZERO = st.floats(-1e3, -1e-9)
+
+
+@st.composite
+def bad_rho(draw) -> np.ndarray:
+    """A correlation matrix that breaks a rule of ``validate_params``:
+    symmetry, unit diagonal, |rho| <= 1 or positive semi-definiteness."""
+    rho = np.eye(4)
+    i, j, k = draw(st.sampled_from(list(itertools.combinations(range(4), 3))))
+    flaw = draw(st.sampled_from(["asymmetric", "diagonal", "entry", "not-psd"]))
+    if flaw == "asymmetric":
+        a = draw(st.floats(-0.9, 0.8))
+        rho[i, j], rho[j, i] = a, a + draw(st.floats(1e-3, 0.1))
+    elif flaw == "diagonal":
+        rho[i, i] = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 0.5))
+    elif flaw == "entry":
+        rho[i, j] = rho[j, i] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.001, 10.0))
+    else:
+        # I + a K with K's off-diagonal signs (+, +, -) has eigenvalues
+        # 1 + a, 1 + a and 1 - 2a: entries within [-1, 1], not PSD for a > 1/2
+        a = draw(st.floats(0.51, 1.0))
+        rho[i, j] = rho[j, i] = rho[i, k] = rho[k, i] = a
+        rho[j, k] = rho[k, j] = -a
+    return rho
+
+
+_INADMISSIBLE = st.one_of(
+    st.tuples(st.sampled_from(["sigma_R", "sigma_rhat", "sigma_y", "sigma_z",
+                               "kappa_R", "kappa_rhat", "rhat0"]), _BELOW_ZERO),
+    st.tuples(st.sampled_from(["R0", "theta_R"]),
+              st.one_of(_BELOW_ZERO, st.floats(1.0, 1e3, exclude_min=True))),
+    st.tuples(st.just("z0"), st.floats(-1e3, 0.0)),
+    st.tuples(st.sampled_from(["gamma_z", "gamma_rhat"]),
+              st.floats(-1e3, -1.0, exclude_max=True)),
+    st.tuples(st.just("rho"), bad_rho()),
+)
+
+
+class TestInadmissibleParams:
+    GRID = GridConfig(n_R=4, n_rhat=4, n_y=4, n_z=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=_INADMISSIBLE)
+    def test_rejected_before_any_march(self, tmp_path_factory, bad):
+        # one field outside the domain: the pricer refuses it before a
+        # march could run (so no StabilityError), and a config carrying
+        # it is a config error
+        name, value = bad
+        p = replace(P, **{name: value})
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("rk4_sweep called on inadmissible parameters")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("quantocds.pricing.rk4_sweep", no_march)
+            with pytest.raises(ParameterError):
+                QuantoCdsPricer(p, self.GRID).spread(CdsSchedule(T=1.0, m=2))
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        raw = value.tolist() if name == "rho" else value
+        path.write_text(json.dumps({"model": {name: raw}}))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
