@@ -11,8 +11,7 @@ from .model import (BoundaryKind, BoundaryRegime, DegenerateRecoveryError,
                     ModelParams, ParameterError, beta_stationary_params,
                     boundary_regimes, validate_params)
 from .oracles import (McConfig, McEstimate, cn_domestic_spread,
-                      credit_triangle, mc_discounted_fx, mc_leg_estimates,
-                      mc_spread)
+                      credit_triangle, mc_leg_estimates, mc_spread)
 from .pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
                   jump_shift, rk4_sweep)
 from .pricing import (CdsSchedule, LegTerms, QuantoCdsPricer, SpreadReport,
@@ -35,5 +34,5 @@ __all__ = [
     "terminal_condition", "par_spread", "domestic_params",
     "domestic_spread", "quanto_basis",
     "McConfig", "McEstimate", "credit_triangle", "mc_spread",
-    "cn_domestic_spread", "mc_discounted_fx", "mc_leg_estimates",
+    "cn_domestic_spread", "mc_leg_estimates",
 ]

@@ -16,14 +16,16 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .grid import GridConfig
-from .model import ModelParams, validate_params
+from .model import CORRELATION_ORDER, ModelParams, validate_params
 from .oracles import McConfig, credit_triangle, mc_spread
 from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
                       domestic_spread, quanto_basis)
@@ -32,22 +34,12 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main"]
 
 CSV_VERSION = "quantocds-csv-v1"
 
-# correlation pair name -> (row, col) in the (R, rhat, z, y) ordering
-_RHO_PAIRS = {
-    "R_rhat": (0, 1), "R_z": (0, 2), "R_y": (0, 3),
-    "rhat_z": (1, 2), "rhat_y": (1, 3), "z_y": (2, 3),
-}
+# correlation pair name -> (row, col), every pair i < j of CORRELATION_ORDER
+_RHO_PAIRS = {f"{a}_{b}": (i, j) for (i, a), (j, b)
+              in combinations(enumerate(CORRELATION_ORDER), 2)}
 
-_MODEL_KEYS = {
-    "R0", "kappa_R", "theta_R", "sigma_R",
-    "rhat0", "kappa_rhat", "theta_rhat", "sigma_rhat",
-    "y0", "kappa_y", "theta_y", "sigma_y",
-    "z0", "sigma_z", "r_dom", "gamma_z", "gamma_rhat", "rho",
-}
-_GRID_KEYS = {"rhat_max", "y_min", "z_max", "n_R", "n_rhat", "n_y", "n_z"}
 _SOLVER_KEYS = {"dt", "n_quad", "workers"}
 _SCHEDULE_KEYS = {"T", "m"}
-_MC_KEYS = {"n_paths", "step", "seed", "antithetic"}
 _SWEEP_KEYS = {"parameter", "values"}
 _TOP_KEYS = {"model", "grid", "solver", "schedule", "task", "sweep", "mc", "output"}
 _TASKS = ("price", "sweep", "benchmark", "mc-check")
@@ -70,126 +62,116 @@ class RunConfig:
     out_dir: Path = Path(".")
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _reject_unknown(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _section(raw: dict, name: str, allowed: set) -> dict:
+def _section(raw: dict, name: str, allowed: set, integers=()) -> dict:
     """A copy of config section ``name``: a JSON object (empty when
-    absent) holding only keys in ``allowed``."""
+    absent) holding only keys in ``allowed``.  A float with no
+    fractional part (10.0) under a key in ``integers`` becomes an int;
+    every other value is left for its owner to check."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} block must be an object")
     _reject_unknown(section, allowed, name)
-    return dict(section)
+    return {k: int(v) if k in integers and isinstance(v, float) and v.is_integer() else v
+            for k, v in section.items()}
 
 
-def _integer(value, name: str) -> int:
-    """An integer field: a JSON integer, or a float with no fractional
-    part (10.0); booleans and fractional values are config errors."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+@contextmanager
+def _checked(name: str):
+    """Report a TypeError or ValueError raised while building section
+    ``name`` as a config error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:     # ParameterError is a ValueError
+        raise ConfigError(f"{name} block invalid: {exc}") from exc
 
 
 def _parse_rho(raw) -> np.ndarray:
-    if isinstance(raw, dict):
-        _reject_unknown(raw, set(_RHO_PAIRS), "model.rho")
-    try:
-        if isinstance(raw, dict):
-            rho = np.eye(4)
-            for name, val in raw.items():
-                i, j = _RHO_PAIRS[name]
-                rho[i, j] = rho[j, i] = float(val)
-            return rho
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.rho invalid: {exc}") from exc
-    if arr.shape != (4, 4):
-        raise ConfigError("model.rho must be a 4x4 matrix or a pair mapping")
-    return arr
+    """A 4x4 matrix, or a mapping of pair names to correlations."""
+    if not isinstance(raw, dict):
+        return np.asarray(raw, dtype=float)
+    _reject_unknown(raw, _RHO_PAIRS, "model.rho")
+    rho = np.eye(4)
+    for name, val in raw.items():
+        i, j = _RHO_PAIRS[name]
+        rho[i, j] = rho[j, i] = float(val)
+    return rho
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _read_json(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    return raw
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return _parse(_read_json(path))
+
+
+def _parse(raw: dict) -> RunConfig:
     _reject_unknown(raw, _TOP_KEYS, "config root")
 
-    model_raw = _section(raw, "model", _MODEL_KEYS)
-    if "rho" in model_raw:
-        model_raw["rho"] = _parse_rho(model_raw["rho"])
-    try:
-        model = validate_params(ModelParams(**model_raw))
-    except (TypeError, ValueError) as exc:     # ParameterError is a ValueError
-        raise ConfigError(f"model block invalid: {exc}") from exc
+    model = _section(raw, "model", _field_names(ModelParams))
+    with _checked("model"):
+        if "rho" in model:
+            model["rho"] = _parse_rho(model["rho"])
+        model = validate_params(ModelParams(**model))
 
-    grid_raw = _section(raw, "grid", _GRID_KEYS)
-    for key in ("n_R", "n_rhat", "n_y", "n_z"):
-        if key in grid_raw:
-            grid_raw[key] = _integer(grid_raw[key], f"grid.{key}")
-    try:
-        grid = GridConfig(**grid_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid block invalid: {exc}") from exc
+    grid = _section(raw, "grid", _field_names(GridConfig),
+                    integers=("n_R", "n_rhat", "n_y", "n_z"))
+    with _checked("grid"):
+        grid = GridConfig(**grid)
 
-    solver_raw = _section(raw, "solver", _SOLVER_KEYS)
-    try:
-        # legacy key: the march step is the quadrature step T/(m*n_quad),
-        # so dt is checked and otherwise ignored
-        dt = float(solver_raw.get("dt", 0.05))
-        if not 0.0 < dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver block invalid: {exc}") from exc
-    n_quad = _integer(solver_raw.get("n_quad", 1), "solver.n_quad")
-    workers = _integer(solver_raw.get("workers", 1), "solver.workers")
-    if workers < 1:
-        raise ConfigError("solver block invalid: workers must be >= 1")
+    solver = _section(raw, "solver", _SOLVER_KEYS, integers=("n_quad", "workers"))
+    # legacy key: the march step is the quadrature step T/(m*n_quad), so
+    # dt is checked and otherwise ignored
+    dt, workers = solver.get("dt", 0.05), solver.get("workers", 1)
+    with _checked("solver"):
+        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
-    sched_raw = _section(raw, "schedule", _SCHEDULE_KEYS)
-    m = _integer(sched_raw.get("m", 120), "schedule.m")
-    try:
-        schedule = CdsSchedule(T=float(sched_raw.get("T", 5.0)), m=m, n_quad=n_quad)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule block invalid: {exc}") from exc
+    schedule = _section(raw, "schedule", _SCHEDULE_KEYS, integers=("m",))
+    with _checked("schedule"):
+        schedule = CdsSchedule(**schedule, n_quad=solver.get("n_quad", 1))
 
     task = raw.get("task", "price")
     if task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
 
-    sweep_param, sweep_vals = None, []
-    if "sweep" in raw:
-        sweep_raw = _section(raw, "sweep", _SWEEP_KEYS)
-        sweep_param = sweep_raw.get("parameter")
+    sweep = _section(raw, "sweep", _SWEEP_KEYS)
+    sweep_param = sweep.get("parameter")
+    with _checked("sweep"):
         if sweep_param is not None and not isinstance(sweep_param, str):
-            raise ConfigError("sweep.parameter must be a string")
-        try:
-            sweep_vals = [float(v) for v in sweep_raw.get("values", [])]
-            if sweep_param:
-                for v in sweep_vals:
-                    apply_sweep_value(model, sweep_param, v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep block invalid: {exc}") from exc
-    _check_sweep_task(task, sweep_param, sweep_vals)
+            raise ValueError("parameter must be a string")
+        sweep_vals = [float(v) for v in sweep.get("values", [])]
+        if sweep_param:
+            for v in sweep_vals:
+                apply_sweep_value(model, sweep_param, v)
+    if task == "sweep" and not sweep_param:
+        raise ConfigError("sweep task requires sweep.parameter")
+    if task == "sweep" and not sweep_vals:
+        raise ConfigError("sweep task requires a non-empty sweep.values list")
 
-    mc_raw = _section(raw, "mc", _MC_KEYS)
-    n_paths = _integer(mc_raw.get("n_paths", 100_000), "mc.n_paths")
-    seed = _integer(mc_raw.get("seed", 0), "mc.seed")
-    try:
-        antithetic = mc_raw.get("antithetic", False)
-        if not isinstance(antithetic, bool):
-            raise ValueError("antithetic must be a boolean")
-        mc = McConfig(n_paths=n_paths, step=float(mc_raw.get("step", 1.0 / 48.0)),
-                      seed=seed, antithetic=antithetic)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc block invalid: {exc}") from exc
+    # block_size changes the random stream, so the config does not expose it
+    mc = _section(raw, "mc", _field_names(McConfig) - {"block_size"},
+                  integers=("n_paths", "seed"))
+    with _checked("mc"):
+        mc = McConfig(**mc)
 
     out_dir = _section(raw, "output", {"dir"}).get("dir", ".")
     if not isinstance(out_dir, str):
@@ -199,15 +181,6 @@ def load_config(path: str | Path) -> RunConfig:
                      task=task, workers=workers,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
                      mc=mc, out_dir=Path(out_dir))
-
-
-def _check_sweep_task(task: str, parameter: str | None, values: list[float]) -> None:
-    if task != "sweep":
-        return
-    if not parameter:
-        raise ConfigError("sweep task requires sweep.parameter")
-    if not values:
-        raise ConfigError("sweep task requires a non-empty sweep.values list")
 
 
 def apply_sweep_value(p: ModelParams, parameter: str, value: float) -> ModelParams:
@@ -341,33 +314,33 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+def _override(raw: dict, section: str, key: str, value) -> None:
+    """Write a flag's value over ``raw[section][key]``.  A section that
+    is not an object is left as it is, for the parser to reject."""
+    if value is not None and isinstance(raw.setdefault(section, {}), dict):
+        raw[section][key] = value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="quantocds",
         description="Quanto CDS pricing engine (four-factor reduced-form model)")
     ap.add_argument("--config", required=True, help="JSON run configuration")
-    ap.add_argument("--task", choices=_TASKS, help="override the config task")
-    ap.add_argument("--out", help="override the output directory")
-    ap.add_argument("--threads", type=int, help="override worker count")
-    ap.add_argument("--seed", type=int, help="override the Monte Carlo seed")
+    ap.add_argument("--task", choices=_TASKS, help="replaces the config's task")
+    ap.add_argument("--out", help="replaces output.dir")
+    ap.add_argument("--threads", type=int, help="replaces solver.workers")
+    ap.add_argument("--seed", type=int, help="replaces mc.seed")
     args = ap.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.task:
-            cfg.task = args.task
-        if args.out:
-            cfg.out_dir = Path(args.out)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.workers = args.threads
-        if args.seed is not None:
-            try:
-                cfg.mc = replace(cfg.mc, seed=args.seed)
-            except ValueError as exc:
-                raise ConfigError(f"--seed invalid: {exc}") from exc
-        _check_sweep_task(cfg.task, cfg.sweep_parameter, cfg.sweep_values)
+        # each flag replaces its key before the one parser checks it
+        raw = _read_json(args.config)
+        if args.task is not None:
+            raw["task"] = args.task
+        _override(raw, "output", "dir", args.out)
+        _override(raw, "solver", "workers", args.threads)
+        _override(raw, "mc", "seed", args.seed)
+        cfg = _parse(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .model import ModelParams
+from .model import ModelParams, require_integers
 
 __all__ = ["GridConfig", "Grid4D", "ScalarField", "build_grid",
            "interpolate", "interpolation_matrix", "restrict_to_cells"]
@@ -24,7 +24,7 @@ class GridConfig:
 
     R spans exactly [0, 1]; rhat in [0, rhat_max]; y in [y_min, 0];
     z in [0, z_max].  All node counts must be at least 4 so a 3-point
-    stencil never exhausts an axis.
+    stencil never exhausts an axis.  Node counts are integers.
     """
 
     rhat_max: float = 1.0
@@ -36,7 +36,9 @@ class GridConfig:
     n_z: int = 10
 
     def __post_init__(self):
-        for name in ("n_R", "n_rhat", "n_y", "n_z"):
+        counts = ("n_R", "n_rhat", "n_y", "n_z")
+        require_integers(self, counts)
+        for name in counts:
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4 (3-point stencil support)")
         if not 0.0 < self.rhat_max < np.inf:
@@ -91,9 +93,6 @@ class ScalarField:
                 f"field length {self.values.shape} does not match grid size {self.grid.size}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
 
 def build_grid(cfg: GridConfig, p: ModelParams) -> Grid4D:

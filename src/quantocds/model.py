@@ -132,6 +132,15 @@ def validate_params(p: ModelParams) -> ModelParams:
     return p
 
 
+def require_integers(obj, names) -> None:
+    """Raise ValueError unless each named attribute of ``obj`` is a
+    Python or numpy integer; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class BoundaryKind(Enum):
     DEGENERATE_PDE = "degenerate-pde"
     VANISHING_SECOND_DERIVATIVE = "vanishing-second-derivative"

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .model import ModelParams, validate_params
+from .model import ModelParams, require_integers, validate_params
 
 if TYPE_CHECKING:
     from .pricing import CdsSchedule
@@ -40,9 +40,10 @@ def credit_triangle(lam: float, R: float) -> float:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo controls.  Paths are simulated in fixed-size blocks,
-    each on its own counter-based substream keyed by (seed, block), so
-    results do not depend on how blocks are scheduled."""
+    """Monte Carlo controls.  Paths are simulated one block of
+    ``block_size`` after another, block b on the Philox stream of
+    ``seed`` jumped b times, so a result reproduces at a fixed seed and
+    block size."""
 
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
@@ -51,10 +52,9 @@ class McConfig:
     block_size: int = 25_000
 
     def __post_init__(self):
-        for name in ("n_paths", "block_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integers(self, ("n_paths", "seed", "block_size"))
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a boolean, got {self.antithetic!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
         if self.n_paths < 1000:
@@ -255,38 +255,6 @@ def mc_leg_estimates(p: ModelParams, schedule: "CdsSchedule",
     return {"protection": _estimate(prot, cfg),
             "annuity": _estimate(ann, cfg),
             "w_maturity": _estimate(w_final, cfg)}
-
-
-def mc_discounted_fx(p: ModelParams, horizon: float,
-                     cfg: McConfig | None = None) -> McEstimate:
-    """Sample mean of Z_T discounted by the realized rate differential.
-
-    With the no-arbitrage drift r - rhat, Z_t * exp(-int (r - rhat_s) ds)
-    is a martingale before default, so the estimate should bracket z0.
-    Default machinery is left out (the check targets the pre-default
-    dynamics; with gamma_z = 0 the default has no effect on Z).
-    """
-    cfg = cfg or McConfig()
-    validate_params(p)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    n = cfg.n_paths
-    nsteps = max(1, int(round(horizon / cfg.step)))
-    dt = horizon / nsteps
-    sqdt = np.sqrt(dt)
-    chol = np.linalg.cholesky(np.asarray(p.rho, dtype=float) + 1e-14 * np.eye(4))
-    rr = np.full(n, p.rhat0)
-    Z = np.full(n, p.z0)
-    q = np.zeros(n)
-    for _ in range(nsteps):
-        dW = (rng.standard_normal((n, 4)) @ chol.T) * sqdt
-        q += (p.r_dom - rr) * dt
-        Zn = Z * (1.0 + (p.r_dom - rr) * dt + p.sigma_z * dW[:, 2])
-        rr = rr + p.kappa_rhat * (p.theta_rhat - np.clip(rr, 0.0, None)) * dt \
-            + p.sigma_rhat * np.sqrt(np.clip(rr, 0.0, None)) * dW[:, 1]
-        Z = np.maximum(Zn, 0.0)
-    sample = Z * np.exp(-q)
-    return McEstimate(float(sample.mean()),
-                      float(sample.std(ddof=1) / np.sqrt(n)), n, cfg.seed)
 
 
 def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:

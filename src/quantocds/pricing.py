@@ -35,7 +35,7 @@ import scipy.sparse as sps
 
 from .grid import (Grid4D, GridConfig, ScalarField, build_grid,
                    interpolation_matrix, restrict_to_cells)
-from .model import ModelParams, validate_params
+from .model import ModelParams, require_integers, validate_params
 from .oracles import CN_Y_MIN
 from .pde import (assemble_pde1_rhs, assemble_pde2_rhs,
                   coupling_shift_matrix, inert_axes, rk4_sweep)
@@ -74,6 +74,7 @@ class CdsSchedule:
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:
             raise ValueError("maturity must be positive and finite")
+        require_integers(self, ("m", "n_quad"))
         if self.m < 1 or self.n_quad < 1:
             raise ValueError("m and n_quad must be >= 1")
 

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantocds.cli import (ConfigError, apply_sweep_value, load_config, main)
+from quantocds.grid import GridConfig
 from quantocds.model import ModelParams, ParameterError
+from quantocds.oracles import McConfig
+from quantocds.pricing import CdsSchedule
 
 
 def write_config(tmp_path, payload):
@@ -188,6 +191,10 @@ class TestMain:
         ({"model": {"rho": [[1, 0], [0]]}}, []),
         ({"model": {"R0": [1, 2]}}, []),
         ({"output": {"dir": 5}}, []),
+        ({"schedule": {"T": "5"}}, []),
+        ({"mc": {"step": "0.02"}}, []),
+        ({"solver": {"dt": "0.05"}}, []),
+        ({"mc": None}, ["--seed", "3"]),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
             "mc.seed=-1", "mc.antithetic=string", "seed=-1",
@@ -197,7 +204,8 @@ class TestMain:
             "grid.n_z=true", "model=5", "grid=list", "solver=string",
             "schedule=3", "sweep=list", "mc=null", "rho=string",
             "rho.R_z=string", "rho.R_z=null", "rho=ragged", "R0=list",
-            "output.dir=5"])
+            "output.dir=5", "T=string", "mc.step=string", "dt=string",
+            "mc=null+seed"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
         cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}, **payload})
         assert main(["--config", cfg, *argv]) == 2
@@ -222,10 +230,66 @@ class TestMain:
         assert spreads[0] == spreads[1] == spreads[2]
 
     def test_task_override(self, tmp_path):
-        cfg = small_run(tmp_path, task="sweep",
-                        sweep={"parameter": "gamma_z", "values": [0.0]})
-        assert main(["--config", cfg, "--task", "price"]) == 0
-        assert (tmp_path / "out" / "spread_report.json").exists()
+        # the flag replaces the key before the sweep check, so a sweep
+        # block without a parameter does not stop --task price
+        report = tmp_path / "out" / "spread_report.json"
+        for sweep in ({"parameter": "gamma_z", "values": [0.0]}, {"values": [0.0]}):
+            cfg = small_run(tmp_path, task="sweep", sweep=sweep)
+            assert main(["--config", cfg, "--task", "price"]) == 0
+            assert report.exists()
+            report.unlink()
+
+
+# Every key the config accepts, with a valid value, written out so that a
+# new dataclass field cannot silently become a config key.
+ACCEPTED_KEYS = {
+    "model": {"R0": 0.45, "kappa_R": 0.0, "theta_R": 0.1, "sigma_R": 0.0,
+              "rhat0": 0.03, "kappa_rhat": 0.08, "theta_rhat": 0.1,
+              "sigma_rhat": 0.08, "y0": -4.089, "kappa_y": 1e-4,
+              "theta_y": -210.0, "sigma_y": 0.4, "z0": 1.15, "sigma_z": 0.1,
+              "r_dom": 0.02, "gamma_z": 0.0, "gamma_rhat": 0.0,
+              "rho": {"R_rhat": 0.0, "R_z": 0.0, "R_y": 0.0,
+                      "rhat_z": 0.0, "rhat_y": 0.0, "z_y": 0.0}},
+    "grid": {"rhat_max": 1.0, "y_min": -6.0, "z_max": 4.0,
+             "n_R": 10, "n_rhat": 10, "n_y": 10, "n_z": 10},
+    "solver": {"dt": 0.05, "n_quad": 1, "workers": 1},
+    "schedule": {"T": 5.0, "m": 120},
+    "mc": {"n_paths": 100_000, "step": 1.0 / 48.0, "seed": 0, "antithetic": False},
+    "sweep": {"parameter": "gamma_z", "values": [0.0]},
+    "output": {"dir": "out"},
+}
+
+# one unknown key per section, and every field of a section's dataclass
+# that the config does not expose (mc.block_size, schedule.n_quad)
+_OWNERS = {"model": ModelParams, "grid": GridConfig, "schedule": CdsSchedule,
+           "mc": McConfig}
+_EXTRA_KEYS = [(None, "extra"), *[(name, "extra") for name in ACCEPTED_KEYS],
+               *[(name, f.name) for name, cls in _OWNERS.items()
+                 for f in fields(cls) if f.name not in ACCEPTED_KEYS[name]]]
+
+
+class TestAcceptedKeys:
+    def test_counts(self):
+        assert {k: len(v) for k, v in ACCEPTED_KEYS.items()} == {
+            "model": 18, "grid": 7, "solver": 3, "schedule": 2, "mc": 4,
+            "sweep": 2, "output": 1}
+
+    def test_every_listed_key_accepted(self, tmp_path):
+        root = {**ACCEPTED_KEYS, "task": "sweep"}
+        assert len(root) == 8
+        cfg = load_config(write_config(tmp_path, root))
+        assert cfg.task == "sweep" and cfg.sweep_parameter == "gamma_z"
+
+    @pytest.mark.parametrize("section, extra", _EXTRA_KEYS)
+    def test_one_extra_key_exits_2(self, tmp_path, capsys, section, extra):
+        payload = {**ACCEPTED_KEYS, "output": {"dir": str(tmp_path / "out")}}
+        if section is None:
+            payload[extra] = {}
+        else:
+            payload[section] = {**payload[section], extra: 1000}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 _MODEL_SCALARS = [f.name for f in fields(ModelParams) if f.name != "rho"]

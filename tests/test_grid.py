@@ -37,6 +37,9 @@ def test_grid_config_rejects_bad_bounds():
         GridConfig(z_max=-1.0)
     with pytest.raises(ValueError):
         GridConfig(y_min=1.0)
+    for counts in ({"n_R": 10.7}, {"n_y": 12.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridConfig(**counts)
 
 
 def test_flatten_unflatten_roundtrip():

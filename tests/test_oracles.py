@@ -42,6 +42,13 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="block_size"):
             McConfig(block_size=block_size)
 
+    @pytest.mark.parametrize("field, value", [
+        ("antithetic", "false"), ("antithetic", 1), ("seed", 1.5), ("seed", True)])
+    def test_rejects_mistyped_field(self, field, value):
+        # "false" is truthy: it used to run antithetic
+        with pytest.raises(ValueError, match=field):
+            McConfig(**{field: value})
+
     @pytest.mark.parametrize("n_paths", [2500.5, 2000.0, "2000"])
     def test_rejects_non_integer_n_paths(self, n_paths):
         with pytest.raises(ValueError, match="n_paths"):
@@ -155,11 +162,24 @@ class TestLegEstimates:
         assert legs["annuity"].mean > 0
 
 
+def cir_bond(p: ModelParams, T: float) -> float:
+    """Closed-form CIR zero-coupon bond price P(0, T) = A(T) e^{-B(T) rhat0}."""
+    k, th, sig = p.kappa_rhat, p.theta_rhat, p.sigma_rhat
+    h = np.sqrt(k**2 + 2.0 * sig**2)
+    den = 2.0 * h + (k + h) * np.expm1(h * T)
+    A = (2.0 * h * np.exp(0.5 * (k + h) * T) / den) ** (2.0 * k * th / sig**2)
+    return A * np.exp(-2.0 * np.expm1(h * T) / den * p.rhat0)
+
+
 class TestDiscountedFxMartingale:
     def test_mean_within_three_se(self):
-        from quantocds.oracles import mc_discounted_fx
-        est = mc_discounted_fx(P, 1.0, McConfig(n_paths=100_000, seed=13))
-        assert abs(est.mean - P.z0) < 3 * est.std_error
+        # hazard off: Z_t e^{-r t} times the foreign discount factor is a
+        # martingale, so the simulator's w_maturity averages to
+        # z0 * P_CIR(0, T) when rhat and z are uncorrelated
+        p = P.with_(y0=-40.0)
+        est = mc_leg_estimates(p, CdsSchedule(T=1.0, m=12),
+                               McConfig(n_paths=100_000, seed=13))["w_maturity"]
+        assert abs(est.mean - p.z0 * cir_bond(p, 1.0)) < 3 * est.std_error
 
 
 class TestCnBenchmark:

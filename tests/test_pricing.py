@@ -67,6 +67,11 @@ class TestSchedule:
             CdsSchedule(m=0)
         with pytest.raises(ValueError):
             CdsSchedule(T=np.inf)
+        # a bool or a fractional count is not an integer
+        with pytest.raises(ValueError, match="m must be an integer"):
+            CdsSchedule(m=True)
+        with pytest.raises(ValueError, match="n_quad must be an integer"):
+            CdsSchedule(n_quad=2.5)
 
     def test_quadrature_steps_land_on_maturity(self):
         # the march step is the quadrature step: m * n_quad steps of it
@@ -362,6 +367,20 @@ class TestDomesticAndBasis:
         # gamma_z = -0.9 truncates z_max to 0.4, below z0 = 1.15
         rep = quanto_basis(P.with_(gamma_z=-0.9), SCHED)
         assert rep.meta["x0_interpolated"] is False
+
+
+class TestStrictXfailInputs:
+    def test_values_read_by_the_strict_xfails_are_finite(self):
+        # a strict-xfail counts any exception as its expected failure, so
+        # a crash in the values it reads would otherwise go unseen
+        rep = quanto_basis(P, SCHED)
+        assert rep.s_d_1d is not None
+        values = [rep.s, rep.basis, rep.s_d_1d,
+                  domestic_spread(P.with_(kappa_y=0.0, sigma_y=0.0), SCHED,
+                                  method="pde4d"),
+                  QuantoCdsPricer(P.with_(gamma_z=-0.5)).spread(SCHED)[0]]
+        for v in values:
+            assert isinstance(v, float) and np.isfinite(v)
 
 
 _RHO_SIX = np.eye(4)
