@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridConfig
-from .model import CORRELATION_ORDER, ModelParams, validate_params
+from .model import CORRELATION_ORDER, ModelParams, require_real, validate_params
 from .oracles import McConfig, credit_triangle, mc_spread
 from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
                       domestic_spread, quanto_basis)
@@ -96,12 +96,19 @@ def _checked(name: str):
 
 
 def _parse_rho(raw) -> np.ndarray:
-    """A 4x4 matrix, or a mapping of pair names to correlations."""
+    """A 4x4 matrix (a list of rows of numbers), or a mapping of pair
+    names to correlations."""
     if not isinstance(raw, dict):
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+            raise ValueError(f"rho must be a list of rows or a mapping of pairs, got {raw!r}")
+        for i, row in enumerate(raw):
+            for j, val in enumerate(row):
+                require_real(f"rho[{i}][{j}]", val)
         return np.asarray(raw, dtype=float)
     _reject_unknown(raw, _RHO_PAIRS, "model.rho")
     rho = np.eye(4)
     for name, val in raw.items():
+        require_real(f"rho.{name}", val)
         i, j = _RHO_PAIRS[name]
         rho[i, j] = rho[j, i] = float(val)
     return rho
@@ -158,7 +165,12 @@ def _parse(raw: dict) -> RunConfig:
     with _checked("sweep"):
         if sweep_param is not None and not isinstance(sweep_param, str):
             raise ValueError("parameter must be a string")
-        sweep_vals = [float(v) for v in sweep.get("values", [])]
+        sweep_vals = sweep.get("values", [])
+        if not isinstance(sweep_vals, list):
+            raise ValueError(f"values must be a list, got {sweep_vals!r}")
+        for i, v in enumerate(sweep_vals):
+            require_real(f"values[{i}]", v)
+        sweep_vals = [float(v) for v in sweep_vals]
         if sweep_param:
             for v in sweep_vals:
                 apply_sweep_value(model, sweep_param, v)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .model import ModelParams, require_integers
+from .model import ModelParams, require_integers, require_real
 
 __all__ = ["GridConfig", "Grid4D", "ScalarField", "build_grid",
            "interpolate", "interpolation_matrix", "restrict_to_cells"]
@@ -38,6 +38,8 @@ class GridConfig:
     def __post_init__(self):
         counts = ("n_R", "n_rhat", "n_y", "n_z")
         require_integers(self, counts)
+        for name in ("rhat_max", "y_min", "z_max"):
+            require_real(name, getattr(self, name))
         for name in counts:
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4 (3-point stencil support)")

@@ -13,6 +13,7 @@ admissible domain, classification of the degenerate PDE boundaries
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -54,7 +55,8 @@ class ModelParams:
     Brownian motions in the order (R, rhat, z, y).  ``gamma_z`` and
     ``gamma_rhat`` are the proportional jump-at-default amplitudes of
     the FX rate and the foreign rate.  The FX drift is not stored: it
-    is pinned to r_dom - rhat by absence of arbitrage.
+    is pinned to r_dom - rhat by absence of arbitrage.  Two parameter
+    sets compare and hash by value, so one can key a cache.
     """
 
     R0: float = 0.45
@@ -95,6 +97,21 @@ class ModelParams:
         """Copy with fields replaced and re-validated."""
         return validate_params(replace(self, **kwargs))
 
+    def _value_key(self) -> tuple:
+        rho = np.asarray(self.rho, dtype=np.float64)
+        return (*(getattr(self, f.name) for f in fields(self) if f.name != "rho"),
+                rho.shape, rho.tobytes())
+
+    def __eq__(self, other) -> bool:
+        """Equal when every scalar field is equal and ``rho`` holds the
+        same float64 values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self) -> int:
+        return hash(self._value_key())
+
 
 def validate_params(p: ModelParams) -> ModelParams:
     """Check every admissibility condition; return ``p`` unchanged if valid.
@@ -107,7 +124,9 @@ def validate_params(p: ModelParams) -> ModelParams:
 
     for f in fields(p):
         if f.name != "rho":
-            req(bool(np.isfinite(getattr(p, f.name))), f"{f.name} not finite")
+            value = getattr(p, f.name)
+            require_real(f.name, value, ParameterError)
+            req(bool(np.isfinite(value)), f"{f.name} not finite")
     for name in ("sigma_R", "sigma_rhat", "sigma_y", "sigma_z"):
         req(getattr(p, name) >= 0.0, f"{name} negative")
     req(p.kappa_R >= 0.0, "kappa_R negative")
@@ -139,6 +158,13 @@ def require_integers(obj, names) -> None:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a real number;
+    a bool is not one, nor is a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 class BoundaryKind(Enum):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .model import ModelParams, require_integers, validate_params
+from .model import ModelParams, require_integers, require_real, validate_params
 
 if TYPE_CHECKING:
     from .pricing import CdsSchedule
@@ -53,6 +53,7 @@ class McConfig:
 
     def __post_init__(self):
         require_integers(self, ("n_paths", "seed", "block_size"))
+        require_real("step", self.step)
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise ValueError(f"antithetic must be a boolean, got {self.antithetic!r}")
         if self.block_size < 1:

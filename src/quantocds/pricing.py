@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
 
 from .grid import (Grid4D, GridConfig, ScalarField, build_grid,
                    interpolation_matrix, restrict_to_cells)
-from .model import ModelParams, require_integers, validate_params
+from .model import ModelParams, require_integers, require_real, validate_params
 from .oracles import CN_Y_MIN
 from .pde import (assemble_pde1_rhs, assemble_pde2_rhs,
                   coupling_shift_matrix, inert_axes, rk4_sweep)
@@ -57,6 +58,10 @@ __all__ = [
 
 TERMINAL_KINDS = ("recovery", "protection", "accrual")
 
+# domestic spreads kept per process; a sweep needs one, a batch of
+# distinct contracts a few
+_DOMESTIC_MEMO_SIZE = 64
+
 
 class DegenerateAnnuityError(ValueError):
     """Par-spread denominator is not positive."""
@@ -72,6 +77,7 @@ class CdsSchedule:
     n_quad: int = 1
 
     def __post_init__(self):
+        require_real("T", self.T)
         if not 0.0 < self.T < np.inf:
             raise ValueError("maturity must be positive and finite")
         require_integers(self, ("m", "n_quad"))
@@ -300,14 +306,27 @@ def domestic_spread(p: ModelParams, schedule: CdsSchedule, method: str,
     method 'cn1d' runs the one-dimensional Crank-Nicolson benchmark
     (valid only with frozen recovery, kappa_R = sigma_R = 0); 'pde4d'
     runs the full engine on the reduced parameter set.
+
+    The result depends on ``p`` only through ``domestic_params(p)``, so
+    it is memoized per process on (method, reduced parameters,
+    schedule, grid config), the grid config counting only for 'pde4d'.
+    A memo hit returns the float a fresh solve returns; errors are not
+    memoized.
     """
+    if method not in ("cn1d", "pde4d"):
+        raise ValueError(f"unknown domestic method {method!r}")
+    grid_cfg = (grid_cfg or GridConfig()) if method == "pde4d" else None
+    # domestic_params copies rho, so no caller holds the array of a kept key
+    return _solve_domestic(method, domestic_params(p), schedule, grid_cfg)
+
+
+@lru_cache(maxsize=_DOMESTIC_MEMO_SIZE)
+def _solve_domestic(method: str, p_dom: ModelParams, schedule: CdsSchedule,
+                    grid_cfg: GridConfig | None) -> float:
     if method == "cn1d":
         from .oracles import cn_domestic_spread
-        return cn_domestic_spread(p, schedule)
-    if method != "pde4d":
-        raise ValueError(f"unknown domestic method {method!r}")
-    pricer = QuantoCdsPricer(domestic_params(p), grid_cfg)
-    s_d, _ = pricer.spread(schedule)
+        return cn_domestic_spread(p_dom, schedule)
+    s_d, _ = QuantoCdsPricer(p_dom, grid_cfg).spread(schedule)
     return s_d
 
 
@@ -324,15 +343,26 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     and ``solve_shape`` the grid the foreign sweep marched (two nodes
     on each inert axis).  ``x0_interpolated`` records whether x0 lies
     inside the grid hull on every axis (False means the readout
-    extrapolated).
+    extrapolated).  ``cached`` lists which of ``s_d`` and ``s_d_1d``
+    this call read from the per-process memo of ``domestic_spread``
+    instead of solving.
     """
     t0 = time.perf_counter()
     pricer = QuantoCdsPricer(p, grid_cfg)
     s, legs = pricer.spread(schedule)
-    s_d = domestic_spread(p, schedule, method="pde4d", grid_cfg=grid_cfg)
+    cached = []
+
+    def domestic(name: str, method: str) -> float:
+        hits = _solve_domestic.cache_info().hits
+        value = domestic_spread(p, schedule, method=method, grid_cfg=grid_cfg)
+        if _solve_domestic.cache_info().hits > hits:
+            cached.append(name)
+        return value
+
+    s_d = domestic("s_d", "pde4d")
     s_d_1d = None
     if p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0:
-        s_d_1d = domestic_spread(p, schedule, method="cn1d")
+        s_d_1d = domestic("s_d_1d", "cn1d")
     meta = {
         "grid_shape": list(pricer.grid.shape),
         "solve_shape": list(pricer.solve_grid.shape),
@@ -342,6 +372,7 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
         "reference_line": (1.0 + p.gamma_z) * s_d,
         "x0_interpolated": all(bool(a[0] <= x <= a[-1])
                                for a, x in zip(pricer.grid.axes, p.x0)),
+        "cached": cached,
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
     return SpreadReport(s=s, s_d=s_d, s_d_1d=s_d_1d, legs=legs, meta=meta)

@@ -11,7 +11,7 @@ from quantocds.cli import (ConfigError, apply_sweep_value, load_config, main)
 from quantocds.grid import GridConfig
 from quantocds.model import ModelParams, ParameterError
 from quantocds.oracles import McConfig
-from quantocds.pricing import CdsSchedule
+from quantocds.pricing import CdsSchedule, QuantoCdsPricer, _solve_domestic
 
 
 def write_config(tmp_path, payload):
@@ -195,6 +195,14 @@ class TestMain:
         ({"mc": {"step": "0.02"}}, []),
         ({"solver": {"dt": "0.05"}}, []),
         ({"mc": None}, ["--seed", "3"]),
+        ({"schedule": {"T": True}}, []),
+        ({"model": {"R0": True}}, []),
+        ({"model": {"rho": {"R_z": "0.8"}}}, []),
+        ({"model": {"rho": {"R_z": True}}}, []),
+        ({"model": {"rho": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}, []),
+        ({"model": {"rho": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, "0"], [0, 0, 0, 1]]}}, []),
+        ({"sweep": {"values": ["-0.2"]}}, []),
+        ({"grid": {"z_max": True}}, []),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
             "mc.seed=-1", "mc.antithetic=string", "seed=-1",
@@ -205,12 +213,44 @@ class TestMain:
             "schedule=3", "sweep=list", "mc=null", "rho=string",
             "rho.R_z=string", "rho.R_z=null", "rho=ragged", "R0=list",
             "output.dir=5", "T=string", "mc.step=string", "dt=string",
-            "mc=null+seed"])
+            "mc=null+seed", "T=true", "R0=true", "rho.R_z=numeric-string",
+            "rho.R_z=true", "rho=matrix-with-true", "rho=matrix-with-string",
+            "sweep.values=numeric-string", "grid.z_max=true"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
         cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}, **payload})
         assert main(["--config", cfg, *argv]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload, name", [
+        ({"schedule": {"T": "5"}}, "T"),
+        ({"mc": {"step": "0.02"}}, "step"),
+        ({"model": {"R0": True}}, "R0"),
+        ({"model": {"rho": {"R_z": "0.8"}}}, "rho.R_z"),
+        ({"model": {"rho": np.eye(4).tolist()[:3] + [[0, 0, 0, "1"]]}}, "rho[3][3]"),
+        ({"sweep": {"values": [0.1, "-0.2"]}}, "values[1]"),
+    ])
+    def test_non_number_error_names_the_field(self, tmp_path, capsys, payload, name):
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert f"{name} must be a real number" in capsys.readouterr().err
+
+    def test_sweep_solves_the_domestic_contract_once(self, tmp_path, monkeypatch):
+        # gamma_z does not reach the domestic contract: three foreign
+        # pricers and one domestic one
+        inits = []
+        init = QuantoCdsPricer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantoCdsPricer, "__init__", counting_init)
+        _solve_domestic.cache_clear()
+        cfg = small_run(tmp_path, task="sweep",
+                        sweep={"parameter": "gamma_z", "values": [-0.3, -0.2, -0.1]})
+        assert main(["--config", cfg, "--threads", "1"]) == 0
+        assert len(inits) == 4
+        assert [p.gamma_z for p in inits].count(0.0) == 1
 
     def test_overflowing_maturity_exits_2(self, tmp_path, capsys):
         # 1e400 parses to inf

@@ -45,6 +45,33 @@ def test_domain_violations_named(field, value, match):
         validate_params(ModelParams(**{field: value}))
 
 
+class TestValueEquality:
+    def test_equal_sets_compare_and_hash_equal(self):
+        assert ModelParams() == ModelParams()
+        assert hash(ModelParams()) == hash(ModelParams())
+        # rho compares by its float64 values, whatever container holds it
+        as_list = ModelParams(rho=np.eye(4).tolist())
+        assert as_list == ModelParams() and hash(as_list) == hash(ModelParams())
+
+    def test_any_changed_field_is_unequal(self):
+        p = ModelParams()
+        assert (p == p.with_(R0=0.5)) is False
+        assert p != p.with_(gamma_z=-0.3)
+        rho = np.eye(4)
+        rho[0, 2] = rho[2, 0] = 0.5
+        assert p != p.with_(rho=rho)
+        assert p != "ModelParams()"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("R0", True), ("gamma_z", "0.1"), ("sigma_y", None), ("kappa_R", [0.1]),
+])
+def test_non_real_field_rejected_by_name(field, value):
+    # a bool or a numeric string is not taken as a number
+    with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+        validate_params(ModelParams(**{field: value}))
+
+
 def test_sweep_parameter_ranges_accepted():
     p = ModelParams()
     for gz in np.linspace(-0.9, 0.0, 7):

@@ -13,11 +13,12 @@ from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError
 from quantocds.pde import (assemble_pde1_rhs, assemble_pde2_rhs,
                            coupling_shift_matrix, rk4_sweep)
+from quantocds.oracles import cn_domestic_spread
 from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                DegenerateAnnuityError, LegTerms,
-                               QuantoCdsPricer, domestic_params,
-                               domestic_spread, par_spread, quanto_basis,
-                               terminal_condition)
+                               QuantoCdsPricer, _solve_domestic,
+                               domestic_params, domestic_spread, par_spread,
+                               quanto_basis, terminal_condition)
 
 P = ModelParams()
 SCHED = CdsSchedule()
@@ -342,6 +343,7 @@ class TestDomesticAndBasis:
         assert s_scaled == pytest.approx(s_base, rel=1e-12)
 
     def test_report_fields(self):
+        _solve_domestic.cache_clear()
         rep = quanto_basis(P, SCHED)
         d = rep.to_dict()
         assert d["s_bps"] == pytest.approx(1e4 * rep.s)
@@ -352,6 +354,13 @@ class TestDomesticAndBasis:
         assert rep.meta["quad_step"] == SCHED.quad_step
         assert "dt" not in rep.meta
         assert rep.meta["x0_interpolated"] is True
+        assert rep.meta["cached"] == []            # both domestic spreads solved
+        # gamma_z does not reach the domestic contract: both are read back
+        hit = quanto_basis(P.with_(gamma_z=-0.3), SCHED)
+        assert hit.meta["cached"] == ["s_d", "s_d_1d"]
+        assert (hit.s_d, hit.s_d_1d) == (rep.s_d, rep.s_d_1d)
+        # stochastic recovery: a new 4D contract, and no 1D value
+        assert quanto_basis(_CORRELATED, SCHED).meta["cached"] == []
 
     def test_cn_value_attached_only_on_its_axis(self):
         # the 1D oracle's log-hazard axis is [-6, 0]; the 4D grid here
@@ -367,6 +376,91 @@ class TestDomesticAndBasis:
         # gamma_z = -0.9 truncates z_max to 0.4, below z0 = 1.15
         rep = quanto_basis(P.with_(gamma_z=-0.9), SCHED)
         assert rep.meta["x0_interpolated"] is False
+
+
+_SHORT = CdsSchedule(T=1.0, m=12)
+
+
+def _rho_with(pair, value):
+    i, j = pair
+    rho = np.eye(4)
+    rho[i, j] = rho[j, i] = value
+    return rho
+
+
+class TestDomesticMemo:
+    """``domestic_spread`` is memoized on the reduced contract."""
+
+    @pytest.mark.parametrize("method, p, grid_cfg", [
+        ("pde4d", P, None),
+        ("cn1d", P, None),
+        ("pde4d", _CORRELATED, None),
+        ("pde4d", P, GridConfig(n_y=12, z_max=5.0)),
+    ], ids=["pde4d", "cn1d", "pde4d-correlated", "pde4d-grid"])
+    def test_hit_returns_the_fresh_solve(self, method, p, grid_cfg):
+        _solve_domestic.cache_clear()
+        first = domestic_spread(p, SCHED, method, grid_cfg)
+        second = domestic_spread(p, SCHED, method, grid_cfg)
+        assert second == first
+        if method == "cn1d":
+            fresh = cn_domestic_spread(p, SCHED)
+        else:
+            fresh = QuantoCdsPricer(domestic_params(p), grid_cfg).spread(SCHED)[0]
+        assert first == fresh
+
+    @pytest.mark.parametrize("change", [
+        {"gamma_z": -0.3}, {"gamma_rhat": 0.5}, {"z0": 1.3}, {"rhat0": 0.05},
+        {"kappa_rhat": 0.0}, {"sigma_rhat": 0.2},
+        {"rho": _rho_with((0, 2), 0.5)}, {"rho": _rho_with((2, 3), -0.2)},
+        {"rho": _rho_with((0, 1), 0.3)}, {"rho": _rho_with((1, 3), 0.2)},
+        {"rho": _rho_with((1, 2), 0.1)},
+    ], ids=["gamma_z", "gamma_rhat", "z0", "rhat0", "kappa_rhat", "sigma_rhat",
+            "rho.R_z", "rho.z_y", "rho.R_rhat", "rho.rhat_y", "rho.rhat_z"])
+    @pytest.mark.parametrize("method", ["pde4d", "cn1d"])
+    def test_fields_the_reduction_drops_share_one_entry(self, method, change):
+        _solve_domestic.cache_clear()
+        a = domestic_spread(P, _SHORT, method)
+        b = domestic_spread(P.with_(**change), _SHORT, method)
+        assert a == b
+        info = _solve_domestic.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("change", [
+        {"R0": 0.5}, {"sigma_R": 0.3}, {"kappa_R": 0.5}, {"theta_R": 0.2},
+        {"y0": -4.0}, {"kappa_y": 0.1}, {"theta_y": -200.0}, {"sigma_y": 0.3},
+        {"sigma_z": 0.2}, {"r_dom": 0.03}, {"rho": _rho_with((0, 3), 0.3)},
+    ], ids=["R0", "sigma_R", "kappa_R", "theta_R", "y0", "kappa_y", "theta_y",
+            "sigma_y", "sigma_z", "r_dom", "rho.R_y"])
+    def test_fields_the_reduction_keeps_miss(self, change):
+        _solve_domestic.cache_clear()
+        domestic_spread(P, _SHORT, "pde4d")
+        domestic_spread(P.with_(**change), _SHORT, "pde4d")
+        assert _solve_domestic.cache_info().misses == 2
+
+    def test_schedule_and_grid_key_the_entry(self):
+        _solve_domestic.cache_clear()
+        domestic_spread(P, _SHORT, "pde4d")
+        domestic_spread(P, CdsSchedule(T=2.0, m=12), "pde4d")
+        domestic_spread(P, _SHORT, "pde4d", GridConfig(n_y=12))
+        assert _solve_domestic.cache_info().misses == 3
+        # None and the default grid config are one entry
+        domestic_spread(P, _SHORT, "pde4d", GridConfig())
+        # the 1D oracle has no grid config
+        domestic_spread(P, _SHORT, "cn1d")
+        domestic_spread(P, _SHORT, "cn1d", GridConfig(n_y=12))
+        info = _solve_domestic.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
+        assert info.maxsize is not None           # the memo is bounded
+
+    def test_errors_are_not_memoized(self):
+        _solve_domestic.cache_clear()
+        with pytest.raises(ValueError, match="unknown domestic method"):
+            domestic_spread(P, _SHORT, "cn2d")
+        stochastic = P.with_(sigma_R=0.3, kappa_R=0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="recovery"):
+                domestic_spread(stochastic, _SHORT, "cn1d")
+        assert _solve_domestic.cache_info().currsize == 0
 
 
 class TestStrictXfailInputs:
