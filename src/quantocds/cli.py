@@ -308,7 +308,10 @@ def _task_mc_check(cfg: RunConfig) -> None:
     pricer = QuantoCdsPricer(cfg.model, cfg.grid)
     s_pde, _ = pricer.spread(cfg.schedule)
     est = mc_spread(cfg.model, cfg.schedule, cfg.mc)
-    z = abs(s_pde - est.mean) / est.std_error
+    gap = abs(s_pde - est.mean)
+    # a zero standard error (no sampled path defaults) leaves only the
+    # gap: any gap at all is infinitely many standard errors
+    z = gap / est.std_error if est.std_error > 0.0 else (np.inf if gap > 0.0 else 0.0)
     ok = z <= 3.0
     _write_csv(cfg.out_dir / "mc_check.csv", "mccheck",
                ["pde_bps", "mc_bps", "mc_se_bps", "z_score", "pass"],

@@ -143,9 +143,12 @@ def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:
 
     Row m of the result applied to a flattened field gives the
     multilinear interpolation (or out-of-hull extrapolation) at
-    ``points[m]``.  Each row holds the 16 corners of the point's cell in
-    ascending column order; a corner's weight is the product of the
-    per-axis linear weights, taken in axis order.
+    ``points[m]``.  Each row holds the 2^k corners of the point's cell
+    in ascending column order, k counting the axes with at least two
+    nodes; a corner's weight is the product of the per-axis linear
+    weights, taken in axis order.  An axis of one node takes weight 1
+    on that node whatever the point's coordinate: the field is constant
+    along it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 4:
@@ -153,11 +156,13 @@ def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:
     m = pts.shape[0]
     cols, vals = np.zeros((m, 1), dtype=np.intp), np.ones((m, 1))
     for k, axis in enumerate(grid.axes):
+        if len(axis) == 1:
+            continue                # one corner of weight 1 at index 0
         i, t = _cells_and_weights(axis, pts[:, k])
         corners, weights = np.stack([i, i + 1], axis=1), np.stack([1.0 - t, t], axis=1)
         cols = (cols[:, :, None] * len(axis) + corners[:, None, :]).reshape(m, -1)
         vals = (vals[:, :, None] * weights[:, None, :]).reshape(m, -1)
-    return sps.csr_matrix((vals.ravel(), cols.ravel(), 16 * np.arange(m + 1)),
+    return sps.csr_matrix((vals.ravel(), cols.ravel(), cols.shape[1] * np.arange(m + 1)),
                           shape=(m, grid.size))
 
 

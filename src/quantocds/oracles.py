@@ -111,10 +111,12 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
                                                     + 1e-14 * np.eye(4)).T)
     r, gz = p.r_dom, p.gamma_z
 
-    R = np.full(n, p.R0)
-    rr = np.full(n, p.rhat0)
-    Y = np.full(n, p.y0)
-    Z = np.full(n, p.z0)
+    # float arrays even for integral fields ("y0": -40 in a config):
+    # the Euler step writes floats into them in place
+    R = np.full(n, p.R0, dtype=float)
+    rr = np.full(n, p.rhat0, dtype=float)
+    Y = np.full(n, p.y0, dtype=float)
+    Z = np.full(n, p.z0, dtype=float)
     gam = np.zeros(n)
     alive = np.ones(n, bool)
     prot = np.zeros(n)

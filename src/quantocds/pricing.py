@@ -223,6 +223,14 @@ class QuantoCdsPricer:
     The pricer therefore builds S^T, r and the payoffs on ``solve_grid``,
     the configured ``grid`` cut to those two slices on every inert
     axis; its rows are the full-grid rows, entry for entry.
+
+    A frozen R axis goes further, to the single node R0.  R is inert
+    only when kappa_R = sigma_R = 0, and then no coefficient of S reads
+    the R coordinate, so the two kept slices march identically and the
+    readout's R weights only scale them; the payoffs are affine in R,
+    so their two-slice interpolation is their value at R0.  Other inert
+    axes keep two slices: S reads their coordinate (rhat in the z
+    drift, y in the hazard).
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
@@ -230,7 +238,10 @@ class QuantoCdsPricer:
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
         self.inert_axes = inert_axes(self.grid, self.p)
-        self.solve_grid = g = restrict_to_cells(self.grid, self.p.x0, self.inert_axes)
+        axes = restrict_to_cells(self.grid, self.p.x0, self.inert_axes).axes
+        if 0 in self.inert_axes:
+            axes = (np.array([self.p.R0]),) + axes[1:]
+        self.solve_grid = g = Grid4D(axes)
         L = assemble_L(g, self.p)
         A1 = assemble_pde1_rhs(g, self.p, L)
         A2 = assemble_pde2_rhs(g, self.p, L)
@@ -254,15 +265,16 @@ class QuantoCdsPricer:
         g = self.solve_grid
         n = g.size
         _, _, _, z = g.coordinate_fields()
-        terminals = np.stack([terminal_condition(kind, g, self.p, 1.0).values
-                              for kind in TERMINAL_KINDS])
-
-        def record(u: np.ndarray, k: int) -> np.ndarray:
-            return np.concatenate(([u[n:] @ z], terminals @ u[:n]))
+        # row 0 reads w off the pre-default half, rows 1.. the densities
+        # off the post-default half
+        payoffs = np.zeros((1 + len(TERMINAL_KINDS), 2 * n))
+        payoffs[0, n:] = z
+        for i, kind in enumerate(TERMINAL_KINDS):
+            payoffs[i + 1, :n] = terminal_condition(kind, g, self.p, 1.0).values
 
         u0 = np.concatenate([np.zeros(n), self._readout])
         vals = rk4_sweep(self._stacked, u0, schedule.quad_step,
-                         schedule.m * schedule.n_quad, record)[1:]
+                         schedule.m * schedule.n_quad, lambda u, k: payoffs @ u)[1:]
         curves = {"w": vals[:, 0]}
         for i, kind in enumerate(TERMINAL_KINDS):
             curves[kind] = vals[:, i + 1] / schedule.quad_dates
@@ -340,10 +352,10 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     recovery is frozen and y0 lies on its log-hazard axis.  The
     (1+gamma_z)-proportional reference level is included in the
     metadata for sweep outputs.  ``grid_shape`` is the configured grid
-    and ``solve_shape`` the grid the foreign sweep marched (two nodes
-    on each inert axis).  ``x0_interpolated`` records whether x0 lies
-    inside the grid hull on every axis (False means the readout
-    extrapolated).  ``cached`` lists which of ``s_d`` and ``s_d_1d``
+    and ``solve_shape`` the grid the foreign sweep marched (one node on
+    a frozen R axis, two on each other inert axis).
+    ``x0_interpolated`` records whether x0 lies inside the grid hull on
+    every axis (False means the readout extrapolated).  ``cached`` lists which of ``s_d`` and ``s_d_1d``
     this call read from the per-process memo of ``domestic_spread``
     instead of solving.
     """

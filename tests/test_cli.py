@@ -141,6 +141,21 @@ class TestMain:
         lines = (tmp_path / "out" / "mc_check.csv").read_text().splitlines()
         assert lines[2] == "pde_bps,mc_bps,mc_se_bps,z_score,pass"
 
+    def test_mc_check_without_defaults(self, tmp_path):
+        # no sampled path defaults, so the Monte Carlo standard error is
+        # 0: the row is written with an infinite (or zero) z and the run
+        # exits like any other check
+        cfg = write_config(tmp_path, {"task": "mc-check", "model": {"y0": -40},
+                                      "grid": {"y_min": -45}, "mc": {"n_paths": 2000},
+                                      "output": {"dir": str(tmp_path / "out")}})
+        assert main(["--config", cfg]) == 0
+        lines = (tmp_path / "out" / "mc_check.csv").read_text().splitlines()
+        row = dict(zip(lines[2].split(","), lines[3].split(",")))
+        assert float(row["mc_se_bps"]) == 0.0
+        gap = abs(float(row["pde_bps"]) - float(row["mc_bps"]))
+        assert float(row["z_score"]) == (math.inf if gap > 0.0 else 0.0)
+        assert bool(int(row["pass"])) == (gap == 0.0)
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "sweep"})
         assert main(["--config", cfg]) == 2

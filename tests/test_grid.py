@@ -93,11 +93,17 @@ def corner_products(grid: Grid4D, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     column the corner's flat index."""
     cells, locs = [], []
     for axis, x in zip(grid.axes, pts.T):
+        if len(axis) == 1:
+            # a one-node axis: its node with weight 1, whatever x is
+            cells.append(np.zeros(len(x), dtype=int))
+            locs.append(np.zeros(len(x)))
+            continue
         i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
         cells.append(i)
         locs.append((x - axis[i]) / (axis[i + 1] - axis[i]))
     data, cols = [], []
-    for bits in itertools.product((0, 1), repeat=4):
+    ranges = [(0, 1) if len(a) > 1 else (0,) for a in grid.axes]
+    for bits in itertools.product(*ranges):
         w = np.ones(len(pts))
         for t, b in zip(locs, bits):
             w = w * (t if b else 1.0 - t)
@@ -107,22 +113,27 @@ def corner_products(grid: Grid4D, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def test_interpolation_matrix_matches_corner_products():
-    # points inside the hull, beyond it and on nodes, on a full grid and
-    # on a solve grid whose R and rhat axes keep two nodes
+    # points inside the hull, beyond it and on nodes, on a full grid, on
+    # a solve grid whose R and rhat axes keep two nodes, and on one whose
+    # R axis is the single node R0 (8 corners per row)
     rng = np.random.default_rng(9)
     g = default_grid(gamma_z=-0.5)
-    for grid in (g, restrict_to_cells(g, ModelParams().x0, (0, 1))):
+    cut = restrict_to_cells(g, ModelParams().x0, (0, 1))
+    one_node = Grid4D((np.array([ModelParams().R0]),) + cut.axes[1:])
+    for grid, width in ((g, 16), (cut, 16), (one_node, 8)):
         lo = np.array([a[0] for a in grid.axes])
         span = np.array([a[-1] for a in grid.axes]) - lo
+        # the one-node axis has no span: draw its coordinates from [0, 1]
+        span = np.where(span > 0.0, span, 1.0)
         inside = lo + span * rng.random((500, 4))
         beyond = lo - 0.5 * span + 2.0 * span * rng.random((500, 4))
         on_nodes = np.stack([a[rng.integers(0, len(a), 200)] for a in grid.axes], axis=1)
         for pts in (inside, beyond, on_nodes):
             E = interpolation_matrix(grid, pts)
             data, cols = corner_products(grid, pts)
-            assert np.array_equal(E.indptr, 16 * np.arange(len(pts) + 1))
-            assert np.array_equal(E.data.reshape(-1, 16), data)
-            assert np.array_equal(E.indices.reshape(-1, 16), cols)
+            assert np.array_equal(E.indptr, width * np.arange(len(pts) + 1))
+            assert np.array_equal(E.data.reshape(-1, width), data)
+            assert np.array_equal(E.indices.reshape(-1, width), cols)
             assert np.all(np.diff(cols, axis=1) > 0)
 
 

@@ -6,6 +6,7 @@ from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid, interpol
 from quantocds.model import ModelParams
 from quantocds.pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
                            jump_shift, rk4_sweep)
+from quantocds.pricing import QuantoCdsPricer
 from quantocds.rbffd import assemble_L, build_axis_operators
 
 
@@ -25,6 +26,20 @@ def march(A, v0: np.ndarray, horizon: float, dt: float) -> np.ndarray:
     """Terminal field marched back over the horizon in steps of dt."""
     n = int(round(horizon / dt))
     return rk4_sweep(A, v0, horizon / n, n, lambda v, k: v)[-1]
+
+
+def classical_rk4_sweep(A, v0: np.ndarray, h: float, nsteps: int, record) -> np.ndarray:
+    """Reference sweep in the classical four-stage form k1..k4."""
+    v = v0.copy()
+    out = [np.asarray(record(v, 0), dtype=float)]
+    for k in range(nsteps):
+        k1 = A @ v
+        k2 = A @ (v + 0.5 * h * k1)
+        k3 = A @ (v + 0.5 * h * k2)
+        k4 = A @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(np.asarray(record(v, k + 1), dtype=float))
+    return np.stack(out)
 
 
 def frozen_params(**kw) -> ModelParams:
@@ -72,6 +87,29 @@ class TestRk4:
         first = rk4_sweep(A, np.ones(2), 0.1, 10, lambda v, k: v[0])
         assert vec.shape == (11, 2) and first.shape == (11,)
         assert np.array_equal(vec[:, 0], first)
+
+    @pytest.mark.parametrize("which", ["stacked-defaults", "random-sparse"])
+    def test_horner_step_matches_classical_stages(self, which):
+        # the Horner sweep evaluates the classical RK4 polynomial: vector
+        # and scalar records agree with the k1..k4 form to rounding
+        rng = np.random.default_rng(21)
+        if which == "stacked-defaults":
+            # the transposed stacked operator the pricer sweeps
+            A, h, nsteps = QuantoCdsPricer(ModelParams())._stacked, 5.0 / 120, 120
+        else:
+            # diagonally dominant with a negative diagonal: a decaying
+            # march, with h|lambda| <= 0.45 inside the RK4 region
+            n = 400
+            A = sps.random(n, n, density=0.02, random_state=rng, format="csr")
+            A = (A - sps.diags(np.asarray(abs(A).sum(axis=1)).ravel())).tocsr()
+            h, nsteps = 0.05, 50
+        v0 = rng.standard_normal(A.shape[0])
+        probe = rng.standard_normal(A.shape[0])
+        for record in (lambda v, k: v.copy(), lambda v, k: probe @ v):
+            got = rk4_sweep(A, v0, h, nsteps, record)
+            want = classical_rk4_sweep(A, v0, h, nsteps, record)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_march_linear_in_terminal_data(self):
         p = ModelParams()

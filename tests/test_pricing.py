@@ -43,6 +43,8 @@ REDUCTION_CASES = {
     "domestic-flat-hazard": (domestic_params(P.with_(kappa_y=0.0, sigma_y=0.0)),
                              None, (0, 1, 2)),
     "R0-on-node": (P.with_(R0=float(np.linspace(0.0, 1.0, 10)[4])), None, (0,)),
+    # the spot on the edge of the R axis
+    "R0=0": (P.with_(R0=0.0), None, (0,)),
     "rhat0-outside-hull": (domestic_params(P).with_(rhat0=1.3), None, (0, 1)),
     "correlated-n16": (_CORRELATED, _GRID16, ()),
     "correlated-n16-domestic": (domestic_params(_CORRELATED), _GRID16, (1,)),
@@ -247,8 +249,9 @@ class TestLegTerms:
     def test_adjoint_sweep_matches_forward_sweeps(self, case):
         # one sweep of the readout under S^T, marched on the solve grid,
         # reproduces the forward sweep of every leg on the full grid:
-        # the RK4 polynomial transposes exactly and no step leaves the
-        # two slices of an inert axis that bracket x0
+        # the RK4 polynomial transposes exactly, no step leaves the
+        # two slices of an inert axis that bracket x0, and the slices of
+        # a frozen R axis march alike
         p, grid_cfg, inert = REDUCTION_CASES[case]
         pricer = QuantoCdsPricer(p, grid_cfg)
         assert pricer.inert_axes == inert
@@ -256,8 +259,8 @@ class TestLegTerms:
         forward = forward_curves(p, SCHED, grid_cfg)
         assert set(adjoint) == set(forward)
         for name, want in forward.items():
-            rel = np.abs(adjoint[name] - want).max() / np.abs(want).max()
-            assert rel <= 1e-12, name
+            # a leg that vanishes (recovery at R0 = 0) must vanish exactly
+            assert np.abs(adjoint[name] - want).max() <= 1e-12 * np.abs(want).max(), name
         s, legs = pricer.spread(SCHED)
         want_legs = LegTerms.from_curves(forward, SCHED)
         assert s == pytest.approx(par_spread(want_legs), rel=1e-12, abs=0.0)
@@ -268,7 +271,9 @@ class TestLegTerms:
     @pytest.mark.parametrize("case", list(REDUCTION_CASES), ids=list(REDUCTION_CASES))
     def test_inert_axes_are_uncoupled_on_full_grid(self, case):
         # no entry of the full-grid S joins two slices of an axis the
-        # pricer drops, so the reduction is exact whatever L contains
+        # pricer drops, so the reduction is exact whatever L contains;
+        # a frozen R axis collapses to the spot, other inert axes keep
+        # the two slices that bracket it
         p, grid_cfg, _ = REDUCTION_CASES[case]
         pricer = QuantoCdsPricer(p, grid_cfg)
         g, _, S, _ = forward_system(p, grid_cfg)
@@ -279,7 +284,8 @@ class TestLegTerms:
         for k in pricer.inert_axes:
             assert np.array_equal(rows[k], cols[k]), k
         assert pricer.solve_grid.shape == tuple(
-            2 if k in pricer.inert_axes else n for k, n in enumerate(g.shape))
+            (1 if k == 0 else 2) if k in pricer.inert_axes else n
+            for k, n in enumerate(g.shape))
 
     def test_discrete_coupon_diagnostic_close_to_integral(self, pricer):
         # dt * sum_i w(t_i) over coupon dates, read off a sweep four times
@@ -350,7 +356,7 @@ class TestDomesticAndBasis:
         assert d["basis_bps"] == pytest.approx(rep.s_bps - rep.s_d_bps)
         assert rep.s_d_1d is not None          # frozen recovery at defaults
         assert rep.meta["grid_shape"] == [10, 10, 10, 10]
-        assert rep.meta["solve_shape"] == [2, 10, 10, 10]   # frozen recovery
+        assert rep.meta["solve_shape"] == [1, 10, 10, 10]   # frozen recovery
         assert rep.meta["quad_step"] == SCHED.quad_step
         assert "dt" not in rep.meta
         assert rep.meta["x0_interpolated"] is True
