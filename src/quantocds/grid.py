@@ -16,7 +16,7 @@ import scipy.sparse as sps
 from .model import ModelParams, require_integers, require_real
 
 __all__ = ["GridConfig", "Grid4D", "ScalarField", "build_grid",
-           "interpolate", "interpolation_matrix", "restrict_to_cells"]
+           "interpolate", "interpolation_matrix", "cell_slices"]
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -128,14 +128,15 @@ def _cells_and_weights(axis: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     return i, t
 
 
-def restrict_to_cells(grid: Grid4D, point, axes) -> Grid4D:
-    """Sub-grid keeping, on each axis in ``axes``, only the two nodes of
-    the cell that ``interpolation_matrix`` uses for ``point``."""
-    kept = list(grid.axes)
+def cell_slices(grid: Grid4D, point, axes) -> tuple[slice, ...]:
+    """Per-axis index ranges keeping, on each axis in ``axes``, only the
+    two nodes of the cell that ``interpolation_matrix`` uses for
+    ``point``, and every node of the other axes."""
+    keep = [slice(None)] * len(grid.axes)
     for k in axes:
         i, _ = _cells_and_weights(grid.axes[k], point[k])
-        kept[k] = grid.axes[k][i:i + 2]
-    return Grid4D(tuple(kept))
+        keep[k] = slice(i, i + 2)
+    return tuple(keep)
 
 
 def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:

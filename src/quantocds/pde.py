@@ -18,8 +18,7 @@ import scipy.sparse as sps
 
 from .grid import Grid4D, ScalarField, interpolation_matrix
 from .model import ModelParams
-from .rbffd import (assemble_L, build_axis_operators, lift_axis_operator,
-                    operator_terms)
+from .rbffd import operator_slots
 
 __all__ = [
     "StabilityError",
@@ -28,6 +27,7 @@ __all__ = [
     "jump_shift",
     "jump_shift_matrix",
     "coupling_shift_matrix",
+    "stacked_transpose",
     "inert_axes",
     "rk4_sweep",
 ]
@@ -37,16 +37,31 @@ class StabilityError(RuntimeError):
     """Explicit march produced non-finite values."""
 
 
-def assemble_pde1_rhs(grid: Grid4D, p: ModelParams,
-                      L: sps.csr_matrix | None = None) -> sps.csr_matrix:
+def _slots_of_L(grid: Grid4D, p: ModelParams, terms=None):
+    """Slot layout and slot values of L, with the z slots the
+    compensator of the pre-default operator needs under an FX jump."""
+    return operator_slots(grid, p, terms, (3,) if p.gamma_z != 0.0 else ())
+
+
+def _pre_default(slots, vals: np.ndarray, grid: Grid4D, p: ModelParams) -> np.ndarray:
+    """Turn the slot values of L into those of A2 = L - (r + lambda) -
+    lambda*gamma_z*z*D1_z, in place; returns lambda = e^y on the y axis,
+    broadcastable to the grid shape."""
+    lam = np.exp(grid.axes[2]).reshape(1, 1, -1, 1)
+    vals[0] -= p.r_dom + lam
+    if p.gamma_z != 0.0:
+        slots.add(vals, -(lam * p.gamma_z * grid.axes[3]), (3,))
+    return lam
+
+
+def assemble_pde1_rhs(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     """Backward RHS of the post-default equation: L - r."""
-    if L is None:
-        L = assemble_L(grid, p)
-    return (L - p.r_dom * sps.identity(grid.size, format="csr")).tocsr()
+    slots, vals = _slots_of_L(grid, p)
+    vals[0] -= p.r_dom
+    return slots.tocsr(vals)
 
 
-def assemble_pde2_rhs(grid: Grid4D, p: ModelParams,
-                      L: sps.csr_matrix | None = None) -> sps.csr_matrix:
+def assemble_pde2_rhs(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     """Backward RHS of the pre-default equation.
 
     Operator: L - (r + lambda) - lambda*gamma_z*z*D1_z with lambda = e^y
@@ -54,16 +69,44 @@ def assemble_pde2_rhs(grid: Grid4D, p: ModelParams,
     before default.  The coupling lambda*u_hat is not part of it: the
     pricer adds it as the off-diagonal block of the stacked operator.
     """
-    if L is None:
-        L = assemble_L(grid, p)
-    _, _, y, z = grid.coordinate_fields()
-    lam = np.exp(y)
-    A = L - sps.diags(p.r_dom + lam)
-    if p.gamma_z != 0.0:
-        d1z, _ = build_axis_operators(grid.axes[3])
-        D1z = lift_axis_operator(grid.shape, 3, d1z)
-        A = A - sps.diags(lam * p.gamma_z * z) @ D1z
-    return A.tocsr()
+    slots, vals = _slots_of_L(grid, p)
+    _pre_default(slots, vals, grid, p)
+    return slots.tocsr(vals)
+
+
+def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
+    """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]].
+
+    ``terms`` are the ``operator_terms`` of ``grid`` (the pricer cuts
+    them from the configured grid).  The CSR arrays of S are written directly: row i of the top
+    half holds the slots of A1 = L - r, row i of the bottom half the
+    coupling row lambda_i * C_i (``coupling_shift_matrix``) followed by
+    the slots of A2.  One CSR-to-CSC pass transposes S and sorts every
+    row; exact zeros are dropped.
+    """
+    slots, vals = _slots_of_L(grid, p, terms)
+    C = coupling_shift_matrix(grid, p)
+    n, nslots = grid.size, len(vals)
+    width = C.nnz // n              # every coupling row holds the same count
+    top = n * nslots
+    data = np.empty(top + n * (width + nslots))
+    indices = np.empty(data.size, dtype=slots.cols.dtype)
+    a1, lower = data[:top].reshape(n, nslots), data[top:].reshape(n, width + nslots)
+    a1[:] = vals.reshape(nslots, n).T
+    a1[:, 0] -= p.r_dom
+    lam = _pre_default(slots, vals, grid, p)
+    lower[:, :width] = (C.data.reshape(grid.shape + (width,))
+                        * lam[..., None]).reshape(n, width)
+    lower[:, width:] = vals.reshape(nslots, n).T
+    cols, lower_cols = indices[:top].reshape(n, nslots), indices[top:].reshape(n, -1)
+    cols[:] = slots.cols.reshape(nslots, n).T
+    lower_cols[:, :width] = C.indices.reshape(n, width)
+    np.add(cols, n, out=lower_cols[:, width:])
+    indptr = np.concatenate([nslots * np.arange(n),
+                             top + (width + nslots) * np.arange(n + 1)])
+    S = sps.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+    S.eliminate_zeros()
+    return S.T.tocsr()
 
 
 def jump_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
@@ -106,23 +149,23 @@ def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     return interpolation_matrix(grid, pts)
 
 
-def inert_axes(grid: Grid4D, p: ModelParams) -> tuple[int, ...]:
+def inert_axes(p: ModelParams, terms) -> tuple[int, ...]:
     """Axes along which the stacked system never couples two slices.
 
-    An axis is inert when every term of ``operator_terms`` that
-    differentiates along it vanishes on the grid, when it is not z
-    under an FX jump (the compensator lambda*gamma_z*z*D1_z of the
-    pre-default operator) and when it is not rhat under a rate jump
-    (the coupling shift interpolates along rhat).  On an inert axis
-    both operators act slice by slice.
+    ``terms`` are ``operator_terms`` on the grid in question, which
+    leaves out the terms that vanish there.  An axis is inert when no
+    term differentiates along it, when it is not z under an FX jump
+    (the compensator lambda*gamma_z*z*D1_z of the pre-default operator)
+    and when it is not rhat under a rate jump (the coupling shift
+    interpolates along rhat).  On an inert axis both operators act
+    slice by slice.
     """
-    live = {k for coef, axes in operator_terms(grid, p)
-            if np.any(coef != 0.0) for k in axes}
+    live = {k for _, axes in terms for k in axes}
     if p.gamma_z != 0.0:
         live.add(3)
     if p.gamma_rhat != 0.0:
         live.add(1)
-    return tuple(k for k in range(len(grid.axes)) if k not in live)
+    return tuple(k for k in range(4) if k not in live)
 
 
 def jump_shift(u: ScalarField, p: ModelParams) -> ScalarField:

@@ -32,15 +32,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sps
 
-from .grid import (Grid4D, GridConfig, ScalarField, build_grid,
-                   interpolation_matrix, restrict_to_cells)
+from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
+                   interpolation_matrix)
 from .model import ModelParams, require_integers, require_real, validate_params
 from .oracles import CN_Y_MIN
-from .pde import (assemble_pde1_rhs, assemble_pde2_rhs,
-                  coupling_shift_matrix, inert_axes, rk4_sweep)
-from .rbffd import assemble_L
+from .pde import inert_axes, rk4_sweep, stacked_transpose
+from .rbffd import operator_terms
 
 __all__ = [
     "CdsSchedule",
@@ -231,26 +229,31 @@ class QuantoCdsPricer:
     so their two-slice interpolation is their value at R0.  Other inert
     axes keep two slices: S reads their coordinate (rhat in the z
     drift, y in the hazard).
+
+    The operator terms are evaluated once, on ``grid``: they decide the
+    inert axes, and their cut to ``solve_grid`` is what S^T is built
+    from (``pde.stacked_transpose`` writes the CSR arrays of S from the
+    slot table of L and transposes them once).  ``spmv`` counts the
+    SpMVs of every sweep the pricer ran.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
         self.p = validate_params(p)
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
-        self.inert_axes = inert_axes(self.grid, self.p)
-        axes = restrict_to_cells(self.grid, self.p.x0, self.inert_axes).axes
+        terms = operator_terms(self.grid, self.p)
+        self.inert_axes = inert_axes(self.p, terms)
+        keep = list(cell_slices(self.grid, self.p.x0, self.inert_axes))
+        axes = [a[k] for a, k in zip(self.grid.axes, keep)]
         if 0 in self.inert_axes:
-            axes = (np.array([self.p.R0]),) + axes[1:]
-        self.solve_grid = g = Grid4D(axes)
-        L = assemble_L(g, self.p)
-        A1 = assemble_pde1_rhs(g, self.p, L)
-        A2 = assemble_pde2_rhs(g, self.p, L)
-        del L                       # lower the peak of the block build
-        _, _, y, _ = g.coordinate_fields()
-        coupling = sps.diags(np.exp(y)) @ coupling_shift_matrix(g, self.p)
-        # S^T, built from transposed blocks so S itself is never formed
-        self._stacked = sps.bmat([[A1.T, coupling.T], [None, A2.T]], format="csr")
+            # no remaining term reads R: node 0's coefficients are R0's
+            keep[0], axes[0] = slice(0, 1), np.array([self.p.R0])
+        self.solve_grid = g = Grid4D(tuple(axes))
+        keep = tuple(keep)
+        terms = [(np.broadcast_to(coef, self.grid.shape)[keep], k) for coef, k in terms]
+        self._stacked = stacked_transpose(g, self.p, terms)
         self._readout = interpolation_matrix(g, self.p.x0[None, :]).toarray()[0]
+        self.spmv = 0
 
     def leg_curves(self, schedule: CdsSchedule) -> dict[str, np.ndarray]:
         """w and the density proxy of every terminal kind at every
@@ -275,6 +278,7 @@ class QuantoCdsPricer:
         u0 = np.concatenate([np.zeros(n), self._readout])
         vals = rk4_sweep(self._stacked, u0, schedule.quad_step,
                          schedule.m * schedule.n_quad, lambda u, k: payoffs @ u)[1:]
+        self.spmv += 4 * len(vals)          # one row per step swept
         curves = {"w": vals[:, 0]}
         for i, kind in enumerate(TERMINAL_KINDS):
             curves[kind] = vals[:, i + 1] / schedule.quad_dates
@@ -355,13 +359,18 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     and ``solve_shape`` the grid the foreign sweep marched (one node on
     a frozen R axis, two on each other inert axis).
     ``x0_interpolated`` records whether x0 lies inside the grid hull on
-    every axis (False means the readout extrapolated).  ``cached`` lists which of ``s_d`` and ``s_d_1d``
-    this call read from the per-process memo of ``domestic_spread``
-    instead of solving.
+    every axis (False means the readout extrapolated).  ``cached`` lists
+    which of ``s_d`` and ``s_d_1d`` this call read from the per-process
+    memo of ``domestic_spread`` instead of solving.  ``stage_s`` holds
+    the wall seconds of the foreign pricer's ``build`` (grid, operator,
+    readout row) and of its ``sweep`` (the march and the legs);
+    ``spmv`` counts the SpMVs that sweep ran, four per RK4 step.
     """
     t0 = time.perf_counter()
     pricer = QuantoCdsPricer(p, grid_cfg)
+    t_build = time.perf_counter()
     s, legs = pricer.spread(schedule)
+    t_sweep = time.perf_counter()
     cached = []
 
     def domestic(name: str, method: str) -> float:
@@ -385,6 +394,8 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
         "x0_interpolated": all(bool(a[0] <= x <= a[-1])
                                for a, x in zip(pricer.grid.axes, p.x0)),
         "cached": cached,
+        "stage_s": {"build": t_build - t0, "sweep": t_sweep - t_build},
+        "spmv": pricer.spmv,
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
     return SpreadReport(s=s, s_d=s_d, s_d_1d=s_d_1d, legs=legs, meta=meta)

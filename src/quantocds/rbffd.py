@@ -2,15 +2,19 @@
 
 Derivative weights come from local collocation with the Gaussian kernel
 phi(d) = exp(-eps^2 d^2) on 3-node stencils: interior nodes use the
-centered stencil, edge nodes a one-sided one.  Per-axis differentiation
-matrices are lifted to the full tensor grid by Kronecker products and
-combined with nodewise coefficient diagonals into the sparse operator
+centered stencil, edge nodes a one-sided one.  They discretize the
+sparse operator
 
     L = sum_a 1/2 s_a(x) d^2/dx_a^2  +  sum_{a<b} c_ab(x) d^2/dx_a dx_b
         + sum_a b_a(x) d/dx_a
 
 of the pricing equations (14 terms: 4 pure second derivatives, 6 mixed,
-4 convection).
+4 convection).  On the tensor grid every row of L has the same shape:
+the node itself, two stencil neighbours along each axis some term
+differentiates along, and four corners for each mixed pair.  L is
+stored in those fixed slots (``StencilSlots``): each term adds its
+nodal coefficient times the per-axis stencil weight into its slots, in
+term order, and the slot values become the CSR rows directly.
 
 Numerical note: for uniformly spaced stencils the collocation system is
 solved in closed form.  The naive 3x3 solve loses up to 11 digits at
@@ -42,8 +46,9 @@ __all__ = [
     "ShapeParameterError",
     "rbf_fd_weights",
     "build_axis_operators",
-    "lift_axis_operator",
     "operator_terms",
+    "StencilSlots",
+    "operator_slots",
     "assemble_L",
     "CONDITION_LIMIT",
 ]
@@ -152,6 +157,24 @@ def rbf_fd_weights(nodes, center: float, epsilon: float, order: int) -> StencilW
     return StencilWeights(center, nodes, w, order, epsilon)
 
 
+def _stencil_tables(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First stencil column of every row, and the D1 and D2 weights of
+    the row's three stencil columns, in ascending column order."""
+    coords = np.asarray(coords, dtype=float)
+    n = coords.size
+    if n < 4:
+        raise ValueError("axis needs at least 4 nodes")
+    length = coords[-1] - coords[0]
+    h, eps = 1.0 / (n - 1), 2.0 / (n - 1)
+    weights = []
+    for order in (1, 2):
+        w = np.empty((n, 3))
+        w[0], w[1:-1], w[-1] = (_uniform3_weights(h, eps, pos, order)
+                                for pos in ("left", "mid", "right"))
+        weights.append(w / length**order)
+    return np.clip(np.arange(n) - 1, 0, n - 3), weights[0], weights[1]
+
+
 def build_axis_operators(coords: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     """Per-axis sparse D1, D2 from 3-point RBF-FD stencils.
 
@@ -161,65 +184,35 @@ def build_axis_operators(coords: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_ma
     mapped to unit length with eps = 2h = 2/(n-1) and scaled back, so
     the matrices differentiate in the physical coordinate.
     """
-    coords = np.asarray(coords, dtype=float)
-    n = coords.size
-    if n < 4:
-        raise ValueError("axis needs at least 4 nodes")
-    length = coords[-1] - coords[0]
-    h, eps = 1.0 / (n - 1), 2.0 / (n - 1)
-    cols = (np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(3)).ravel()
+    lo, w1, w2 = _stencil_tables(coords)
+    n = lo.size
+    cols = (lo[:, None] + np.arange(3)).ravel()
     indptr = 3 * np.arange(n + 1)
-    mats = []
-    for order in (1, 2):
-        w = np.empty((n, 3))
-        w[0], w[1:-1], w[-1] = (_uniform3_weights(h, eps, pos, order)
-                                for pos in ("left", "mid", "right"))
-        mats.append(sps.csr_matrix(((w / length**order).ravel(), cols, indptr),
-                                   shape=(n, n)))
-    return mats[0], mats[1]
-
-
-def lift_axis_operator(shape, axis: int, M: sps.spmatrix) -> sps.csr_matrix:
-    """Lift a per-axis matrix to the full tensor-product grid.
-
-    Returns the Kronecker product I (x) M (x) I in CSR, built directly:
-    row (a, i, b) holds, in M's order and with M's explicit zeros, the
-    entries of row i at columns (a*n + j)*inner + b.  Every row of M
-    must store the same number of entries, as the 3-point stencil rows
-    of ``build_axis_operators`` do.
-    """
-    M = sps.csr_matrix(M)
-    n = shape[axis]
-    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    width = np.diff(M.indptr)
-    if M.shape != (n, n) or np.any(width != width[0]):
-        raise ValueError(f"need an {n}x{n} matrix with the same number of "
-                         "stored entries in every row")
-    cols = M.indices.reshape(n, -1)[None, :, None, :]
-    cols = ((np.arange(outer)[:, None, None, None] * n + cols) * inner
-            + np.arange(inner)[None, None, :, None])
-    data = np.broadcast_to(M.data.reshape(n, -1)[None, :, None, :], cols.shape)
-    size = outer * n * inner
-    return sps.csr_matrix((data.ravel(), cols.ravel(), width[0] * np.arange(size + 1)),
-                          shape=(size, size))
+    return tuple(sps.csr_matrix((w.ravel(), cols, indptr), shape=(n, n))
+                 for w in (w1, w2))
 
 
 def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The 14 terms of L as (nodal coefficient, axes) pairs, in the order
-    ``assemble_L`` sums them.
+    """The terms of L that do not vanish on the grid, as (nodal
+    coefficient, axes) pairs, in the order ``assemble_L`` sums them.
 
-    ``axes`` names the derivative: (k,) is d/dx_k, (k, k) is
-    d^2/dx_k^2, and (a, b) with a != b is the mixed derivative
-    D1_a D1_b.  Coefficients are evaluated nodewise; rhat is clipped at
-    zero inside square roots (the CIR diffusion is only defined for
-    rhat >= 0, and jump-extended grids never go negative anyway).
+    L has 14 terms: 4 pure second derivatives, 4 convections and 6
+    mixed derivatives.  ``axes`` names the derivative: (k,) is d/dx_k,
+    (k, k) is d^2/dx_k^2, and (a, b) with a != b is the mixed
+    derivative D1_a D1_b.  Each coefficient is a 4-dimensional array
+    broadcastable to ``grid.shape``, of length 1 along every axis it
+    does not read; its broadcast holds the nodal values.  rhat is
+    clipped at zero inside square roots (the CIR diffusion is only
+    defined for rhat >= 0, and jump-extended grids never go negative
+    anyway).
     """
-    R, rr, y, z = grid.coordinate_fields()
+    R, rr, y, z = (a.reshape([-1 if j == k else 1 for j in range(4)])
+                   for k, a in enumerate(grid.axes))
     RR = np.clip(R * (1.0 - R), 0.0, None)
     rp = np.clip(rr, 0.0, None)
     rho = np.asarray(p.rho, dtype=float)
-    one = np.ones(grid.size)
-    return [
+    one = np.ones((1, 1, 1, 1))
+    terms = [
         # pure second derivatives
         (0.5 * p.sigma_R**2 * RR, (0, 0)),
         (0.5 * p.sigma_rhat**2 * rp, (1, 1)),
@@ -238,41 +231,125 @@ def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple
         (rho[1, 3] * p.sigma_rhat * p.sigma_y * np.sqrt(rp), (2, 1)),
         (rho[3, 2] * p.sigma_y * p.sigma_z * z, (2, 3)),
     ]
+    return [(coef, axes) for coef, axes in terms if np.any(coef != 0.0)]
+
+
+class StencilSlots:
+    """Fixed per-row entry layout of the operators on a tensor grid.
+
+    Every row stores its entries in the same slots.  Slot 0 is the node
+    itself.  Each axis in ``axes`` owns two slots, the other two nodes
+    of the row's 3-point stencil along it in ascending order.  Each
+    mixed pair (a, b) in ``pairs`` owns four, the nodes reached by
+    moving to a non-self stencil position along both axes.
+    ``cols[s]`` holds slot s's column for every row, as a grid-shaped
+    array; a slot-value array has the same shape.
+
+    The per-axis weights are kept in slot order: entry 0 is the node
+    itself, entries 1 and 2 its two neighbours.  A D2 row listed in
+    ``zeroed`` as (axis, row index) carries zero weights.
+    """
+
+    def __init__(self, grid: Grid4D, axes, pairs, zeroed=()):
+        self.shape = shape = grid.shape
+        self._first = {}
+        self._d1, self._d2 = {}, {}
+        nslots = 1 + 2 * len(axes) + 4 * len(pairs)
+        node = np.arange(grid.size, dtype=np.int32).reshape(shape)
+        self.cols = np.empty((nslots,) + shape, dtype=np.int32)
+        self.cols[0] = node
+        offsets = {}
+        for i, k in enumerate(axes):
+            lo, w1, w2 = _stencil_tables(grid.axes[k])
+            n = lo.size
+            # stencil positions in slot order: self first, then the others
+            order = np.tile([1, 0, 2], (n, 1))
+            order[0], order[-1] = (0, 1, 2), (2, 0, 1)
+            rows = np.arange(n)[:, None]
+            w2 = w2.copy()
+            w2[[row for axis, row in zeroed if axis == k]] = 0.0
+            bshape = (3,) + tuple(n if j == k else 1 for j in range(len(shape)))
+            self._d1[k] = w1[rows, order].T.reshape(bshape)
+            self._d2[k] = w2[rows, order].T.reshape(bshape)
+            offsets[k] = ((lo[:, None] + order - rows).T.reshape(bshape)
+                          * math.prod(shape[k + 1:]))
+            self._first[k] = s = 1 + 2 * i
+            self.cols[s:s + 2] = node + offsets[k][1:]
+        for i, (a, b) in enumerate(pairs):
+            self._first[a, b] = s = 1 + 2 * len(axes) + 4 * i
+            for ja in (1, 2):
+                self.cols[s:s + 2] = node + offsets[a][ja] + offsets[b][1:]
+                s += 2
+
+    def _axis_slot(self, k: int, j: int) -> int:
+        """Slot of slot-order stencil position j along axis k."""
+        return self._first[k] + j - 1 if j else 0
+
+    def add(self, vals: np.ndarray, coef: np.ndarray, axes: tuple[int, ...]) -> None:
+        """Add the term coef * derivative ``axes`` (as in
+        ``operator_terms``; ``coef`` broadcastable to the grid shape)
+        into the slot values ``vals``, in place."""
+        if len(axes) == 1 or axes[0] == axes[1]:
+            w = (self._d1 if len(axes) == 1 else self._d2)[axes[0]]
+            for j in range(3):
+                vals[self._axis_slot(axes[0], j)] += coef * w[j]
+            return
+        a, b = axes
+        for ja in range(3):
+            for jb in range(3):
+                if ja and jb:
+                    s = self._first[axes] + 2 * (ja - 1) + jb - 1
+                else:
+                    s = self._axis_slot(a, ja) if ja else self._axis_slot(b, jb)
+                vals[s] += coef * (self._d1[a][ja] * self._d1[b][jb])
+
+    def tocsr(self, vals: np.ndarray) -> sps.csr_matrix:
+        """The operator whose slot values are ``vals``, without its
+        exact zeros, with sorted rows."""
+        nslots, size = len(vals), math.prod(self.shape)
+        M = sps.csr_matrix((vals.reshape(nslots, size).T.ravel(),
+                            self.cols.reshape(nslots, size).T.ravel(),
+                            nslots * np.arange(size + 1)), shape=(size, size))
+        M.eliminate_zeros()
+        M.sort_indices()
+        return M
+
+
+def operator_slots(grid: Grid4D, p: ModelParams, terms=None,
+                   axes=()) -> tuple[StencilSlots, np.ndarray]:
+    """Slot layout of L and the slot values of L.
+
+    ``terms`` are ``operator_terms(grid, p)``, evaluated here when not
+    given.  Slots are laid out for every axis some term differentiates
+    along, and for ``axes``.  Boundary regimes come from
+    ``boundary_regimes``: rows on a vanishing-second-derivative boundary
+    lose the D2 weights normal to that boundary; degenerate-pde
+    boundaries keep the PDE row, whose normal diffusion coefficient
+    vanishes there by itself.
+    """
+    if terms is None:
+        terms = operator_terms(grid, p)
+    live = sorted({k for _, term_axes in terms for k in term_axes} | set(axes))
+    pairs = [k for _, k in terms if len(k) == 2 and k[0] != k[1]]
+    regimes = boundary_regimes(p)
+    zeroed = [(k, row) for k in live
+              for row, b in zip((0, -1), _AXIS_BOUNDARIES[k])
+              if regimes[b].kind is BoundaryKind.VANISHING_SECOND_DERIVATIVE]
+    slots = StencilSlots(grid, live, pairs, zeroed)
+    vals = np.zeros(slots.cols.shape)
+    for coef, k in terms:
+        slots.add(vals, coef, k)
+    return slots, vals
 
 
 def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     """Assemble the full diffusion-convection operator on the grid.
 
-    Sums the nonzero terms of ``operator_terms``.  Boundary regimes
-    come from ``boundary_regimes``: rows on a vanishing-second-derivative
-    boundary lose the D2 contribution normal to that boundary;
-    degenerate-pde boundaries keep the PDE row, whose normal diffusion
-    coefficient vanishes there by itself.  One-sided first-derivative
-    stencils at the edges come from the axis operators.  Axis operators
-    are built only for axes some nonzero term differentiates along, so
-    an axis no term uses may have fewer nodes than a stencil needs.
+    Every term of ``operator_terms`` adds coefficient times stencil
+    weight into the slots of ``operator_slots``, in term order; the
+    slot values become the CSR rows, exact zeros dropped.  Axis
+    stencils are built only for axes some term differentiates along,
+    so an axis no term uses may have fewer nodes than a stencil needs.
     """
-    regimes = boundary_regimes(p)
-    van = BoundaryKind.VANISHING_SECOND_DERIVATIVE
-    terms = [(coef, axes) for coef, axes in operator_terms(grid, p)
-             if np.any(coef != 0.0)]
-    D1, D2 = {}, {}
-    for k in sorted({k for _, axes in terms for k in axes}):
-        d1, d2 = build_axis_operators(grid.axes[k])
-        for row, b in zip((0, -1), _AXIS_BOUNDARIES[k]):
-            if regimes[b].kind is van:
-                # zeroed in place: lift_axis_operator needs three stored entries per row
-                d2.data.reshape(-1, 3)[row] = 0.0
-        D1[k] = lift_axis_operator(grid.shape, k, d1)
-        D2[k] = lift_axis_operator(grid.shape, k, d2)
-
-    L = sps.csr_matrix((grid.size, grid.size))
-    for coef, axes in terms:
-        if len(axes) == 1:
-            op = D1[axes[0]]
-        elif axes[0] == axes[1]:
-            op = D2[axes[0]]
-        else:
-            op = D1[axes[0]] @ D1[axes[1]]
-        L = L + sps.diags(coef) @ op
-    return L.tocsr()
+    slots, vals = operator_slots(grid, p)
+    return slots.tocsr(vals)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantocds.grid import (Grid4D, GridConfig, ScalarField, build_grid,
-                            interpolate, interpolation_matrix, restrict_to_cells)
+                            cell_slices, interpolate, interpolation_matrix)
 from quantocds.model import ModelParams
 
 
@@ -118,7 +118,8 @@ def test_interpolation_matrix_matches_corner_products():
     # R axis is the single node R0 (8 corners per row)
     rng = np.random.default_rng(9)
     g = default_grid(gamma_z=-0.5)
-    cut = restrict_to_cells(g, ModelParams().x0, (0, 1))
+    keep = cell_slices(g, ModelParams().x0, (0, 1))
+    cut = Grid4D(tuple(a[k] for a, k in zip(g.axes, keep)))
     one_node = Grid4D((np.array([ModelParams().R0]),) + cut.axes[1:])
     for grid, width in ((g, 16), (cut, 16), (one_node, 8)):
         lo = np.array([a[0] for a in grid.axes])

@@ -130,7 +130,7 @@ class TestPde1:
         # constants in the interior, so the march is e^{-r T}
         p = frozen_params(rhat0=0.02, y0=-4.0)
         g = degenerate_grid(rhat_at=0.02, y_at=-4.0)
-        A1 = assemble_pde1_rhs(g, p, assemble_L(g, p))
+        A1 = assemble_pde1_rhs(g, p)
         c = 3.7
         out = ScalarField(g, march(A1, np.full(g.size, c), 1.0, 0.05))
         got = interpolate(out, [0.45, 0.02, -4.0, 1.15])
@@ -139,7 +139,7 @@ class TestPde1:
     def test_zero_rate_zero_operator_is_identity(self):
         p = frozen_params(r_dom=0.0, rhat0=0.0, y0=-4.0)
         g = degenerate_grid(rhat_at=0.0, y_at=-4.0)
-        A1 = assemble_pde1_rhs(g, p, assemble_L(g, p))
+        A1 = assemble_pde1_rhs(g, p)
         rng = np.random.default_rng(2)
         f = rng.standard_normal(g.size)
         out = march(A1, f, 1.0, 0.05)
@@ -165,7 +165,7 @@ class TestPde2:
     def test_scalar_decay_with_constant_hazard(self):
         p = frozen_params(rhat0=0.02, y0=-1.0)
         g = degenerate_grid(rhat_at=0.02, y_at=-1.0)
-        A2 = assemble_pde2_rhs(g, p, assemble_L(g, p))
+        A2 = assemble_pde2_rhs(g, p)
         c = 1.0
         out = ScalarField(g, march(A2, np.full(g.size, c), 1.0, 0.05))
         lam = np.exp(-1.0)
@@ -177,9 +177,8 @@ class TestPde2:
         # v plus lambda*v equals the post-default action
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        L = assemble_L(g, p)
-        A1 = assemble_pde1_rhs(g, p, L)
-        A2 = assemble_pde2_rhs(g, p, L)
+        A1 = assemble_pde1_rhs(g, p)
+        A2 = assemble_pde2_rhs(g, p)
         _, _, y, _ = g.coordinate_fields()
         lam = np.exp(y)
         rng = np.random.default_rng(4)

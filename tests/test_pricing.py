@@ -19,6 +19,9 @@ from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                QuantoCdsPricer, _solve_domestic,
                                domestic_params, domestic_spread, par_spread,
                                quanto_basis, terminal_condition)
+from quantocds.rbffd import assemble_L
+from reference_operator import (reference_L, reference_pde1, reference_pde2,
+                                reference_stacked, same_csr)
 
 P = ModelParams()
 SCHED = CdsSchedule()
@@ -361,6 +364,13 @@ class TestDomesticAndBasis:
         assert "dt" not in rep.meta
         assert rep.meta["x0_interpolated"] is True
         assert rep.meta["cached"] == []            # both domestic spreads solved
+        # the foreign pricer's stages, timed from what ran
+        stages = rep.meta["stage_s"]
+        assert set(stages) == {"build", "sweep"}
+        assert all(t > 0.0 for t in stages.values())
+        assert sum(stages.values()) <= rep.meta["runtime_s"] + 1e-3
+        assert rep.meta["spmv"] == 4 * SCHED.m * SCHED.n_quad
+        assert json.loads(json.dumps(d))["meta"]["stage_s"] == stages
         # gamma_z does not reach the domestic contract: both are read back
         hit = quanto_basis(P.with_(gamma_z=-0.3), SCHED)
         assert hit.meta["cached"] == ["s_d", "s_d_1d"]
@@ -575,6 +585,70 @@ class TestAdmissibleParams:
         ref = par_spread(LegTerms.from_curves(forward_curves(p, self.SCHED, self.GRID),
                                               self.SCHED))
         assert s == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_RHO_ALL = np.eye(4)
+for (_i, _j), _v in zip(itertools.combinations(range(4), 2),
+                        (0.2, -0.3, 0.25, 0.15, -0.1, 0.3)):
+    _RHO_ALL[_i, _j] = _RHO_ALL[_j, _i] = _v     # diagonally dominant, so PSD
+_STOCHASTIC_R = P.with_(sigma_R=0.3, kappa_R=0.5)
+_OPERATOR_CASES = {
+    "defaults": (P, None),
+    "gamma_z=-0.5": (P.with_(gamma_z=-0.5), None),
+    "gamma_z=-1": (P.with_(gamma_z=-1.0), None),
+    "gamma_rhat=4": (P.with_(gamma_rhat=4.0), None),
+    # total rate collapse: the coupling shift evaluates at rhat = 0
+    "gamma_rhat=-1": (P.with_(gamma_rhat=-1.0), None),
+    "all-rho": (_STOCHASTIC_R.with_(rho=_RHO_ALL), GridConfig(n_R=12, n_rhat=11, n_y=13, n_z=9)),
+    # R=0 and R=1 both take vanishing-second-derivative rows
+    "vanishing-R": (P.with_(sigma_R=0.5, kappa_R=0.1), None),
+    "theta_R=0": (_STOCHASTIC_R.with_(theta_R=0.0), None),
+    "theta_R=1": (_STOCHASTIC_R.with_(theta_R=1.0), None),
+    "sigma_z=0": (P.with_(sigma_z=0.0), None),
+    "frozen-y-rhat": (P.with_(kappa_y=0.0, sigma_y=0.0, kappa_rhat=0.0, sigma_rhat=0.0),
+                      None),
+}
+# every case also through the domestic reduction
+OPERATOR_PINS = {**_OPERATOR_CASES,
+                 **{f"{name}/domestic": (domestic_params(p), grid_cfg)
+                    for name, (p, grid_cfg) in _OPERATOR_CASES.items()}}
+
+
+class TestOperatorPins:
+    """The slot-table build equals the term-by-term reference bit for bit."""
+
+    @pytest.mark.parametrize("case", list(OPERATOR_PINS))
+    def test_stacked_operator_and_readout(self, case):
+        p, grid_cfg = OPERATOR_PINS[case]
+        pricer = QuantoCdsPricer(p, grid_cfg)
+        St, readout = reference_stacked(pricer.solve_grid, p)
+        assert same_csr(pricer._stacked, St)
+        assert np.array_equal(pricer._readout, readout)
+
+    @pytest.mark.parametrize("case", list(OPERATOR_PINS))
+    def test_public_operators(self, case):
+        # the reference leaves each row in the order its sparse sums
+        # produce; the slot build sorts rows
+        p, grid_cfg = OPERATOR_PINS[case]
+        g = build_grid(grid_cfg or GridConfig(), p)
+        L = reference_L(g, p)
+        for got, want in ((assemble_L(g, p), L),
+                          (assemble_pde1_rhs(g, p), reference_pde1(g, p, L)),
+                          (assemble_pde2_rhs(g, p), reference_pde2(g, p, L))):
+            assert same_csr(got, want.sorted_indices())
+
+    @pytest.mark.parametrize("frozen", [(), ("R",)], ids=["live-R", "frozen-R"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_admissible_params_with_jumps(self, frozen, data):
+        p = data.draw(admissible_params(frozen)).with_(
+            gamma_z=data.draw(st.floats(-0.9, 0.5).filter(bool)),
+            gamma_rhat=data.draw(st.floats(-1.0, 4.0).filter(bool)))
+        n = data.draw(st.lists(st.integers(4, 6), min_size=4, max_size=4))
+        pricer = QuantoCdsPricer(p, GridConfig(n_R=n[0], n_rhat=n[1], n_y=n[2], n_z=n[3]))
+        St, readout = reference_stacked(pricer.solve_grid, p)
+        assert same_csr(pricer._stacked, St)
+        assert np.array_equal(pricer._readout, readout)
 
 
 _BELOW_ZERO = st.floats(-1e3, -1e-9)

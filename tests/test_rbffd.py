@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from quantocds.grid import GridConfig, build_grid
+from quantocds.grid import Grid4D, GridConfig, build_grid
 from quantocds.model import ModelParams
-from quantocds.rbffd import (ShapeParameterError, assemble_L,
-                             build_axis_operators, lift_axis_operator,
-                             rbf_fd_weights)
+from quantocds.rbffd import (ShapeParameterError, StencilSlots, assemble_L,
+                             build_axis_operators, rbf_fd_weights)
+from reference_operator import lift_axis_operator, same_csr
 
 
 def gaussian(eps, center):
@@ -117,7 +117,8 @@ class TestAxisOperators:
     @pytest.mark.parametrize("shape", [(10, 10, 10, 10), (2, 10, 10, 10), (12, 11, 13, 9),
                                        (2, 2, 10, 10), (4,)])
     def test_lift_equals_kronecker_product(self, shape):
-        # reference: I (x) M (x) I as chained sps.kron, stored entries included
+        # the reference build's lift: I (x) M (x) I as chained sps.kron,
+        # stored entries included
         for axis, n in enumerate(shape):
             if n < 4:
                 continue
@@ -136,20 +137,49 @@ class TestAxisOperators:
         with pytest.raises(ValueError, match="same number of stored entries"):
             lift_axis_operator((3, 4), 1, M)
 
+    @pytest.mark.parametrize("shape", [(10, 10, 10, 10), (2, 10, 10, 10), (12, 11, 13, 9),
+                                       (2, 2, 10, 10)])
+    def test_slots_hold_the_kronecker_product(self, shape):
+        # one axis term with unit coefficient, written into its slots, is
+        # I (x) M (x) I of that axis's D1 or D2 without its zeros
+        g = Grid4D(tuple(np.linspace(0.0, 3.0, n) for n in shape))
+        for axis, n in enumerate(shape):
+            if n < 4:
+                continue
+            slots = StencilSlots(g, (axis,), [])
+            for M, term in zip(build_axis_operators(g.axes[axis]), ((axis,), (axis, axis))):
+                vals = np.zeros(slots.cols.shape)
+                slots.add(vals, np.ones((1, 1, 1, 1)), term)
+                ref = None
+                for k, m in enumerate(shape):
+                    f = M if k == axis else sps.identity(m, format="csr")
+                    ref = f if ref is None else sps.kron(ref, f, format="csr")
+                ref.eliminate_zeros()
+                assert same_csr(slots.tocsr(vals), ref.sorted_indices())
+
     def test_mixed_derivative_product_oracle(self):
-        # lifted D1_R @ D1_z applied to f = R*z equals 1 at interior nodes
+        # lifted D1_R @ D1_z applied to f = R*z equals 1 at interior
+        # nodes, and so does the mixed term written into its slots,
+        # which holds the same matrix
         g = build_grid(GridConfig(), ModelParams())
         d1R = build_axis_operators(g.axes[0])[0]
         d1z = build_axis_operators(g.axes[3])[0]
         D1R = lift_axis_operator(g.shape, 0, d1R)
         D1z = lift_axis_operator(g.shape, 3, d1z)
+        slots = StencilSlots(g, (0, 3), [(0, 3)])
+        vals = np.zeros(slots.cols.shape)
+        slots.add(vals, np.ones((1, 1, 1, 1)), (0, 3))
+        mixed = slots.tocsr(vals)
+        product = D1R @ D1z
+        product.eliminate_zeros()
+        assert same_csr(mixed, product.sorted_indices())
         R, _, _, z = g.coordinate_fields()
-        got = D1R @ (D1z @ (R * z))
         idx = g.unflatten_index(np.arange(g.size))
         interior = np.all([(idx[k] > 0) & (idx[k] < g.shape[k] - 1)
                            for k in range(4)], axis=0)
-        err = np.abs(got - 1.0)[interior].max()
-        assert err < g.spacings[0] ** 2          # O(h^2); actually O(eps^2 h^2)
+        for got in (D1R @ (D1z @ (R * z)), mixed @ (R * z)):
+            err = np.abs(got - 1.0)[interior].max()
+            assert err < g.spacings[0] ** 2          # O(h^2); actually O(eps^2 h^2)
 
 
 class TestAssembleL:
