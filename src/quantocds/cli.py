@@ -223,13 +223,20 @@ def _fmt(x) -> str:
     return f"{x:.10g}"
 
 
-def _write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> None:
+def _fmt_rows(rows: list[list]) -> list[str]:
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _write_csv(path: Path, schema: str, columns: list[str], body: list[str]) -> None:
+    """Header, column names and the formatted ``body`` lines."""
     lines = [f"# {CSV_VERSION} schema={schema} columns={','.join(columns)}",
              f"# generated={datetime.now(timezone.utc).isoformat()}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+             ",".join(columns), *body]
     path.write_text("\n".join(lines) + "\n")
+
+
+# one leg row as _fmt renders it: an int, then five floats to 10 digits
+_LEG_ROW = "%d" + ",%.10g" * 5
 
 
 def _task_price(cfg: RunConfig) -> None:
@@ -237,12 +244,13 @@ def _task_price(cfg: RunConfig) -> None:
     out = cfg.out_dir
     (out / "spread_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    dtc = cfg.schedule.coupon_interval
-    rows = [[i + 1, (i + 1) * dtc, report.legs.A[i], report.legs.B[i],
-             report.legs.C[i], report.legs.D[i]]
-            for i in range(cfg.schedule.m)]
+    i = np.arange(1, cfg.schedule.m + 1)
+    legs = report.legs
+    columns = zip(i.tolist(), (i * cfg.schedule.coupon_interval).tolist(),
+                  legs.A.tolist(), legs.B.tolist(), legs.C.tolist(), legs.D.tolist())
     _write_csv(out / "leg_terms.csv", "legterms",
-               ["i", "t_i", "A_i", "B_i", "C_i", "D_i"], rows)
+               ["i", "t_i", "A_i", "B_i", "C_i", "D_i"],
+               [_LEG_ROW % row for row in columns])
     print(f"s = {report.s_bps:.4f} bps, s_d = {report.s_d_bps:.4f} bps, "
           f"basis = {report.basis_bps:.4f} bps")
 
@@ -272,7 +280,7 @@ def _task_sweep(cfg: RunConfig) -> None:
     name = cfg.sweep_parameter.replace(".", "_")
     _write_csv(cfg.out_dir / f"sweep_{name}.csv", "sweep",
                ["value", "s_bps", "s_d_bps", "basis_bps", "reference_bps"],
-               rows)
+               _fmt_rows(rows))
     print(f"sweep over {cfg.sweep_parameter}: {len(rows)} rows written")
 
 
@@ -298,7 +306,7 @@ def _task_benchmark(cfg: RunConfig) -> None:
         tgt, tol = targets[name]
         rows.append([name, got, tgt, tol, abs(got - tgt) <= tol])
     _write_csv(cfg.out_dir / "benchmark.csv", "benchmark",
-               ["case", "value_bps", "target_bps", "tol_bps", "pass"], rows)
+               ["case", "value_bps", "target_bps", "tol_bps", "pass"], _fmt_rows(rows))
     for r in rows:
         print(f"{r[0]:12s} {r[1]:9.3f} bps (target {r[2]} +- {r[3]}) "
               f"{'PASS' if r[4] else 'FAIL'}")
@@ -315,7 +323,7 @@ def _task_mc_check(cfg: RunConfig) -> None:
     ok = z <= 3.0
     _write_csv(cfg.out_dir / "mc_check.csv", "mccheck",
                ["pde_bps", "mc_bps", "mc_se_bps", "z_score", "pass"],
-               [[1e4 * s_pde, est.mean_bps, est.std_error_bps, z, ok]])
+               _fmt_rows([[1e4 * s_pde, est.mean_bps, est.std_error_bps, z, ok]]))
     print(f"PDE {1e4 * s_pde:.3f} bps vs MC {est.mean_bps:.3f} "
           f"+- {est.std_error_bps:.3f} bps  (z = {z:.2f}) "
           f"{'PASS' if ok else 'FAIL'}")

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .model import ModelParams, require_integers, require_real, validate_params
 
@@ -288,6 +287,11 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     data and right-endpoint quadrature as the 4D engine; the market
     state is read out by linear interpolation at y0.
     """
+    # imported here, its only use: it adds about a quarter to the import
+    # time of the package, and most runs never call this oracle
+    import scipy.sparse.linalg as spla
+
+    validate_params(p)
     if p.kappa_R != 0.0 or p.sigma_R != 0.0:
         raise ValueError("1D reduction requires frozen recovery "
                          "(kappa_R = sigma_R = 0)")

@@ -7,7 +7,9 @@ value u (operator L - r); the pre-default equation governs v (operator
 L - (r + lambda) - lambda*gamma_z*z*d/dz), coupled to u through the
 jump term lambda*u_hat, which the pricer carries as an off-diagonal
 block of one stacked operator.  Time stepping is classical explicit
-RK4, each step evaluated as its polynomial in Horner form.
+RK4, each step evaluated as its polynomial in Horner form: four calls
+of scipy's compiled CSR kernel into preallocated buffers, with no
+array allocated per step.
 """
 from __future__ import annotations
 
@@ -15,6 +17,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
+# private scipy API: the compiled SpMV behind ``csr @ vector``;
+# tests/test_pde.py pins the sweep against the ``A @ v`` loop
+from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import Grid4D, ScalarField, interpolation_matrix
 from .model import ModelParams
@@ -190,8 +195,22 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     v + hAv + (hA)^2 v/2 + (hA)^3 v/6 + (hA)^4 v/24, which the sweep
     evaluates in Horner form, v + hA(v + h/2 A(v + h/3 A(v + h/4 Av))):
     the same four SpMVs, with the scalings and adds done in place.
+
+    A is converted to float64 CSR once, and every SpMV calls scipy's
+    compiled kernel ``csr_matvec`` (the one ``A @ v`` ends in) on two
+    preallocated buffers that swap roles, so a step allocates nothing.
+    The kernel accumulates y += A x, hence each output buffer is zeroed
+    first, as ``A @ v`` zeroes its fresh result.  The sweep is
+    bit-identical to the ``A @ v`` loop; ``record`` may return the same
+    array every step, since its rows are copied out.
     """
-    v = v0.copy()
+    A = A.tocsr()
+    m, n = A.shape
+    indptr, indices = A.indptr, A.indices
+    data = A.data.astype(np.float64, copy=False)
+    v = np.array(v0, dtype=np.float64)
+    w, spare = np.empty(m), np.empty(m)
+    finite = np.empty(m, dtype=bool)
     first = np.asarray(record(v, 0), dtype=float)
     out = np.empty((nsteps + 1,) + first.shape)
     out[0] = first
@@ -199,14 +218,17 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     # tested with isfinite and raises StabilityError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
-            w = A @ v
+            w.fill(0.0)
+            csr_matvec(m, n, indptr, indices, data, v, w)
             for c in (h / 4.0, h / 3.0, h / 2.0):
                 w *= c
                 w += v
-                w = A @ w
+                spare.fill(0.0)
+                csr_matvec(m, n, indptr, indices, data, w, spare)
+                w, spare = spare, w
             w *= h
             v += w
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v, out=finite).all():
                 raise StabilityError(
                     f"non-finite values at sweep step {k + 1}/{nsteps} (dt={h:.4g})")
             out[k + 1] = record(v, k + 1)

@@ -28,7 +28,7 @@ its payoff; one sweep gives w and all three density proxies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -261,23 +261,29 @@ class QuantoCdsPricer:
 
         The pre-default half u[N:] of the sweep pairs with the terminal
         z (w, whose post-default value vanishes); the post-default half
-        u[:N] pairs with the post-default terminal of each kind.  Those terminals scale as
-        1/T, so the sweep uses the T = 1 fields and divides the step-k
-        value by the horizon k*h.
+        u[:N] pairs with the post-default terminal of each kind.  Those
+        terminals scale as 1/T, so the sweep uses the T = 1 fields and
+        divides the step-k value by the horizon k*h.  Each step's record
+        is ``z @ u[N:]`` and one (3, N) block of density terminals
+        against ``u[:N]``, written into one reused buffer; no product
+        touches the half of u a leg does not read.
         """
         g = self.solve_grid
         n = g.size
         _, _, _, z = g.coordinate_fields()
-        # row 0 reads w off the pre-default half, rows 1.. the densities
-        # off the post-default half
-        payoffs = np.zeros((1 + len(TERMINAL_KINDS), 2 * n))
-        payoffs[0, n:] = z
-        for i, kind in enumerate(TERMINAL_KINDS):
-            payoffs[i + 1, :n] = terminal_condition(kind, g, self.p, 1.0).values
+        densities = np.stack([terminal_condition(kind, g, self.p, 1.0).values
+                              for kind in TERMINAL_KINDS])
+        rec = np.empty(1 + len(TERMINAL_KINDS))
+        rec_densities = rec[1:]
+
+        def record(u: np.ndarray, k: int) -> np.ndarray:
+            rec[0] = z.dot(u[n:])
+            np.dot(densities, u[:n], out=rec_densities)
+            return rec
 
         u0 = np.concatenate([np.zeros(n), self._readout])
         vals = rk4_sweep(self._stacked, u0, schedule.quad_step,
-                         schedule.m * schedule.n_quad, lambda u, k: payoffs @ u)[1:]
+                         schedule.m * schedule.n_quad, record)[1:]
         self.spmv += 4 * len(vals)          # one row per step swept
         curves = {"w": vals[:, 0]}
         for i, kind in enumerate(TERMINAL_KINDS):
@@ -304,14 +310,19 @@ def domestic_params(p: ModelParams) -> ModelParams:
 
     The FX and foreign-rate equations are excluded: z0 = 1, rhat pinned
     at the domestic rate with frozen dynamics, no jumps, and every
-    correlation involving z or rhat removed.
+    correlation involving z or rhat removed.  The result is not
+    validated here; each domestic solve validates it.  From admissible
+    ``p`` it is admissible when r_dom >= 0: zeroing rows and columns of
+    rho with a unit diagonal keeps it symmetric and positive
+    semi-definite (its R-y block is a principal submatrix of a PSD
+    matrix).
     """
     rho = np.asarray(p.rho, dtype=float).copy()
     for k in (1, 2):          # rhat and z rows/columns
         rho[k, :] = 0.0
         rho[:, k] = 0.0
         rho[k, k] = 1.0
-    return p.with_(z0=1.0, rhat0=p.r_dom, gamma_z=0.0, gamma_rhat=0.0,
+    return replace(p, z0=1.0, rhat0=p.r_dom, gamma_z=0.0, gamma_rhat=0.0,
                    kappa_rhat=0.0, sigma_rhat=0.0, rho=rho)
 
 
@@ -339,6 +350,7 @@ def domestic_spread(p: ModelParams, schedule: CdsSchedule, method: str,
 @lru_cache(maxsize=_DOMESTIC_MEMO_SIZE)
 def _solve_domestic(method: str, p_dom: ModelParams, schedule: CdsSchedule,
                     grid_cfg: GridConfig | None) -> float:
+    # both solves validate p_dom, so a memo miss checks the reduction once
     if method == "cn1d":
         from .oracles import cn_domestic_spread
         return cn_domestic_spread(p_dom, schedule)
@@ -363,8 +375,9 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     which of ``s_d`` and ``s_d_1d`` this call read from the per-process
     memo of ``domestic_spread`` instead of solving.  ``stage_s`` holds
     the wall seconds of the foreign pricer's ``build`` (grid, operator,
-    readout row) and of its ``sweep`` (the march and the legs);
-    ``spmv`` counts the SpMVs that sweep ran, four per RK4 step.
+    readout row), of its ``sweep`` (the march and the legs) and of the
+    ``domestic`` spreads (both memo lookups, with any solve they ran);
+    ``spmv`` counts the SpMVs the foreign sweep ran, four per RK4 step.
     """
     t0 = time.perf_counter()
     pricer = QuantoCdsPricer(p, grid_cfg)
@@ -384,6 +397,7 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     s_d_1d = None
     if p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0:
         s_d_1d = domestic("s_d_1d", "cn1d")
+    t_domestic = time.perf_counter()
     meta = {
         "grid_shape": list(pricer.grid.shape),
         "solve_shape": list(pricer.solve_grid.shape),
@@ -394,7 +408,8 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
         "x0_interpolated": all(bool(a[0] <= x <= a[-1])
                                for a, x in zip(pricer.grid.axes, p.x0)),
         "cached": cached,
-        "stage_s": {"build": t_build - t0, "sweep": t_sweep - t_build},
+        "stage_s": {"build": t_build - t0, "sweep": t_sweep - t_build,
+                    "domestic": t_domestic - t_sweep},
         "spmv": pricer.spmv,
         "runtime_s": round(time.perf_counter() - t0, 3),
     }

@@ -1,17 +1,24 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantocds.cli import (ConfigError, apply_sweep_value, load_config, main)
+import quantocds
+import quantocds.cli as cli
+from quantocds.cli import (ConfigError, _fmt, apply_sweep_value, load_config, main)
 from quantocds.grid import GridConfig
 from quantocds.model import ModelParams, ParameterError
 from quantocds.oracles import McConfig
-from quantocds.pricing import CdsSchedule, QuantoCdsPricer, _solve_domestic
+from quantocds.pricing import (CdsSchedule, LegTerms, QuantoCdsPricer, SpreadReport,
+                               _solve_domestic)
 
 
 def write_config(tmp_path, payload):
@@ -293,6 +300,61 @@ class TestMain:
             assert main(["--config", cfg, "--task", "price"]) == 0
             assert report.exists()
             report.unlink()
+
+
+class TestLegCsv:
+    """The price task formats the leg rows as one block; the file must
+    hold the bytes of the per-value ``_fmt`` rendering."""
+
+    @staticmethod
+    def fmt_rendering(legs: LegTerms, schedule: CdsSchedule) -> str:
+        dtc = schedule.coupon_interval
+        rows = [[i + 1, (i + 1) * dtc, legs.A[i], legs.B[i], legs.C[i], legs.D[i]]
+                for i in range(schedule.m)]
+        lines = ["# quantocds-csv-v1 schema=legterms columns=i,t_i,A_i,B_i,C_i,D_i",
+                 "i,t_i,A_i,B_i,C_i,D_i", *(",".join(_fmt(v) for v in row) for row in rows)]
+        return "\n".join(lines) + "\n"
+
+    def price(self, tmp_path, monkeypatch, payload, fake_legs=None):
+        """Run the price task; returns the leg CSV without its timestamp
+        line, and the legs and schedule it was written from."""
+        seen, cli_basis = {}, cli.quanto_basis
+
+        def basis(p, schedule, grid_cfg):
+            rep = (cli_basis(p, schedule, grid_cfg) if fake_legs is None else
+                   SpreadReport(s=0.01, s_d=0.01, s_d_1d=None, legs=fake_legs))
+            seen["legs"], seen["schedule"] = rep.legs, schedule
+            return rep
+
+        monkeypatch.setattr(cli, "quanto_basis", basis)
+        cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path / "out")}})
+        assert main(["--config", cfg, "--task", "price"]) == 0
+        text = (tmp_path / "out" / "leg_terms.csv").read_bytes().decode()
+        kept = [ln for ln in text.split("\n") if not ln.startswith("# generated=")]
+        return "\n".join(kept), seen["legs"], seen["schedule"]
+
+    def test_default_quote(self, tmp_path, monkeypatch):
+        got, legs, schedule = self.price(tmp_path, monkeypatch, {})
+        assert schedule.m == 120
+        assert got == self.fmt_rendering(legs, schedule)
+
+    def test_extreme_values(self, tmp_path, monkeypatch):
+        values = np.array([0.0, -0.0, -1.5, -2.5e-7, 1e-300, 1e300, -1e300, 5e-324,
+                           1 / 3, 123456789.0123])
+        legs = LegTerms(A=values, B=-values[::-1], C=np.roll(values, 3), D=values * 7.1)
+        got, _, schedule = self.price(tmp_path, monkeypatch,
+                                      {"schedule": {"T": 3.7, "m": len(values)}}, legs)
+        assert got == self.fmt_rendering(legs, schedule)
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # only the Crank-Nicolson oracle needs scipy.sparse.linalg; importing
+    # the command line must not pay for it
+    src = str(Path(quantocds.__file__).resolve().parents[1])
+    code = "import sys, quantocds.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # Every key the config accepts, with a valid value, written out so that a

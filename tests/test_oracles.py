@@ -193,6 +193,14 @@ class TestCnBenchmark:
         with pytest.raises(ValueError, match=r"y0 = .*\[-6.0, 0.0\]"):
             cn_domestic_spread(P.with_(y0=y0), SCHED)
 
+    @pytest.mark.parametrize("kw", [{"R0": 1.7}, {"sigma_y": -0.4}, {"r_dom": -0.5}],
+                             ids=["R0", "sigma_y", "rhat0"])
+    def test_rejects_inadmissible_params(self, kw):
+        # these priced silently (R0 = 1.7 gave a negative spread); the
+        # oracle now validates as mc_spread does
+        with pytest.raises(ParameterError):
+            cn_domestic_spread(domestic_params(ModelParams(**kw)), SCHED)
+
     def test_axis_ends_are_on_the_axis(self):
         for y0 in (-6.0, 0.0):
             assert np.isfinite(cn_domestic_spread(P.with_(y0=y0), SCHED))

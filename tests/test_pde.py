@@ -42,6 +42,30 @@ def classical_rk4_sweep(A, v0: np.ndarray, h: float, nsteps: int, record) -> np.
     return np.stack(out)
 
 
+def horner_reference_sweep(A, v0: np.ndarray, h: float, nsteps: int,
+                           record) -> np.ndarray:
+    """Reference sweep: the Horner-form loop on ``A @ v``, allocating a
+    fresh array per SpMV; ``rk4_sweep`` must match it bit for bit."""
+    v = v0.copy()
+    first = np.asarray(record(v, 0), dtype=float)
+    out = np.empty((nsteps + 1,) + first.shape)
+    out[0] = first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            w = A @ v
+            for c in (h / 4.0, h / 3.0, h / 2.0):
+                w *= c
+                w += v
+                w = A @ w
+            w *= h
+            v += w
+            if not np.all(np.isfinite(v)):
+                raise StabilityError(
+                    f"non-finite values at sweep step {k + 1}/{nsteps} (dt={h:.4g})")
+            out[k + 1] = record(v, k + 1)
+    return out
+
+
 def frozen_params(**kw) -> ModelParams:
     base = dict(sigma_R=0.0, kappa_R=0.0, sigma_rhat=0.0, kappa_rhat=0.0,
                 sigma_y=0.0, kappa_y=0.0, sigma_z=0.0)
@@ -110,6 +134,53 @@ class TestRk4:
             want = classical_rk4_sweep(A, v0, h, nsteps, record)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    def test_sweep_bit_identical_to_reference(self, which):
+        # the kernel calls on swapped buffers do the reference loop's
+        # arithmetic in its order: every state and every record is equal
+        p = {"defaults": ModelParams(),
+             "fx-sweep-quote": ModelParams().with_(gamma_z=-0.3719),
+             "correlated-stochastic-R": ModelParams().with_(
+                 sigma_R=0.3, kappa_R=0.5,
+                 rho=np.array([[1.0, 0.0, 0.8, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.8, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))}[which]
+        pricer = QuantoCdsPricer(p)
+        A, n = pricer._stacked, pricer.solve_grid.size
+        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        probe = np.random.default_rng(5).standard_normal(2 * n)
+        for record in (lambda v, k: v.copy(), lambda v, k: probe @ v):
+            got = rk4_sweep(A, v0, 5.0 / 120, 120, record)
+            want = horner_reference_sweep(A, v0, 5.0 / 120, 120, record)
+            assert np.array_equal(got, want)
+
+    def test_stability_error_at_reference_step(self):
+        # a step far past the RK4 limit blows up at the same step, with
+        # the same message, as the reference loop
+        pricer = QuantoCdsPricer(ModelParams().with_(sigma_y=25.0))
+        A = pricer._stacked
+        v0 = np.concatenate([np.zeros(pricer.solve_grid.size), pricer._readout])
+        messages = []
+        for sweep in (rk4_sweep, horner_reference_sweep):
+            with pytest.raises(StabilityError, match="step") as err:
+                sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_reused_record_buffer_gives_distinct_rows(self):
+        # a record that returns one array every step still gives one row
+        # per step, as a record returning fresh arrays does
+        A = sps.diags([-1.0, -2.0, -3.0], format="csr")
+        buf = np.empty(2)
+
+        def reused(v, k):
+            buf[:] = v[:2]
+            return buf
+
+        got = rk4_sweep(A, np.ones(3), 0.1, 10, reused)
+        want = horner_reference_sweep(A, np.ones(3), 0.1, 10, lambda v, k: v[:2].copy())
+        assert np.array_equal(got, want)
+        assert len(np.unique(got[:, 1])) == 11
 
     def test_march_linear_in_terminal_data(self):
         p = ModelParams()

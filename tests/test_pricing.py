@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quantocds.cli import ConfigError, load_config
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
-from quantocds.model import ModelParams, ParameterError
+from quantocds.model import ModelParams, ParameterError, validate_params
 from quantocds.pde import (assemble_pde1_rhs, assemble_pde2_rhs,
                            coupling_shift_matrix, rk4_sweep)
 from quantocds.oracles import cn_domestic_spread
@@ -366,7 +366,7 @@ class TestDomesticAndBasis:
         assert rep.meta["cached"] == []            # both domestic spreads solved
         # the foreign pricer's stages, timed from what ran
         stages = rep.meta["stage_s"]
-        assert set(stages) == {"build", "sweep"}
+        assert set(stages) == {"build", "sweep", "domestic"}
         assert all(t > 0.0 for t in stages.values())
         assert sum(stages.values()) <= rep.meta["runtime_s"] + 1e-3
         assert rep.meta["spmv"] == 4 * SCHED.m * SCHED.n_quad
@@ -585,6 +585,29 @@ class TestAdmissibleParams:
         ref = par_spread(LegTerms.from_curves(forward_curves(p, self.SCHED, self.GRID),
                                               self.SCHED))
         assert s == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_domestic_reduction_stays_admissible(self, data):
+        # domestic_params does not re-validate its reduction; every
+        # admissible parameter set must still reduce to an admissible one,
+        # also when rho is singular (a rank-2 correlation matrix)
+        frozen = data.draw(st.sampled_from([(), ("R",), ("R", "rhat"), ("R", "rhat", "y")]))
+        p = data.draw(admissible_params(frozen))
+        if data.draw(st.booleans()):
+            f = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+            f = f.reshape(4, 2) + np.array([1.5, 0.0])    # no zero row
+            f /= np.linalg.norm(f, axis=1, keepdims=True)
+            p = validate_params(replace(p, rho=f @ f.T))
+        p_dom = domestic_params(p)
+        assert validate_params(p_dom) is p_dom
+
+    @pytest.mark.parametrize("method", ["cn1d", "pde4d"])
+    def test_negative_domestic_rate_rejected(self, method):
+        # the reduction pins rhat0 at r_dom: a negative domestic rate is
+        # refused by the solve, which validates what domestic_params built
+        with pytest.raises(ParameterError, match="rhat0 negative"):
+            domestic_spread(P.with_(r_dom=-0.01), SCHED, method)
 
 
 _RHO_ALL = np.eye(4)
