@@ -12,13 +12,11 @@ from .model import (BoundaryKind, BoundaryRegime, DegenerateRecoveryError,
                     boundary_regimes, validate_params)
 from .oracles import (McConfig, McEstimate, cn_domestic_spread,
                       credit_triangle, mc_leg_estimates, mc_spread)
-from .pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
-                  jump_shift, rk4_sweep)
+from .pde import StabilityError, jump_shift, rk4_sweep
 from .pricing import (CdsSchedule, LegTerms, QuantoCdsPricer, SpreadReport,
                       domestic_params, domestic_spread, par_spread,
                       quanto_basis, terminal_condition)
-from .rbffd import (StencilWeights, assemble_L, build_axis_operators,
-                    rbf_fd_weights)
+from .rbffd import StencilWeights, rbf_fd_weights
 
 __version__ = "0.1.0"
 
@@ -27,9 +25,8 @@ __all__ = [
     "BoundaryKind", "BoundaryRegime", "validate_params",
     "boundary_regimes", "beta_stationary_params",
     "GridConfig", "Grid4D", "ScalarField", "build_grid", "interpolate",
-    "StencilWeights", "rbf_fd_weights", "build_axis_operators", "assemble_L",
-    "StabilityError", "assemble_pde1_rhs", "assemble_pde2_rhs", "jump_shift",
-    "rk4_sweep",
+    "StencilWeights", "rbf_fd_weights",
+    "StabilityError", "jump_shift", "rk4_sweep",
     "CdsSchedule", "LegTerms", "SpreadReport", "QuantoCdsPricer",
     "terminal_condition", "par_spread", "domestic_params",
     "domestic_spread", "quanto_basis",

@@ -154,6 +154,8 @@ def interpolation_matrix(grid: Grid4D, points: np.ndarray) -> sps.csr_matrix:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 4:
         raise ValueError("points must have 4 columns (R, rhat, y, z)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     m = pts.shape[0]
     cols, vals = np.zeros((m, 1), dtype=np.intp), np.ones((m, 1))
     for k, axis in enumerate(grid.axes):

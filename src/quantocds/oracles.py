@@ -30,8 +30,8 @@ CN_Y_MIN = -6.0
 
 def credit_triangle(lam: float, R: float) -> float:
     """Constant-hazard, continuous-premium closed form s = lambda*(1-R)."""
-    if lam < 0.0:
-        raise ValueError("hazard must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("hazard must be nonnegative and finite")
     if not 0.0 <= R <= 1.0:
         raise ValueError("recovery must lie in [0, 1]")
     return lam * (1.0 - R)
@@ -291,6 +291,10 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     # time of the package, and most runs never call this oracle
     import scipy.sparse.linalg as spla
 
+    if isinstance(n_y, bool) or not isinstance(n_y, (int, np.integer)) or n_y < 3:
+        raise ValueError(f"n_y must be an integer >= 3, got {n_y!r}")
+    if not -np.inf < y_min < 0.0:
+        raise ValueError(f"y_min must be negative and finite, got {y_min!r}")
     validate_params(p)
     if p.kappa_R != 0.0 or p.sigma_R != 0.0:
         raise ValueError("1D reduction requires frozen recovery "

@@ -1,14 +1,14 @@
-"""Right-hand sides of the two pricing PDEs, jump shift, and RK4 marching.
+"""The stacked operator of the two pricing PDEs, jump shift, and RK4 marching.
 
 Both equations are integrated backward from the terminal date; with
 tau = T - t they become forward ODE systems dU/dtau = A U in the
 method-of-lines sense.  The post-default equation governs the bond
-value u (operator L - r); the pre-default equation governs v (operator
-L - (r + lambda) - lambda*gamma_z*z*d/dz), coupled to u through the
-jump term lambda*u_hat, which the pricer carries as an off-diagonal
-block of one stacked operator.  Time stepping is classical explicit
-RK4, each step evaluated as its polynomial in Horner form: four calls
-of scipy's compiled CSR kernel into preallocated buffers, with no
+value u (operator A1 = L - r); the pre-default equation governs v
+(operator A2 = L - (r + lambda) - lambda*gamma_z*z*d/dz), coupled to u
+through the jump term lambda*u_hat.  One stacked operator carries both,
+the coupling as its off-diagonal block.  Time stepping is classical
+explicit RK4, each step evaluated as its polynomial in Horner form: four
+calls of scipy's compiled CSR kernel into preallocated buffers, with no
 array allocated per step.
 """
 from __future__ import annotations
@@ -27,10 +27,7 @@ from .rbffd import operator_slots
 
 __all__ = [
     "StabilityError",
-    "assemble_pde1_rhs",
-    "assemble_pde2_rhs",
     "jump_shift",
-    "jump_shift_matrix",
     "coupling_shift_matrix",
     "stacked_transpose",
     "inert_axes",
@@ -42,54 +39,21 @@ class StabilityError(RuntimeError):
     """Explicit march produced non-finite values."""
 
 
-def _slots_of_L(grid: Grid4D, p: ModelParams, terms=None):
-    """Slot layout and slot values of L, with the z slots the
-    compensator of the pre-default operator needs under an FX jump."""
-    return operator_slots(grid, p, terms, (3,) if p.gamma_z != 0.0 else ())
-
-
-def _pre_default(slots, vals: np.ndarray, grid: Grid4D, p: ModelParams) -> np.ndarray:
-    """Turn the slot values of L into those of A2 = L - (r + lambda) -
-    lambda*gamma_z*z*D1_z, in place; returns lambda = e^y on the y axis,
-    broadcastable to the grid shape."""
-    lam = np.exp(grid.axes[2]).reshape(1, 1, -1, 1)
-    vals[0] -= p.r_dom + lam
-    if p.gamma_z != 0.0:
-        slots.add(vals, -(lam * p.gamma_z * grid.axes[3]), (3,))
-    return lam
-
-
-def assemble_pde1_rhs(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
-    """Backward RHS of the post-default equation: L - r."""
-    slots, vals = _slots_of_L(grid, p)
-    vals[0] -= p.r_dom
-    return slots.tocsr(vals)
-
-
-def assemble_pde2_rhs(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
-    """Backward RHS of the pre-default equation.
-
-    Operator: L - (r + lambda) - lambda*gamma_z*z*D1_z with lambda = e^y
-    nodewise; the compensator convection keeps discounted Z a martingale
-    before default.  The coupling lambda*u_hat is not part of it: the
-    pricer adds it as the off-diagonal block of the stacked operator.
-    """
-    slots, vals = _slots_of_L(grid, p)
-    _pre_default(slots, vals, grid, p)
-    return slots.tocsr(vals)
-
-
 def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]].
 
     ``terms`` are the ``operator_terms`` of ``grid`` (the pricer cuts
-    them from the configured grid).  The CSR arrays of S are written directly: row i of the top
-    half holds the slots of A1 = L - r, row i of the bottom half the
-    coupling row lambda_i * C_i (``coupling_shift_matrix``) followed by
-    the slots of A2.  One CSR-to-CSC pass transposes S and sorts every
-    row; exact zeros are dropped.
+    them from the configured grid).  The CSR arrays of S are written
+    directly: row i of the top half holds the slots of A1 = L - r, row i
+    of the bottom half the coupling row lambda_i * C_i
+    (``coupling_shift_matrix``) followed by the slots of A2 = L - (r +
+    lambda) - lambda*gamma_z*z*D1_z, lambda = e^y nodewise.  The
+    compensator convection keeps discounted Z a martingale before
+    default; under an FX jump it needs the z slots even when no term of
+    L differentiates along z.  One CSR-to-CSC pass transposes S and
+    sorts every row; exact zeros are dropped.
     """
-    slots, vals = _slots_of_L(grid, p, terms)
+    slots, vals = operator_slots(grid, p, terms, (3,) if p.gamma_z != 0.0 else ())
     C = coupling_shift_matrix(grid, p)
     n, nslots = grid.size, len(vals)
     width = C.nnz // n              # every coupling row holds the same count
@@ -99,7 +63,10 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     a1, lower = data[:top].reshape(n, nslots), data[top:].reshape(n, width + nslots)
     a1[:] = vals.reshape(nslots, n).T
     a1[:, 0] -= p.r_dom
-    lam = _pre_default(slots, vals, grid, p)
+    lam = np.exp(grid.axes[2]).reshape(1, 1, -1, 1)
+    vals[0] -= p.r_dom + lam
+    if p.gamma_z != 0.0:
+        slots.add(vals, -(lam * p.gamma_z * grid.axes[3]), (3,))
     lower[:, :width] = (C.data.reshape(grid.shape + (width,))
                         * lam[..., None]).reshape(n, width)
     lower[:, width:] = vals.reshape(nslots, n).T
@@ -112,21 +79,6 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     S = sps.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
     S.eliminate_zeros()
     return S.T.tocsr()
-
-
-def jump_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
-    """Sparse evaluation of a field at the post-jump states.
-
-    Row for node (R, rhat, y, z) interpolates at
-    (R, rhat*(1+gamma_rhat), y, z*(1+gamma_z)); points leaving the hull
-    use multilinear extrapolation from the boundary cell.  Identity when
-    both jumps vanish.
-    """
-    if p.gamma_z == 0.0 and p.gamma_rhat == 0.0:
-        return sps.identity(grid.size, format="csr")
-    R, rr, y, z = grid.coordinate_fields()
-    pts = np.stack([R, rr * (1.0 + p.gamma_rhat), y, z * (1.0 + p.gamma_z)], axis=1)
-    return interpolation_matrix(grid, pts)
 
 
 def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
@@ -174,9 +126,16 @@ def inert_axes(p: ModelParams, terms) -> tuple[int, ...]:
 
 
 def jump_shift(u: ScalarField, p: ModelParams) -> ScalarField:
-    """Field of post-jump evaluations u(R, rhat*(1+g_rhat), y, z*(1+g_z))."""
-    S = jump_shift_matrix(u.grid, p)
-    return ScalarField(u.grid, S @ u.values)
+    """Field of post-jump evaluations u(R, rhat*(1+g_rhat), y, z*(1+g_z)).
+
+    Points leaving the hull use multilinear extrapolation from the
+    boundary cell.  Without jumps every point is its own node, whose
+    interpolation weight is exactly 1, so the values come back
+    unchanged.
+    """
+    R, rr, y, z = u.grid.coordinate_fields()
+    pts = np.stack([R, rr * (1.0 + p.gamma_rhat), y, z * (1.0 + p.gamma_z)], axis=1)
+    return ScalarField(u.grid, interpolation_matrix(u.grid, pts) @ u.values)
 
 
 def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,

@@ -175,8 +175,8 @@ def terminal_condition(kind: str, grid: Grid4D, p: ModelParams, T: float) -> Sca
     """
     if kind not in TERMINAL_KINDS:
         raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError("T must be nonnegative and finite")
     if T == 0.0:
         return ScalarField(grid, np.zeros(grid.size))
     R, _, _, z = grid.coordinate_fields()

@@ -14,7 +14,8 @@ the node itself, two stencil neighbours along each axis some term
 differentiates along, and four corners for each mixed pair.  L is
 stored in those fixed slots (``StencilSlots``): each term adds its
 nodal coefficient times the per-axis stencil weight into its slots, in
-term order, and the slot values become the CSR rows directly.
+term order, and ``pde.stacked_transpose`` writes the slot values as the
+CSR rows of the stacked operator of both pricing equations.
 
 Numerical note: for uniformly spaced stencils the collocation system is
 solved in closed form.  The naive 3x3 solve loses up to 11 digits at
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .grid import Grid4D
 from .model import ModelParams, boundary_regimes, BoundaryKind
@@ -45,11 +45,9 @@ __all__ = [
     "StencilWeights",
     "ShapeParameterError",
     "rbf_fd_weights",
-    "build_axis_operators",
     "operator_terms",
     "StencilSlots",
     "operator_slots",
-    "assemble_L",
     "CONDITION_LIMIT",
 ]
 
@@ -175,26 +173,9 @@ def _stencil_tables(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.clip(np.arange(n) - 1, 0, n - 3), weights[0], weights[1]
 
 
-def build_axis_operators(coords: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
-    """Per-axis sparse D1, D2 from 3-point RBF-FD stencils.
-
-    On a uniform axis the weights do not depend on the node, so each
-    order needs three stencils: one-sided at the first and last rows,
-    centered everywhere in between.  They are generated on the axis
-    mapped to unit length with eps = 2h = 2/(n-1) and scaled back, so
-    the matrices differentiate in the physical coordinate.
-    """
-    lo, w1, w2 = _stencil_tables(coords)
-    n = lo.size
-    cols = (lo[:, None] + np.arange(3)).ravel()
-    indptr = 3 * np.arange(n + 1)
-    return tuple(sps.csr_matrix((w.ravel(), cols, indptr), shape=(n, n))
-                 for w in (w1, w2))
-
-
 def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The terms of L that do not vanish on the grid, as (nodal
-    coefficient, axes) pairs, in the order ``assemble_L`` sums them.
+    coefficient, axes) pairs, in the order ``operator_slots`` sums them.
 
     L has 14 terms: 4 pure second derivatives, 4 convections and 6
     mixed derivatives.  ``axes`` names the derivative: (k,) is d/dx_k,
@@ -303,32 +284,18 @@ class StencilSlots:
                     s = self._axis_slot(a, ja) if ja else self._axis_slot(b, jb)
                 vals[s] += coef * (self._d1[a][ja] * self._d1[b][jb])
 
-    def tocsr(self, vals: np.ndarray) -> sps.csr_matrix:
-        """The operator whose slot values are ``vals``, without its
-        exact zeros, with sorted rows."""
-        nslots, size = len(vals), math.prod(self.shape)
-        M = sps.csr_matrix((vals.reshape(nslots, size).T.ravel(),
-                            self.cols.reshape(nslots, size).T.ravel(),
-                            nslots * np.arange(size + 1)), shape=(size, size))
-        M.eliminate_zeros()
-        M.sort_indices()
-        return M
 
-
-def operator_slots(grid: Grid4D, p: ModelParams, terms=None,
+def operator_slots(grid: Grid4D, p: ModelParams, terms,
                    axes=()) -> tuple[StencilSlots, np.ndarray]:
     """Slot layout of L and the slot values of L.
 
-    ``terms`` are ``operator_terms(grid, p)``, evaluated here when not
-    given.  Slots are laid out for every axis some term differentiates
-    along, and for ``axes``.  Boundary regimes come from
-    ``boundary_regimes``: rows on a vanishing-second-derivative boundary
-    lose the D2 weights normal to that boundary; degenerate-pde
-    boundaries keep the PDE row, whose normal diffusion coefficient
-    vanishes there by itself.
+    ``terms`` are the ``operator_terms`` of ``grid``.  Slots are laid
+    out for every axis some term differentiates along, and for
+    ``axes``.  Boundary regimes come from ``boundary_regimes``: rows on
+    a vanishing-second-derivative boundary lose the D2 weights normal to
+    that boundary; degenerate-pde boundaries keep the PDE row, whose
+    normal diffusion coefficient vanishes there by itself.
     """
-    if terms is None:
-        terms = operator_terms(grid, p)
     live = sorted({k for _, term_axes in terms for k in term_axes} | set(axes))
     pairs = [k for _, k in terms if len(k) == 2 and k[0] != k[1]]
     regimes = boundary_regimes(p)
@@ -340,16 +307,3 @@ def operator_slots(grid: Grid4D, p: ModelParams, terms=None,
     for coef, k in terms:
         slots.add(vals, coef, k)
     return slots, vals
-
-
-def assemble_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
-    """Assemble the full diffusion-convection operator on the grid.
-
-    Every term of ``operator_terms`` adds coefficient times stencil
-    weight into the slots of ``operator_slots``, in term order; the
-    slot values become the CSR rows, exact zeros dropped.  Axis
-    stencils are built only for axes some term differentiates along,
-    so an axis no term uses may have fewer nodes than a stencil needs.
-    """
-    slots, vals = operator_slots(grid, p)
-    return slots.tocsr(vals)

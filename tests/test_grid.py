@@ -169,6 +169,15 @@ def test_field_length_checked():
         ScalarField(g, np.zeros(5))
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.03, -4.0, 1.15], [0.45, np.inf, -4.0, 1.15],
+                                   [0.45, 0.03, -np.inf, 1.15], [0.45, 0.03, -4.0, np.nan]])
+def test_non_finite_point_rejected(point):
+    # a non-finite coordinate has no cell to read from: refused, not nan
+    f = ScalarField(default_grid(), np.zeros(default_grid().size))
+    with pytest.raises(ValueError, match="finite"):
+        interpolate(f, point)
+
+
 def test_field_finiteness_checked():
     g = default_grid()
     bad = np.zeros(g.size)

@@ -25,6 +25,11 @@ class TestCreditTriangle:
         with pytest.raises(ValueError):
             credit_triangle(0.1, 1.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_hazard_rejected(self, lam):
+        with pytest.raises(ValueError, match="hazard"):
+            credit_triangle(lam, 0.45)
+
 
 class TestMcConfig:
     def test_step_cap(self):
@@ -200,6 +205,18 @@ class TestCnBenchmark:
         # oracle now validates as mc_spread does
         with pytest.raises(ParameterError):
             cn_domestic_spread(domestic_params(ModelParams(**kw)), SCHED)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_y": 2}, "n_y"), ({"n_y": 1}, "n_y"), ({"n_y": 101.0}, "n_y"),
+        ({"n_y": True}, "n_y"), ({"y_min": -np.inf}, "y_min"),
+        ({"y_min": np.nan}, "y_min")])
+    def test_bad_axis_arguments_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            cn_domestic_spread(P, SCHED, **kwargs)
+
+    def test_three_nodes_price(self):
+        # the smallest axis with an interior node still prices
+        assert np.isfinite(cn_domestic_spread(P, SCHED, n_y=3))
 
     def test_axis_ends_are_on_the_axis(self):
         for y0 in (-6.0, 0.0):

@@ -4,10 +4,9 @@ import scipy.sparse as sps
 
 from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid, interpolate
 from quantocds.model import ModelParams
-from quantocds.pde import (StabilityError, assemble_pde1_rhs, assemble_pde2_rhs,
-                           jump_shift, rk4_sweep)
+from quantocds.pde import StabilityError, jump_shift, rk4_sweep
 from quantocds.pricing import QuantoCdsPricer
-from quantocds.rbffd import assemble_L, build_axis_operators
+from reference_operator import engine_blocks, slot_axis_operators
 
 
 def degenerate_grid(rhat_at: float, y_at: float) -> Grid4D:
@@ -100,7 +99,7 @@ class TestRk4:
         # must be detected, not silently integrated
         p = ModelParams().with_(sigma_y=25.0)
         g = build_grid(GridConfig(), p)
-        A2 = assemble_pde2_rhs(g, p)
+        _, A2 = engine_blocks(g, p)
         _, _, _, z = g.coordinate_fields()
         with pytest.raises(StabilityError, match="step"):
             march(A2, z.copy(), 5.0, 0.05)
@@ -185,7 +184,7 @@ class TestRk4:
     def test_march_linear_in_terminal_data(self):
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        A1 = assemble_pde1_rhs(g, p)
+        A1, _ = engine_blocks(g, p)
         rng = np.random.default_rng(9)
         f = rng.standard_normal(g.size)
         h = rng.standard_normal(g.size)
@@ -201,7 +200,7 @@ class TestPde1:
         # constants in the interior, so the march is e^{-r T}
         p = frozen_params(rhat0=0.02, y0=-4.0)
         g = degenerate_grid(rhat_at=0.02, y_at=-4.0)
-        A1 = assemble_pde1_rhs(g, p)
+        A1, _ = engine_blocks(g, p)
         c = 3.7
         out = ScalarField(g, march(A1, np.full(g.size, c), 1.0, 0.05))
         got = interpolate(out, [0.45, 0.02, -4.0, 1.15])
@@ -210,7 +209,7 @@ class TestPde1:
     def test_zero_rate_zero_operator_is_identity(self):
         p = frozen_params(r_dom=0.0, rhat0=0.0, y0=-4.0)
         g = degenerate_grid(rhat_at=0.0, y_at=-4.0)
-        A1 = assemble_pde1_rhs(g, p)
+        A1, _ = engine_blocks(g, p)
         rng = np.random.default_rng(2)
         f = rng.standard_normal(g.size)
         out = march(A1, f, 1.0, 0.05)
@@ -225,7 +224,7 @@ class TestPde1Bound:
         # terminal z stays below the initial FX level at the market state
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        A1 = assemble_pde1_rhs(g, p)
+        A1, _ = engine_blocks(g, p)
         _, _, _, z = g.coordinate_fields()
         out = ScalarField(g, march(A1, z.copy(), 1.0, 0.05))
         got = interpolate(out, [0.45, 0.03, -4.089, 1.15])
@@ -236,7 +235,7 @@ class TestPde2:
     def test_scalar_decay_with_constant_hazard(self):
         p = frozen_params(rhat0=0.02, y0=-1.0)
         g = degenerate_grid(rhat_at=0.02, y_at=-1.0)
-        A2 = assemble_pde2_rhs(g, p)
+        _, A2 = engine_blocks(g, p)
         c = 1.0
         out = ScalarField(g, march(A2, np.full(g.size, c), 1.0, 0.05))
         lam = np.exp(-1.0)
@@ -248,8 +247,7 @@ class TestPde2:
         # v plus lambda*v equals the post-default action
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        A1 = assemble_pde1_rhs(g, p)
-        A2 = assemble_pde2_rhs(g, p)
+        A1, A2 = engine_blocks(g, p)
         _, _, y, _ = g.coordinate_fields()
         lam = np.exp(y)
         rng = np.random.default_rng(4)
@@ -289,10 +287,11 @@ class TestBoundaryRows:
         # boundary-masked D2 must kill fields affine in y on those rows
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        L = assemble_L(g, p)
+        L, _ = engine_blocks(g, p)
         idx = g.unflatten_index(np.arange(g.size))
         # isolate the y-diffusion block by differencing two operators
-        Lref = assemble_L(g, p.with_(sigma_y=0.0))
+        # A1 = L - r, in which r cancels
+        Lref, _ = engine_blocks(g, p.with_(sigma_y=0.0))
         D2y_block = L - Lref
         _, _, y, _ = g.coordinate_fields()
         out = D2y_block @ (1.0 + 3.0 * y)
@@ -301,7 +300,7 @@ class TestBoundaryRows:
 
     def test_degenerate_rows_use_one_sided_first_derivatives(self):
         x = np.linspace(0.0, 1.0, 10)
-        D1, _ = build_axis_operators(x)
+        D1, _ = slot_axis_operators(x)
         # first row reaches only forward, last row only backward
         assert D1[0, 0] != 0 and set(D1[0].indices) == {0, 1, 2}
         assert set(D1[9].indices) == {7, 8, 9}

@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from quantocds.cli import ConfigError, load_config
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError, validate_params
-from quantocds.pde import (assemble_pde1_rhs, assemble_pde2_rhs,
-                           coupling_shift_matrix, rk4_sweep)
+from quantocds.pde import coupling_shift_matrix, rk4_sweep, stacked_transpose
 from quantocds.oracles import cn_domestic_spread
 from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                DegenerateAnnuityError, LegTerms,
                                QuantoCdsPricer, _solve_domestic,
                                domestic_params, domestic_spread, par_spread,
                                quanto_basis, terminal_condition)
-from quantocds.rbffd import assemble_L
-from reference_operator import (reference_L, reference_pde1, reference_pde2,
-                                reference_stacked, same_csr)
+from quantocds.rbffd import operator_terms
+from reference_operator import engine_blocks, reference_stacked, same_csr
 
 P = ModelParams()
 SCHED = CdsSchedule()
@@ -124,6 +122,12 @@ class TestTerminalCondition:
         g = build_grid(GridConfig(), P)
         assert np.all(terminal_condition("recovery", g, P, 0.0).values == 0.0)
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, T):
+        g = build_grid(GridConfig(), P)
+        with pytest.raises(ValueError, match="T must be"):
+            terminal_condition("accrual", g, P, T)
+
     def test_unknown_kind_rejected(self):
         g = build_grid(GridConfig(), P)
         with pytest.raises(ValueError, match="kind"):
@@ -134,7 +138,7 @@ def forward_system(p: ModelParams, grid_cfg: GridConfig | None = None):
     """Full-grid reference: grid, pre-default operator A2, the stacked
     system S = [[A1, 0], [Lambda C, A2]] and the readout row r at x0."""
     g = build_grid(grid_cfg or GridConfig(), p)
-    A1, A2 = assemble_pde1_rhs(g, p), assemble_pde2_rhs(g, p)
+    A1, A2 = engine_blocks(g, p)
     _, _, y, _ = g.coordinate_fields()
     S = sps.bmat([[A1, None],
                   [sps.diags(np.exp(y)) @ coupling_shift_matrix(g, p), A2]], format="csr")
@@ -165,7 +169,7 @@ class TestSolveW:
                     sigma_y=0.0, kappa_y=0.0, sigma_z=0.0, y0=-40.0)
         g = Grid4D((np.linspace(0, 1, 4), np.linspace(0.03, 0.03 + 1e-9, 4),
                     np.linspace(-40.0, -40.0 + 1e-9, 4), np.linspace(0, 4, 10)))
-        A2 = assemble_pde2_rhs(g, p)
+        _, A2 = engine_blocks(g, p)
         _, _, _, z = g.coordinate_fields()
         out = rk4_sweep(A2, z, 0.05, 100, lambda v, k: v)[-1]
         got = interpolate(ScalarField(g, out), [0.45, 0.03, -40.0, 1.15])
@@ -650,15 +654,12 @@ class TestOperatorPins:
 
     @pytest.mark.parametrize("case", list(OPERATOR_PINS))
     def test_public_operators(self, case):
-        # the reference leaves each row in the order its sparse sums
-        # produce; the slot build sorts rows
+        # the configured grid, no axis cut: every block of S, its
+        # coupling included, equals the reference
         p, grid_cfg = OPERATOR_PINS[case]
         g = build_grid(grid_cfg or GridConfig(), p)
-        L = reference_L(g, p)
-        for got, want in ((assemble_L(g, p), L),
-                          (assemble_pde1_rhs(g, p), reference_pde1(g, p, L)),
-                          (assemble_pde2_rhs(g, p), reference_pde2(g, p, L))):
-            assert same_csr(got, want.sorted_indices())
+        assert same_csr(stacked_transpose(g, p, operator_terms(g, p)),
+                        reference_stacked(g, p)[0])
 
     @pytest.mark.parametrize("frozen", [(), ("R",)], ids=["live-R", "frozen-R"])
     @settings(max_examples=20, deadline=None)

@@ -4,9 +4,9 @@ import scipy.sparse as sps
 
 from quantocds.grid import Grid4D, GridConfig, build_grid
 from quantocds.model import ModelParams
-from quantocds.rbffd import (ShapeParameterError, StencilSlots, assemble_L,
-                             build_axis_operators, rbf_fd_weights)
-from reference_operator import lift_axis_operator, same_csr
+from quantocds.rbffd import ShapeParameterError, StencilSlots, rbf_fd_weights
+from reference_operator import (axis_operators, engine_blocks, lift_axis_operator,
+                                same_csr, slot_axis_operators, slots_csr)
 
 
 def gaussian(eps, center):
@@ -86,10 +86,16 @@ def test_derivative_convergence_second_order():
     assert 1.7 <= slope <= 2.3
 
 
+def operator_L(g, p):
+    """L = A1 + r, from the engine's stacked operator."""
+    A1, _ = engine_blocks(g, p)
+    return (A1 + p.r_dom * sps.identity(g.size, format="csr")).tocsr()
+
+
 class TestAxisOperators:
     def test_structure(self):
         x = np.linspace(0.0, 1.0, 10)
-        D1, D2 = build_axis_operators(x)
+        D1, D2 = slot_axis_operators(x)
         assert D1.shape == (10, 10) and D2.shape == (10, 10)
         for M in (D1, D2):
             counts = np.diff(M.indptr)
@@ -105,7 +111,7 @@ class TestAxisOperators:
         x = np.linspace(-6.0, 0.0, n)
         L = x[-1] - x[0]
         eps_phys = (2.0 / (n - 1)) / L
-        D1, D2 = build_axis_operators(x)
+        D1, D2 = slot_axis_operators(x)
         for row in range(n):
             lo = 0 if row == 0 else (n - 3 if row == n - 1 else row - 1)
             stencil = x[lo:lo + 3]
@@ -122,7 +128,7 @@ class TestAxisOperators:
         for axis, n in enumerate(shape):
             if n < 4:
                 continue
-            for M in build_axis_operators(np.linspace(0.0, 3.0, n)):
+            for M in axis_operators(np.linspace(0.0, 3.0, n)):
                 ref = None
                 for k, m in enumerate(shape):
                     f = M if k == axis else sps.identity(m, format="csr")
@@ -131,6 +137,16 @@ class TestAxisOperators:
                 assert got.shape == ref.shape
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, 3.0), (-6.0, 0.0), (0.0, 0.4),
+                                      (0.0, 5.0), (-40.0, -40.0 + 1e-9)])
+    def test_reference_matches_engine_tables(self, span):
+        # the reference's matrices, from the public rbf_fd_weights, equal
+        # the engine's one-axis slots bit for bit, explicit zeros included
+        for n in range(4, 40):
+            x = np.linspace(*span, n)
+            for M, S in zip(axis_operators(x), slot_axis_operators(x)):
+                assert same_csr(M, S)
 
     def test_lift_refuses_ragged_rows(self):
         M = sps.csr_matrix(np.triu(np.ones((4, 4))))
@@ -147,7 +163,7 @@ class TestAxisOperators:
             if n < 4:
                 continue
             slots = StencilSlots(g, (axis,), [])
-            for M, term in zip(build_axis_operators(g.axes[axis]), ((axis,), (axis, axis))):
+            for M, term in zip(axis_operators(g.axes[axis]), ((axis,), (axis, axis))):
                 vals = np.zeros(slots.cols.shape)
                 slots.add(vals, np.ones((1, 1, 1, 1)), term)
                 ref = None
@@ -155,21 +171,24 @@ class TestAxisOperators:
                     f = M if k == axis else sps.identity(m, format="csr")
                     ref = f if ref is None else sps.kron(ref, f, format="csr")
                 ref.eliminate_zeros()
-                assert same_csr(slots.tocsr(vals), ref.sorted_indices())
+                got = slots_csr(slots, vals)
+                got.eliminate_zeros()
+                assert same_csr(got, ref.sorted_indices())
 
     def test_mixed_derivative_product_oracle(self):
         # lifted D1_R @ D1_z applied to f = R*z equals 1 at interior
         # nodes, and so does the mixed term written into its slots,
         # which holds the same matrix
         g = build_grid(GridConfig(), ModelParams())
-        d1R = build_axis_operators(g.axes[0])[0]
-        d1z = build_axis_operators(g.axes[3])[0]
+        d1R = axis_operators(g.axes[0])[0]
+        d1z = axis_operators(g.axes[3])[0]
         D1R = lift_axis_operator(g.shape, 0, d1R)
         D1z = lift_axis_operator(g.shape, 3, d1z)
         slots = StencilSlots(g, (0, 3), [(0, 3)])
         vals = np.zeros(slots.cols.shape)
         slots.add(vals, np.ones((1, 1, 1, 1)), (0, 3))
-        mixed = slots.tocsr(vals)
+        mixed = slots_csr(slots, vals)
+        mixed.eliminate_zeros()
         product = D1R @ D1z
         product.eliminate_zeros()
         assert same_csr(mixed, product.sorted_indices())
@@ -189,14 +208,15 @@ class TestAssembleL:
         p = ModelParams().with_(sigma_rhat=0.0, kappa_rhat=0.0, sigma_y=0.0,
                                 kappa_y=0.0, sigma_z=0.0, r_dom=0.0, rhat0=0.0)
         g = build_grid(GridConfig(rhat_max=1e-12), p)
-        L = assemble_L(g, p)
+        L = operator_L(g, p)
         assert abs(L).max() < 1e-10
 
     def test_recovery_diffusion_vanishes_at_R_boundaries(self):
         p = ModelParams().with_(sigma_R=0.3, kappa_R=0.5)
         g = build_grid(GridConfig(), p)
-        with_diff = assemble_L(g, p)
-        without = assemble_L(g, p.with_(sigma_R=0.0))
+        # r cancels in the difference of the two A1 = L - r
+        with_diff, _ = engine_blocks(g, p)
+        without, _ = engine_blocks(g, p.with_(sigma_R=0.0))
         diff = (with_diff - without).tocsr()     # the pure R-diffusion block
         idxR = g.unflatten_index(np.arange(g.size))[0]
         rows_at_edge = np.where((idxR == 0) | (idxR == g.shape[0] - 1))[0]
@@ -213,7 +233,7 @@ class TestAssembleL:
         p = ModelParams()
         g = build_grid(GridConfig(), p)
         R, rr, y, z = g.coordinate_fields()
-        got = assemble_L(g, p) @ z
+        got = operator_L(g, p) @ z
         want = (p.r_dom - rr) * z
         idx = g.unflatten_index(np.arange(g.size))
         interior = np.all([(idx[k] > 0) & (idx[k] < g.shape[k] - 1)
@@ -224,9 +244,10 @@ class TestAssembleL:
     def test_block_linearity_in_sigma_squared(self):
         p = ModelParams()
         g = build_grid(GridConfig(), p)
-        L0 = assemble_L(g, p.with_(sigma_y=0.0))
-        L1 = assemble_L(g, p.with_(sigma_y=0.4))
-        L2 = assemble_L(g, p.with_(sigma_y=0.4 * np.sqrt(2)))
+        # A1 = L - r: r cancels in every difference
+        L0, _ = engine_blocks(g, p.with_(sigma_y=0.0))
+        L1, _ = engine_blocks(g, p.with_(sigma_y=0.4))
+        L2, _ = engine_blocks(g, p.with_(sigma_y=0.4 * np.sqrt(2)))
         lhs = (L2 - L0).toarray()
         rhs = 2.0 * (L1 - L0).toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -236,6 +257,6 @@ class TestAssembleL:
         g = build_grid(GridConfig(), p)
         rho = np.eye(4)
         rho[0, 2] = rho[2, 0] = 0.8               # R-z correlation
-        L_corr = assemble_L(g, p.with_(rho=rho))
-        L_none = assemble_L(g, p)
+        L_corr, _ = engine_blocks(g, p.with_(rho=rho))
+        L_none, _ = engine_blocks(g, p)
         assert abs(L_corr - L_none).max() > 1e-6
