@@ -10,8 +10,11 @@ and integrates with Crank-Nicolson on standard finite differences.
 """
 from __future__ import annotations
 
+import math
+import queue
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sps
@@ -26,6 +29,8 @@ __all__ = ["McConfig", "McEstimate", "credit_triangle", "mc_spread",
 
 # lower end of the 1D benchmark's log-hazard axis [CN_Y_MIN, 0]
 CN_Y_MIN = -6.0
+# the Monte Carlo Euler step is at most 1 / _MIN_STEPS_PER_YEAR years
+_MIN_STEPS_PER_YEAR = 48
 
 
 def credit_triangle(lam: float, R: float) -> float:
@@ -39,10 +44,13 @@ def credit_triangle(lam: float, R: float) -> float:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo controls.  Paths are simulated one block of
-    ``block_size`` after another, block b on the Philox stream of
-    ``seed`` jumped b times, so a result reproduces at a fixed seed and
-    block size."""
+    """Monte Carlo controls.  Paths are simulated in blocks of
+    ``block_size``, block b on the Philox stream of ``seed`` jumped b
+    times, so a result reproduces at a fixed seed and block size.  A
+    helper thread draws the next block's normals while the current
+    block marches.  Each coupon interval runs in equal Euler steps,
+    ``round(interval / step)`` of them, or more if that many would
+    exceed 1/48 yr."""
 
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
@@ -59,8 +67,8 @@ class McConfig:
             raise ValueError("block_size must be positive")
         if self.n_paths < 1000:
             raise ValueError("n_paths must be >= 1000 for reported estimates")
-        if not 0.0 < self.step <= 1.0 / 48.0 + 1e-12:
-            raise ValueError("step must be positive and <= 1/48 yr")
+        if not 0.0 < self.step <= 1.0 / _MIN_STEPS_PER_YEAR + 1e-12:
+            raise ValueError(f"step must be positive and <= 1/{_MIN_STEPS_PER_YEAR} yr")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must lie in [0, 2**128)")
 
@@ -92,7 +100,8 @@ def _mean_reverting(out, x, level, kappa, theta, dt, vol, dw, tmp) -> None:
 
 
 def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
-                    expo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    expo: np.ndarray, row_read: Callable[[], None]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of paths; returns per-path samples of the protection
     leg, the annuity (coupon plus accrual, discounted and FX converted)
     and the survival-weighted discounted terminal FX Z_T e^{-rT} 1.
@@ -100,7 +109,9 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     ``normals[k]`` holds the step-k normals of the first
     ``normals.shape[1]`` paths; under antithetic sampling the remaining
     paths take their negation.  ``expo`` holds every path's default
-    threshold.  The Euler step updates preallocated arrays in place.
+    threshold.  ``row_read()`` is called once per step, after the last
+    read of ``normals[k]``, so the row may then be overwritten.  The
+    Euler step updates preallocated arrays in place.
     """
     n = expo.size
     nsteps, half = normals.shape[:2]
@@ -134,6 +145,7 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
             np.negative(draw[:n - half], out=mirrored[half:])
             draw = mirrored
         np.matmul(draw, cholT, out=dW)
+        row_read()
         dW *= sqdt
         np.exp(Y, out=lam)
         # left-rectangle intensity integration; default when the
@@ -214,30 +226,66 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
 def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     """Per-path samples of ``cfg.n_paths`` paths, simulated in blocks.
 
+    Each coupon interval ``dtc`` is cut into ``nsub`` equal Euler steps,
+    the larger of ``round(dtc / cfg.step)`` and the fewest that keep the
+    step within 1/48 yr, so the step that runs is ``dtc / nsub``.
+
     Block b draws from Philox(seed) jumped b times: first the normals of
     all its steps as one (steps, paths, 4) array, then the default
     thresholds; under antithetic sampling it draws both for half the
-    paths, rounded up.  One buffer holds the normals of every block.
+    paths, rounded up.  One buffer holds the normals of every block.  A
+    helper thread draws block b + 1 into it row by row while this thread
+    marches block b, writing row k only once the march has read row k:
+    row k of a block lies within rows 0..k of any block at least as
+    large, and blocks shrink only at the end.
     """
     dtc = schedule.coupon_interval
-    nsub = max(1, int(round(dtc / cfg.step)))
+    nsub = max(1, round(dtc / cfg.step), math.ceil(_MIN_STEPS_PER_YEAR * dtc - 1e-9))
     nsteps = schedule.m * nsub
+    sizes = [min(cfg.block_size, cfg.n_paths - start)
+             for start in range(0, cfg.n_paths, cfg.block_size)]
+    drawn = [(n + 1) // 2 if cfg.antithetic else n for n in sizes]
+    buf = np.empty(nsteps * drawn[0] * 4)
+    blocks = [buf[:nsteps * m * 4].reshape(nsteps, m, 4) for m in drawn]
 
-    def drawn(n: int) -> int:
-        return (n + 1) // 2 if cfg.antithetic else n
+    rows_read = threading.Semaphore(0)    # released once per step marched
+    stop = threading.Event()
+    thresholds = queue.SimpleQueue()      # each block's thresholds, or the helper's error
 
-    buf = np.empty(nsteps * drawn(min(cfg.block_size, cfg.n_paths)) * 4)
+    def draw() -> None:
+        try:
+            for block, (normals, n) in enumerate(zip(blocks, sizes)):
+                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
+                for row in normals:
+                    if block:
+                        rows_read.acquire()
+                    if stop.is_set():
+                        return
+                    rng.standard_normal(out=row)
+                # antithetic pairs (i, m + i) share their threshold
+                thresholds.put(np.resize(rng.exponential(size=normals.shape[1]), n))
+        except BaseException as exc:      # raised again by the marching thread
+            thresholds.put(exc)
+
+    # a daemon, so that a helper stuck by a fault cannot keep the
+    # interpreter from exiting
+    helper = threading.Thread(target=draw, name="mc-normals", daemon=True)
+    helper.start()
     parts = ([], [], [])
-    for block, start in enumerate(range(0, cfg.n_paths, cfg.block_size)):
-        n = min(cfg.block_size, cfg.n_paths - start)
-        m = drawn(n)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
-        normals = buf[:nsteps * m * 4].reshape(nsteps, m, 4)
-        rng.standard_normal(out=normals)
-        # antithetic pairs (i, m + i) share their threshold
-        expo = np.resize(rng.exponential(size=m), n)
-        for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo)):
-            store.append(sample)
+    try:
+        for normals in blocks:
+            expo = thresholds.get()
+            if isinstance(expo, BaseException):
+                raise expo
+            samples = _simulate_block(p, dtc, nsub, normals, expo, rows_read.release)
+            for store, sample in zip(parts, samples):
+                store.append(sample)
+    finally:
+        # a helper waiting for a row the march will no longer read
+        # wakes, sees the stop and returns
+        stop.set()
+        rows_read.release()
+        helper.join()
     return tuple(np.concatenate(s) for s in parts)
 
 

@@ -127,10 +127,14 @@ def rbf_fd_weights(nodes, center: float, epsilon: float, order: int) -> StencilW
     nodes = np.asarray(nodes, dtype=float)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError(f"nodes must be finite, got {nodes}")
     if nodes.size < 3 or np.unique(nodes).size != nodes.size:
         raise ValueError("need at least 3 distinct nodes")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
     if nodes.size == 3:
         srt = np.argsort(nodes)

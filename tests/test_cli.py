@@ -357,6 +357,16 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_starts_no_thread():
+    # the Monte Carlo helper thread lives only inside a call of the block
+    # loop; the sweep pool forks, which must not happen while it runs
+    src = str(Path(quantocds.__file__).resolve().parents[1])
+    code = "import threading, quantocds.cli; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "1"
+
+
 # Every key the config accepts, with a valid value, written out so that a
 # new dataclass field cannot silently become a config key.
 ACCEPTED_KEYS = {

@@ -1,10 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from quantocds import oracles
 from quantocds.model import ModelParams, ParameterError
-from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, cn_domestic_spread,
-                               credit_triangle, mc_leg_estimates, mc_spread)
+from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, _run_blocks,
+                               _simulate_block, cn_domestic_spread, credit_triangle,
+                               mc_leg_estimates, mc_spread)
 from quantocds.pricing import CdsSchedule, domestic_params
 
 P = ModelParams()
@@ -148,6 +153,152 @@ class TestMcStream:
         for leg, (mean, se) in expected.items():
             assert legs[leg].mean == pytest.approx(mean, rel=1e-12, abs=0.0)
             assert legs[leg].std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+def serial_reference_blocks(p: ModelParams, schedule, cfg: McConfig):
+    """Reference block loop on one thread: draw a block's normals and
+    thresholds, then march it; ``_run_blocks`` must match it bit for bit.
+    Every case below keeps round(dtc / step) Euler steps per coupon."""
+    dtc = schedule.coupon_interval
+    nsub = max(1, int(round(dtc / cfg.step)))
+    nsteps = schedule.m * nsub
+
+    def drawn(n: int) -> int:
+        return (n + 1) // 2 if cfg.antithetic else n
+
+    buf = np.empty(nsteps * drawn(min(cfg.block_size, cfg.n_paths)) * 4)
+    parts = ([], [], [])
+    for block, start in enumerate(range(0, cfg.n_paths, cfg.block_size)):
+        n = min(cfg.block_size, cfg.n_paths - start)
+        m = drawn(n)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
+        normals = buf[:nsteps * m * 4].reshape(nsteps, m, 4)
+        rng.standard_normal(out=normals)
+        expo = np.resize(rng.exponential(size=m), n)
+        for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo,
+                                                         lambda: None)):
+            store.append(sample)
+    return tuple(np.concatenate(s) for s in parts)
+
+
+def call_bounded(fn, timeout: float = 120.0) -> dict:
+    """Run ``fn`` on a daemon thread, so a deadlock fails the test
+    instead of hanging the suite; returns its result or error."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as exc:
+            box["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"no return within {timeout} s"
+    return box
+
+
+class TestBlockOverlap:
+    """A helper thread draws block b + 1 while block b marches."""
+
+    @pytest.mark.parametrize("cfg", [
+        McConfig(),
+        McConfig(n_paths=30_000, block_size=7_000),
+        McConfig(n_paths=3001, seed=2, antithetic=True, block_size=1000),
+        McConfig(n_paths=3000, seed=5, block_size=3000),
+        McConfig(n_paths=3000, seed=3, step=1.0 / 100.0)],
+        ids=["defaults", "short-last-block", "antithetic-odd", "one-block", "step=1/100"])
+    def test_matches_serial_reference(self, cfg):
+        got = _run_blocks(P, SCHED, cfg)
+        want = serial_reference_blocks(P, SCHED, cfg)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # more threads than cores, switching every 10 us: a row drawn
+        # before the march has read it would change the samples
+        cfgs = [McConfig(n_paths=2050, seed=s, block_size=200, antithetic=s == 1)
+                for s in range(3)]
+        want = [serial_reference_blocks(P, SCHED, cfg) for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            boxes = [{} for _ in cfgs]
+            runners = [threading.Thread(
+                target=lambda box=box, cfg=cfg: box.update(got=_run_blocks(P, SCHED, cfg)),
+                daemon=True) for box, cfg in zip(boxes, cfgs)]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(120.0)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for box, ref in zip(boxes, want):
+            assert all(np.array_equal(g, w) for g, w in zip(box["got"], ref))
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        cfg = McConfig(n_paths=2000, block_size=500)
+        mc_spread(P, SCHED, cfg)
+        assert threading.active_count() == before
+        mc_leg_estimates(P, SCHED, cfg)
+        assert threading.active_count() == before
+
+    def test_march_error_stops_the_helper(self, monkeypatch):
+        # the helper then waits for rows of block 1 that are never read
+        real = oracles._simulate_block
+        calls = []
+
+        def march(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("march failed on block 1")
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "_simulate_block", march)
+        before = threading.active_count()
+        box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
+        assert "march failed on block 1" in str(box["error"])
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        real = np.random.Generator
+        made = []
+
+        class FailingGenerator:
+            def __init__(self, bitgen):
+                made.append(self)
+                self.block = len(made) - 1
+                self.rng = real(bitgen)
+
+            def standard_normal(self, out):
+                if self.block == 1:
+                    raise RuntimeError("draw failed on block 1")
+                return self.rng.standard_normal(out=out)
+
+            def exponential(self, size):
+                return self.rng.exponential(size=size)
+
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        before = threading.active_count()
+        box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
+        assert "draw failed on block 1" in str(box["error"])
+        assert threading.active_count() == before
+
+    def test_euler_step_within_cap(self, monkeypatch):
+        # T = 5, m = 100: round(0.05 * 48) = 2 steps of 0.025 yr per
+        # coupon would exceed the 1/48 yr cap; 3 steps of 1/60 yr run
+        real = oracles._simulate_block
+        nsubs = []
+
+        def march(p, dtc, nsub, *rest):
+            nsubs.append(nsub)
+            return real(p, dtc, nsub, *rest)
+
+        monkeypatch.setattr(oracles, "_simulate_block", march)
+        mc_spread(P, CdsSchedule(T=5.0, m=100), McConfig(n_paths=1000))
+        assert nsubs == [3]
 
 
 class TestLegEstimates:

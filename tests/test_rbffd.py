@@ -75,6 +75,18 @@ def test_weight_input_validation():
         rbf_fd_weights([0.0, 1.0, 2.0], 0.0, 1.0, 3)
 
 
+@pytest.mark.parametrize("nodes, center, epsilon, name", [
+    ([0.0, 0.5, 1.0], np.nan, 1.0, "center"),
+    ([0.0, 0.5, 1.0], 0.5, np.nan, "epsilon"),
+    ([0.0, 0.5, 1.0], 0.5, np.inf, "epsilon"),
+    ([0.0, np.nan, 1.0], 0.5, 1.0, "nodes")], ids=["center", "epsilon-nan",
+                                                   "epsilon-inf", "node"])
+def test_non_finite_input_rejected(nodes, center, epsilon, name):
+    # these returned nan weights, warned, or failed inside the SVD
+    with pytest.raises(ValueError, match=name):
+        rbf_fd_weights(nodes, center, epsilon, 1)
+
+
 def test_derivative_convergence_second_order():
     # eps = 2h under h -> h/2 -> h/4, interior stencil, sin at 0.5
     errs = []
