@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridConfig
-from .model import CORRELATION_ORDER, ModelParams, require_real, validate_params
+from .model import CORRELATION_ORDER, ModelParams, require_real
 from .oracles import McConfig, credit_triangle, mc_spread
 from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
                       domestic_spread, quanto_basis)
@@ -135,7 +135,7 @@ def _parse(raw: dict) -> RunConfig:
     with _checked("model"):
         if "rho" in model:
             model["rho"] = _parse_rho(model["rho"])
-        model = validate_params(ModelParams(**model))
+        model = ModelParams(**model)
 
     grid = _section(raw, "grid", _field_names(GridConfig),
                     integers=("n_R", "n_rhat", "n_y", "n_z"))
@@ -196,17 +196,17 @@ def _parse(raw: dict) -> RunConfig:
 
 
 def apply_sweep_value(p: ModelParams, parameter: str, value: float) -> ModelParams:
-    """Return params with one swept field (or rho pair) replaced and
-    validated (ParameterError when the value leaves the domain)."""
+    """Return params with one swept scalar field (or rho pair) replaced
+    (ParameterError when the value leaves the domain)."""
     if parameter.startswith("rho."):
         pair = parameter[4:]
         if pair not in _RHO_PAIRS:
             raise ConfigError(f"unknown correlation pair {pair!r}")
-        rho = np.asarray(p.rho, dtype=float).copy()
+        rho = p.rho.copy()
         i, j = _RHO_PAIRS[pair]
         rho[i, j] = rho[j, i] = value
         return p.with_(rho=rho)
-    if not hasattr(p, parameter) or parameter == "rho":
+    if parameter not in _field_names(ModelParams) - {"rho"}:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     return p.with_(**{parameter: value})
 

@@ -43,10 +43,6 @@ class DegenerateRecoveryError(ParameterError):
     """Stationary recovery distribution undefined (sigma_R or kappa_R is 0)."""
 
 
-def _identity_rho() -> np.ndarray:
-    return np.eye(4)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All SDE coefficients of the model, annualized; time in years.
@@ -55,7 +51,9 @@ class ModelParams:
     Brownian motions in the order (R, rhat, z, y).  ``gamma_z`` and
     ``gamma_rhat`` are the proportional jump-at-default amplitudes of
     the FX rate and the foreign rate.  The FX drift is not stored: it
-    is pinned to r_dom - rhat by absence of arbitrage.  Two parameter
+    is pinned to r_dom - rhat by absence of arbitrage.  A set is
+    checked by ``validate_params`` whenever it is built, unpickling
+    included, and ``rho`` is a read-only float64 copy.  Two parameter
     sets compare and hash by value, so one can key a cache.
     """
 
@@ -81,7 +79,16 @@ class ModelParams:
     gamma_z: float = 0.0
     gamma_rhat: float = 0.0
 
-    rho: np.ndarray = field(default_factory=_identity_rho)
+    rho: np.ndarray = field(default_factory=lambda: np.eye(4))
+
+    def __post_init__(self) -> None:
+        rho = np.array(self.rho, dtype=np.float64)
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+        validate_params(self)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def lambda0(self) -> float:
@@ -94,13 +101,12 @@ class ModelParams:
         return np.array([self.R0, self.rhat0, self.y0, self.z0])
 
     def with_(self, **kwargs) -> "ModelParams":
-        """Copy with fields replaced and re-validated."""
-        return validate_params(replace(self, **kwargs))
+        """Copy with fields replaced, checked as it is built."""
+        return replace(self, **kwargs)
 
     def _value_key(self) -> tuple:
-        rho = np.asarray(self.rho, dtype=np.float64)
         return (*(getattr(self, f.name) for f in fields(self) if f.name != "rho"),
-                rho.shape, rho.tobytes())
+                self.rho.shape, self.rho.tobytes())
 
     def __eq__(self, other) -> bool:
         """Equal when every scalar field is equal and ``rho`` holds the

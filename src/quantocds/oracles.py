@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 import scipy.sparse as sps
 
-from .model import ModelParams, require_integers, require_real, validate_params
+from .model import ModelParams, require_integers, require_real
 
 if TYPE_CHECKING:
     from .pricing import CdsSchedule
@@ -117,8 +117,7 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     nsteps, half = normals.shape[:2]
     dt = dtc / nsub
     sqdt = np.sqrt(dt)
-    cholT = np.ascontiguousarray(np.linalg.cholesky(np.asarray(p.rho, dtype=float)
-                                                    + 1e-14 * np.eye(4)).T)
+    cholT = np.ascontiguousarray(np.linalg.cholesky(p.rho + 1e-14 * np.eye(4)).T)
     r, gz = p.r_dom, p.gamma_z
 
     # float arrays even for integral fields ("y0": -40 in a config):
@@ -215,7 +214,6 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
     not enter the estimate.
     """
     cfg = cfg or McConfig()
-    validate_params(p)
     prot, ann, _ = _run_blocks(p, schedule, cfg)
     s = prot.mean() / ann.mean()
     resid = prot - s * ann
@@ -300,7 +298,6 @@ def mc_leg_estimates(p: ModelParams, schedule: "CdsSchedule",
     """Leg-level estimates: protection, annuity (coupon plus accrual)
     and the survival-weighted discounted terminal FX w_0(T)."""
     cfg = cfg or McConfig()
-    validate_params(p)
     prot, ann, w_final = _run_blocks(p, schedule, cfg)
     return {"protection": _estimate(prot, cfg),
             "annuity": _estimate(ann, cfg),
@@ -343,7 +340,6 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
         raise ValueError(f"n_y must be an integer >= 3, got {n_y!r}")
     if not -np.inf < y_min < 0.0:
         raise ValueError(f"y_min must be negative and finite, got {y_min!r}")
-    validate_params(p)
     if p.kappa_R != 0.0 or p.sigma_R != 0.0:
         raise ValueError("1D reduction requires frozen recovery "
                          "(kappa_R = sigma_R = 0)")
@@ -382,4 +378,4 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     t_left = np.repeat(schedule.coupon_interval * np.arange(schedule.m),
                        schedule.n_quad)
     protection = (1.0 - p.R0) * gtil.sum()
-    return protection / (w.sum() + ((taus - t_left) * gtil).sum())
+    return float(protection / (w.sum() + ((taus - t_left) * gtil).sum()))

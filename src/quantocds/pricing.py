@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
                    interpolation_matrix)
-from .model import ModelParams, require_integers, require_real, validate_params
+from .model import ModelParams, require_integers, require_real
 from .oracles import CN_Y_MIN
 from .pde import inert_axes, rk4_sweep, stacked_transpose
 from .rbffd import operator_terms
@@ -238,7 +238,7 @@ class QuantoCdsPricer:
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
-        self.p = validate_params(p)
+        self.p = p
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
         terms = operator_terms(self.grid, self.p)
@@ -310,14 +310,13 @@ def domestic_params(p: ModelParams) -> ModelParams:
 
     The FX and foreign-rate equations are excluded: z0 = 1, rhat pinned
     at the domestic rate with frozen dynamics, no jumps, and every
-    correlation involving z or rhat removed.  The result is not
-    validated here; each domestic solve validates it.  From admissible
-    ``p`` it is admissible when r_dom >= 0: zeroing rows and columns of
-    rho with a unit diagonal keeps it symmetric and positive
-    semi-definite (its R-y block is a principal submatrix of a PSD
-    matrix).
+    correlation involving z or rhat removed.  From admissible ``p`` it
+    is admissible when r_dom >= 0: zeroing rows and columns of rho with
+    a unit diagonal keeps it symmetric and positive semi-definite (its
+    R-y block is a principal submatrix of a PSD matrix).  A negative
+    r_dom raises ParameterError as the reduction is built.
     """
-    rho = np.asarray(p.rho, dtype=float).copy()
+    rho = p.rho.copy()
     for k in (1, 2):          # rhat and z rows/columns
         rho[k, :] = 0.0
         rho[:, k] = 0.0
@@ -343,14 +342,12 @@ def domestic_spread(p: ModelParams, schedule: CdsSchedule, method: str,
     if method not in ("cn1d", "pde4d"):
         raise ValueError(f"unknown domestic method {method!r}")
     grid_cfg = (grid_cfg or GridConfig()) if method == "pde4d" else None
-    # domestic_params copies rho, so no caller holds the array of a kept key
     return _solve_domestic(method, domestic_params(p), schedule, grid_cfg)
 
 
 @lru_cache(maxsize=_DOMESTIC_MEMO_SIZE)
 def _solve_domestic(method: str, p_dom: ModelParams, schedule: CdsSchedule,
                     grid_cfg: GridConfig | None) -> float:
-    # both solves validate p_dom, so a memo miss checks the reduction once
     if method == "cn1d":
         from .oracles import cn_domestic_spread
         return cn_domestic_spread(p_dom, schedule)

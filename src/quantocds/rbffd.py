@@ -195,7 +195,7 @@ def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple
                    for k, a in enumerate(grid.axes))
     RR = np.clip(R * (1.0 - R), 0.0, None)
     rp = np.clip(rr, 0.0, None)
-    rho = np.asarray(p.rho, dtype=float)
+    rho = p.rho
     one = np.ones((1, 1, 1, 1))
     terms = [
         # pure second derivatives

@@ -106,6 +106,19 @@ class TestSweepValue:
         with pytest.raises(ConfigError):
             apply_sweep_value(ModelParams(), "nonsense", 1.0)
 
+    @pytest.mark.parametrize("name", ["x0", "lambda0", "with_", "_value_key", "rho",
+                                      "nonsense"])
+    def test_only_scalar_fields_sweep(self, tmp_path, capsys, name):
+        # attributes that are not scalar fields used to pass the name
+        # check and fail inside the constructor with a TypeError
+        with pytest.raises(ConfigError, match=f"unknown sweep parameter '{name}'"):
+            apply_sweep_value(ModelParams(), name, 1.0)
+        cfg = write_config(tmp_path, {"task": "sweep", "output": {"dir": str(tmp_path / "out")},
+                                      "sweep": {"parameter": name, "values": [1.0]}})
+        assert main(["--config", cfg]) == 2
+        assert f"unknown sweep parameter '{name}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMain:
     def test_price_task_artifacts(self, tmp_path):

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,49 @@ class TestValueEquality:
         rho[0, 2] = rho[2, 0] = 0.5
         assert p != p.with_(rho=rho)
         assert p != "ModelParams()"
+
+
+class TestBuiltOnce:
+    """A set is checked when it is built, and its rho cannot change."""
+
+    def test_rho_is_read_only(self):
+        p = ModelParams()
+        with pytest.raises(ValueError, match="read-only"):
+            p.rho[0, 1] = 0.5
+        assert np.array_equal(p.rho, np.eye(4))
+
+    def test_caller_array_is_copied(self):
+        rho = np.eye(4)
+        rho[0, 2] = rho[2, 0] = 0.3
+        p = ModelParams(rho=rho)
+        key = hash(p)
+        rho[0, 2] = rho[2, 0] = 0.9
+        assert p.rho[0, 2] == 0.3 and hash(p) == key
+        assert p == ModelParams(rho=p.rho.copy())
+
+    @pytest.mark.parametrize("rho", [np.eye(4).tolist(), np.eye(4, dtype=int)],
+                             ids=["list", "int-array"])
+    def test_rho_stored_as_float64(self, rho):
+        p = ModelParams(rho=rho)
+        assert isinstance(p.rho, np.ndarray) and p.rho.dtype == np.float64
+        assert p == ModelParams(rho=np.eye(4)) and hash(p) == hash(ModelParams())
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_R", -1.0), ("gamma_z", -5.0), ("z0", 0.0), ("rho", np.zeros((4, 4)))])
+    def test_replace_and_with_refuse_a_bad_field(self, field, value):
+        with pytest.raises(ParameterError):
+            replace(ModelParams(), **{field: value})
+        with pytest.raises(ParameterError):
+            ModelParams().with_(**{field: value})
+
+    def test_pickle_round_trip(self):
+        # as a sweep with workers > 1 sends a set to its worker processes
+        rho = np.eye(4)
+        rho[1, 3] = rho[3, 1] = -0.4
+        p = ModelParams(gamma_z=-0.3, sigma_R=0.2, kappa_R=0.5, rho=rho)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert not q.rho.flags.writeable
 
 
 @pytest.mark.parametrize("field, value", [

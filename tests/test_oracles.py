@@ -104,9 +104,9 @@ class TestMcSpread:
         rho[0, 2] = rho[2, 0] = 0.99
         rho[0, 3] = rho[3, 0] = 0.99
         rho[2, 3] = rho[3, 2] = -0.99
-        p_bad = ModelParams(rho=rho)        # constructor does not validate
+        # the set is refused when it is built, before any path is drawn
         with pytest.raises(ParameterError):
-            mc_spread(p_bad, SCHED, McConfig(n_paths=1000))
+            mc_spread(ModelParams(rho=rho), SCHED, McConfig(n_paths=1000))
 
     def test_antithetic_runs(self):
         est = mc_spread(P, SCHED, McConfig(n_paths=4000, seed=9, antithetic=True))
@@ -352,8 +352,9 @@ class TestCnBenchmark:
     @pytest.mark.parametrize("kw", [{"R0": 1.7}, {"sigma_y": -0.4}, {"r_dom": -0.5}],
                              ids=["R0", "sigma_y", "rhat0"])
     def test_rejects_inadmissible_params(self, kw):
-        # these priced silently (R0 = 1.7 gave a negative spread); the
-        # oracle now validates as mc_spread does
+        # these priced silently (R0 = 1.7 gave a negative spread); now
+        # no such set can be built: ModelParams refuses R0 and sigma_y,
+        # domestic_params the reduction's rhat0 = r_dom < 0
         with pytest.raises(ParameterError):
             cn_domestic_spread(domestic_params(ModelParams(**kw)), SCHED)
 
@@ -367,11 +368,13 @@ class TestCnBenchmark:
 
     def test_three_nodes_price(self):
         # the smallest axis with an interior node still prices
-        assert np.isfinite(cn_domestic_spread(P, SCHED, n_y=3))
+        s = cn_domestic_spread(P, SCHED, n_y=3)
+        assert type(s) is float and np.isfinite(s)
 
     def test_axis_ends_are_on_the_axis(self):
         for y0 in (-6.0, 0.0):
-            assert np.isfinite(cn_domestic_spread(P.with_(y0=y0), SCHED))
+            s = cn_domestic_spread(P.with_(y0=y0), SCHED)
+            assert type(s) is float and np.isfinite(s)
 
     def test_grid_refinement_stable(self):
         a = cn_domestic_spread(P, SCHED, n_y=101)

@@ -362,6 +362,7 @@ class TestDomesticAndBasis:
         assert d["s_bps"] == pytest.approx(1e4 * rep.s)
         assert d["basis_bps"] == pytest.approx(rep.s_bps - rep.s_d_bps)
         assert rep.s_d_1d is not None          # frozen recovery at defaults
+        assert all(type(v) is float for v in (rep.s, rep.s_d, rep.s_d_1d))
         assert rep.meta["grid_shape"] == [10, 10, 10, 10]
         assert rep.meta["solve_shape"] == [1, 10, 10, 10]   # frozen recovery
         assert rep.meta["quad_step"] == SCHED.quad_step
@@ -593,9 +594,10 @@ class TestAdmissibleParams:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_domestic_reduction_stays_admissible(self, data):
-        # domestic_params does not re-validate its reduction; every
-        # admissible parameter set must still reduce to an admissible one,
-        # also when rho is singular (a rank-2 correlation matrix)
+        # domestic_params builds its reduction through the constructor,
+        # which would refuse it: every admissible parameter set must
+        # reduce to an admissible one, also when rho is singular (a
+        # rank-2 correlation matrix)
         frozen = data.draw(st.sampled_from([(), ("R",), ("R", "rhat"), ("R", "rhat", "y")]))
         p = data.draw(admissible_params(frozen))
         if data.draw(st.booleans()):
@@ -609,7 +611,7 @@ class TestAdmissibleParams:
     @pytest.mark.parametrize("method", ["cn1d", "pde4d"])
     def test_negative_domestic_rate_rejected(self, method):
         # the reduction pins rhat0 at r_dom: a negative domestic rate is
-        # refused by the solve, which validates what domestic_params built
+        # refused when domestic_params builds the reduction
         with pytest.raises(ParameterError, match="rhat0 negative"):
             domestic_spread(P.with_(r_dom=-0.01), SCHED, method)
 
@@ -719,11 +721,10 @@ class TestInadmissibleParams:
     @settings(max_examples=60, deadline=None)
     @given(bad=_INADMISSIBLE)
     def test_rejected_before_any_march(self, tmp_path_factory, bad):
-        # one field outside the domain: the pricer refuses it before a
-        # march could run (so no StabilityError), and a config carrying
-        # it is a config error
+        # one field outside the domain: the set cannot be built, so no
+        # march can run on it (so no StabilityError), and a config
+        # carrying it is a config error
         name, value = bad
-        p = replace(P, **{name: value})
 
         def no_march(*args, **kwargs):
             raise AssertionError("rk4_sweep called on inadmissible parameters")
@@ -731,7 +732,12 @@ class TestInadmissibleParams:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("quantocds.pricing.rk4_sweep", no_march)
             with pytest.raises(ParameterError):
+                p = replace(P, **{name: value})
                 QuantoCdsPricer(p, self.GRID).spread(CdsSchedule(T=1.0, m=2))
+            with pytest.raises(ParameterError):
+                ModelParams(**{name: value})
+            with pytest.raises(ParameterError):
+                P.with_(**{name: value})
         path = tmp_path_factory.mktemp("cfg") / "cfg.json"
         raw = value.tolist() if name == "rho" else value
         path.write_text(json.dumps({"model": {name: raw}}))
