@@ -82,6 +82,12 @@ class ModelParams:
     rho: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self) -> None:
+        try:
+            entries = np.array(self.rho, dtype=object)
+        except ValueError as exc:
+            raise ParameterError(f"rho must be a matrix of real numbers: {exc}") from None
+        for value in entries.flat:
+            require_real("rho entry", value, ParameterError)
         rho = np.array(self.rho, dtype=np.float64)
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -144,7 +150,7 @@ def validate_params(p: ModelParams) -> ModelParams:
     req(p.gamma_z >= -1.0, "gamma_z below -1")
     req(p.gamma_rhat >= -1.0, "gamma_rhat below -1")
 
-    rho = np.asarray(p.rho, dtype=float)
+    rho = p.rho
     req(rho.shape == (4, 4), "rho not 4x4")
     req(bool(np.all(np.isfinite(rho))), "rho not finite")
     req(np.allclose(rho, rho.T, atol=1e-12), "rho not symmetric")

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .pricing import CdsSchedule
 
 __all__ = ["McConfig", "McEstimate", "credit_triangle", "mc_spread",
-           "cn_domestic_spread", "CN_Y_MIN"]
+           "mc_leg_estimates", "cn_applies", "cn_domestic_spread", "CN_Y_MIN"]
 
 # lower end of the 1D benchmark's log-hazard axis [CN_Y_MIN, 0]
 CN_Y_MIN = -6.0
@@ -322,12 +322,19 @@ def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     return D1, D2
 
 
+def cn_applies(p: ModelParams) -> bool:
+    """Whether the 1D oracle prices ``p``: frozen recovery (kappa_R =
+    sigma_R = 0), which its reduction to the log-hazard needs, and y0 on
+    its axis [CN_Y_MIN, 0], off which the linear readout would clamp."""
+    return p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0
+
+
 def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
-                       n_y: int = 201, y_min: float = CN_Y_MIN) -> float:
+                       n_y: int = 201) -> float:
     """Domestic par spread from the 1D log-hazard reduction.
 
-    Requires frozen recovery and y0 on the axis [y_min, 0] (the linear
-    readout would clamp outside it).  Crank-Nicolson in time on the coupled
+    Requires ``cn_applies(p)``: frozen recovery and y0 on the axis
+    [CN_Y_MIN, 0] of ``n_y`` nodes.  Crank-Nicolson in time on the coupled
     (post-default, pre-default) pair, with the same 1/T-style terminal
     data and right-endpoint quadrature as the 4D engine; the market
     state is read out by linear interpolation at y0.
@@ -338,15 +345,11 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
 
     if isinstance(n_y, bool) or not isinstance(n_y, (int, np.integer)) or n_y < 3:
         raise ValueError(f"n_y must be an integer >= 3, got {n_y!r}")
-    if not -np.inf < y_min < 0.0:
-        raise ValueError(f"y_min must be negative and finite, got {y_min!r}")
-    if p.kappa_R != 0.0 or p.sigma_R != 0.0:
-        raise ValueError("1D reduction requires frozen recovery "
-                         "(kappa_R = sigma_R = 0)")
-    if not y_min <= p.y0 <= 0.0:
-        raise ValueError(f"y0 = {p.y0} lies off the 1D log-hazard axis "
-                         f"[{y_min}, 0.0]")
-    y = np.linspace(y_min, 0.0, n_y)
+    if not cn_applies(p):
+        raise ValueError("1D reduction requires frozen recovery (kappa_R = "
+                         f"{p.kappa_R}, sigma_R = {p.sigma_R}; both must be 0) "
+                         f"and y0 = {p.y0} on its log-hazard axis [{CN_Y_MIN}, 0.0]")
+    y = np.linspace(CN_Y_MIN, 0.0, n_y)
     lam = np.exp(y)
     D1, D2 = _fd_axis_ops(y)
     L = (sps.diags(0.5 * p.sigma_y**2 * np.ones(n_y)) @ D2

@@ -49,11 +49,11 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     (``coupling_shift_matrix``) followed by the slots of A2 = L - (r +
     lambda) - lambda*gamma_z*z*D1_z, lambda = e^y nodewise.  The
     compensator convection keeps discounted Z a martingale before
-    default; under an FX jump it needs the z slots even when no term of
-    L differentiates along z.  One CSR-to-CSC pass transposes S and
-    sorts every row; exact zeros are dropped.
+    default; it is written into the z slots that the FX drift term of L
+    already lays out (``inert_axes``).  One CSR-to-CSC pass transposes S
+    and sorts every row; exact zeros are dropped.
     """
-    slots, vals = operator_slots(grid, p, terms, (3,) if p.gamma_z != 0.0 else ())
+    slots, vals = operator_slots(grid, p, terms)
     C = coupling_shift_matrix(grid, p)
     n, nslots = grid.size, len(vals)
     width = C.nnz // n              # every coupling row holds the same count
@@ -111,15 +111,14 @@ def inert_axes(p: ModelParams, terms) -> tuple[int, ...]:
 
     ``terms`` are ``operator_terms`` on the grid in question, which
     leaves out the terms that vanish there.  An axis is inert when no
-    term differentiates along it, when it is not z under an FX jump
-    (the compensator lambda*gamma_z*z*D1_z of the pre-default operator)
-    and when it is not rhat under a rate jump (the coupling shift
-    interpolates along rhat).  On an inert axis both operators act
-    slice by slice.
+    term differentiates along it and when it is not rhat under a rate
+    jump (the coupling shift interpolates along rhat).  On an inert axis
+    both operators act slice by slice.  z is never inert, so an FX
+    jump's compensator needs no rule here: the FX drift (r_dom - rhat) z
+    d/dz is nonzero on every ``build_grid`` grid, as its rhat axis has
+    four or more distinct nodes and its z axis reaches z_max > 0.
     """
     live = {k for _, axes in terms for k in axes}
-    if p.gamma_z != 0.0:
-        live.add(3)
     if p.gamma_rhat != 0.0:
         live.add(1)
     return tuple(k for k in range(4) if k not in live)

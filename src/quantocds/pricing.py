@@ -3,23 +3,24 @@
 Leg construction follows the defaultable-bond decomposition: the coupon
 annuity integrates the pre-default FX-converted discount factor w; the
 protection and accrual legs integrate the default-density proxies
-obtained from the two-step solves, whose terminal data are
+obtained from the two-step solves.  Their terminal data per unit
+horizon (``terminal_condition``) are
 
-    recovery kind    R * z * (1 + gamma_z) / T
-    protection kind  (1 - R) * z * (1 + gamma_z) / T
-    accrual kind     z * (1 + gamma_z) / T
+    recovery kind    R * z * (1 + gamma_z)
+    protection kind  (1 - R) * z * (1 + gamma_z)
+    accrual kind     z * (1 + gamma_z)
 
-(the 1/T factor approximates lambda / (e^{lambda T} - 1) for the small
-lambda*T regime; at T = 0 the density is set to zero).  Step 1 marches
-the post-default equation from that terminal; step 2 marches the
+and the proxy at horizon T is that solve divided by T (approximating
+lambda / (e^{lambda T} - 1) in the small lambda*T regime).  Step 1
+marches the post-default equation from that terminal; step 2 marches the
 pre-default equation with coupling source lambda * u_hat and zero
 terminal.  Cell integrals are right-endpoint Riemann sums with N_q
 quadrature nodes per coupon interval, and the par spread is
 
     s = sum(B_i) / sum(A_i + C_i - D_i).
 
-Because the operators are time independent and the terminal data scale
-as 1/T, a single fixed-step sweep prices every quadrature maturity at
+Because the operators are time independent and T enters only as that
+1/T, a single fixed-step sweep prices every quadrature maturity at
 once.  Only the readout at x0 is ever used, so the pricer marches the
 readout row backward under the transposed stacked operator (the adjoint
 of the three forward sweeps) and takes every leg as a dot product with
@@ -36,7 +37,7 @@ import numpy as np
 from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
                    interpolation_matrix)
 from .model import ModelParams, require_integers, require_real
-from .oracles import CN_Y_MIN
+from .oracles import cn_applies
 from .pde import inert_axes, rk4_sweep, stacked_transpose
 from .rbffd import operator_terms
 
@@ -168,26 +169,15 @@ class SpreadReport:
         }
 
 
-def terminal_condition(kind: str, grid: Grid4D, p: ModelParams, T: float) -> ScalarField:
-    """Nodal terminal field of the step-1 solve for the given kind.
-
-    Zero field at T = 0 by convention.
-    """
+def terminal_condition(kind: str, grid: Grid4D, p: ModelParams) -> ScalarField:
+    """Nodal terminal field of the step-1 solve for the given kind, per
+    unit horizon: the density proxy at horizon T is the solve from this
+    field divided by T (``QuantoCdsPricer.leg_curves``)."""
     if kind not in TERMINAL_KINDS:
         raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
-    if not 0.0 <= T < np.inf:
-        raise ValueError("T must be nonnegative and finite")
-    if T == 0.0:
-        return ScalarField(grid, np.zeros(grid.size))
     R, _, _, z = grid.coordinate_fields()
-    fx = z * (1.0 + p.gamma_z)
-    if kind == "recovery":
-        vals = R * fx / T
-    elif kind == "protection":
-        vals = (1.0 - R) * fx / T
-    else:
-        vals = fx / T
-    return ScalarField(grid, vals)
+    share = {"recovery": R, "protection": 1.0 - R, "accrual": 1.0}[kind]
+    return ScalarField(grid, share * (z * (1.0 + p.gamma_z)))
 
 
 def par_spread(terms: LegTerms) -> float:
@@ -261,9 +251,9 @@ class QuantoCdsPricer:
 
         The pre-default half u[N:] of the sweep pairs with the terminal
         z (w, whose post-default value vanishes); the post-default half
-        u[:N] pairs with the post-default terminal of each kind.  Those
-        terminals scale as 1/T, so the sweep uses the T = 1 fields and
-        divides the step-k value by the horizon k*h.  Each step's record
+        u[:N] pairs with the post-default terminal of each kind.  The
+        sweep uses the terminals per unit horizon and divides the step-k
+        value by the horizon k*h.  Each step's record
         is ``z @ u[N:]`` and one (3, N) block of density terminals
         against ``u[:N]``, written into one reused buffer; no product
         touches the half of u a leg does not read.
@@ -271,7 +261,7 @@ class QuantoCdsPricer:
         g = self.solve_grid
         n = g.size
         _, _, _, z = g.coordinate_fields()
-        densities = np.stack([terminal_condition(kind, g, self.p, 1.0).values
+        densities = np.stack([terminal_condition(kind, g, self.p).values
                               for kind in TERMINAL_KINDS])
         rec = np.empty(1 + len(TERMINAL_KINDS))
         rec_densities = rec[1:]
@@ -330,8 +320,8 @@ def domestic_spread(p: ModelParams, schedule: CdsSchedule, method: str,
     """Domestic par spread s_d.
 
     method 'cn1d' runs the one-dimensional Crank-Nicolson benchmark
-    (valid only with frozen recovery, kappa_R = sigma_R = 0); 'pde4d'
-    runs the full engine on the reduced parameter set.
+    (valid only where ``oracles.cn_applies``); 'pde4d' runs the full
+    engine on the reduced parameter set.
 
     The result depends on ``p`` only through ``domestic_params(p)``, so
     it is memoized per process on (method, reduced parameters,
@@ -361,8 +351,9 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
 
     The basis is quoted against the domestic spread computed by the same
     four-factor engine (reduced parameters), so shared discretization
-    bias cancels; the 1D Crank-Nicolson value is attached when the
-    recovery is frozen and y0 lies on its log-hazard axis.  The
+    bias cancels; the 1D Crank-Nicolson value is attached where
+    ``oracles.cn_applies`` holds.  Both are read through the memo of
+    ``domestic_spread``, from one ``domestic_params(p)``.  The
     (1+gamma_z)-proportional reference level is included in the
     metadata for sweep outputs.  ``grid_shape`` is the configured grid
     and ``solve_shape`` the grid the foreign sweep marched (one node on
@@ -381,19 +372,18 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     t_build = time.perf_counter()
     s, legs = pricer.spread(schedule)
     t_sweep = time.perf_counter()
+    p_dom = domestic_params(p)
     cached = []
 
-    def domestic(name: str, method: str) -> float:
+    def domestic(name: str, method: str, cfg: GridConfig | None) -> float:
         hits = _solve_domestic.cache_info().hits
-        value = domestic_spread(p, schedule, method=method, grid_cfg=grid_cfg)
+        value = _solve_domestic(method, p_dom, schedule, cfg)
         if _solve_domestic.cache_info().hits > hits:
             cached.append(name)
         return value
 
-    s_d = domestic("s_d", "pde4d")
-    s_d_1d = None
-    if p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0:
-        s_d_1d = domestic("s_d_1d", "cn1d")
+    s_d = domestic("s_d", "pde4d", pricer.grid_cfg)
+    s_d_1d = domestic("s_d_1d", "cn1d", None) if cn_applies(p_dom) else None
     t_domestic = time.perf_counter()
     meta = {
         "grid_shape": list(pricer.grid.shape),

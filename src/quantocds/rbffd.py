@@ -289,18 +289,17 @@ class StencilSlots:
                 vals[s] += coef * (self._d1[a][ja] * self._d1[b][jb])
 
 
-def operator_slots(grid: Grid4D, p: ModelParams, terms,
-                   axes=()) -> tuple[StencilSlots, np.ndarray]:
+def operator_slots(grid: Grid4D, p: ModelParams, terms) -> tuple[StencilSlots, np.ndarray]:
     """Slot layout of L and the slot values of L.
 
     ``terms`` are the ``operator_terms`` of ``grid``.  Slots are laid
-    out for every axis some term differentiates along, and for
-    ``axes``.  Boundary regimes come from ``boundary_regimes``: rows on
-    a vanishing-second-derivative boundary lose the D2 weights normal to
+    out for every axis some term differentiates along.  Boundary
+    regimes come from ``boundary_regimes``: rows on a
+    vanishing-second-derivative boundary lose the D2 weights normal to
     that boundary; degenerate-pde boundaries keep the PDE row, whose
     normal diffusion coefficient vanishes there by itself.
     """
-    live = sorted({k for _, term_axes in terms for k in term_axes} | set(axes))
+    live = sorted({k for _, term_axes in terms for k in term_axes})
     pairs = [k for _, k in terms if len(k) == 2 and k[0] != k[1]]
     regimes = boundary_regimes(p)
     zeroed = [(k, row) for k in live

@@ -19,6 +19,14 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
+def test_package_names_exported_by_their_module():
+    # every package-level name is also public in the module defining it
+    unlisted = [name for name in quantocds.__all__
+                if name not in importlib.import_module(
+                    getattr(quantocds, name).__module__).__all__]
+    assert unlisted == []
+
+
 PUBLIC_NAMES = [
     "BoundaryKind", "BoundaryRegime", "CdsSchedule", "DegenerateRecoveryError",
     "Grid4D", "GridConfig", "LegTerms", "McConfig", "McEstimate", "ModelParams",

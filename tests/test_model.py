@@ -118,6 +118,17 @@ def test_non_real_field_rejected_by_name(field, value):
         validate_params(ModelParams(**{field: value}))
 
 
+@pytest.mark.parametrize("rho", [
+    "abc", [[1.0, 0.0], [0.0]], object(), np.eye(4).astype(str).tolist(),
+    np.eye(4, dtype=bool), np.eye(4) * (1 + 1j),
+], ids=["string", "ragged", "object", "numeric-strings", "bool", "complex"])
+def test_non_real_rho_rejected_by_name(rho):
+    # each of these used to build a set or fail inside numpy; the
+    # complex matrix only warned as its imaginary part was dropped
+    with pytest.raises(ParameterError, match="rho entry must be a real number"):
+        ModelParams(rho=rho)
+
+
 def test_sweep_parameter_ranges_accepted():
     p = ModelParams()
     for gz in np.linspace(-0.9, 0.0, 7):

@@ -8,8 +8,8 @@ import scipy.sparse as sps
 from quantocds import oracles
 from quantocds.model import ModelParams, ParameterError
 from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, _run_blocks,
-                               _simulate_block, cn_domestic_spread, credit_triangle,
-                               mc_leg_estimates, mc_spread)
+                               _simulate_block, cn_applies, cn_domestic_spread,
+                               credit_triangle, mc_leg_estimates, mc_spread)
 from quantocds.pricing import CdsSchedule, domestic_params
 
 P = ModelParams()
@@ -340,12 +340,15 @@ class TestDiscountedFxMartingale:
 
 class TestCnBenchmark:
     def test_requires_frozen_recovery(self):
+        p = P.with_(sigma_R=0.2, kappa_R=0.3)
+        assert not cn_applies(p)
         with pytest.raises(ValueError):
-            cn_domestic_spread(P.with_(sigma_R=0.2, kappa_R=0.3), SCHED)
+            cn_domestic_spread(p, SCHED)
 
     @pytest.mark.parametrize("y0", [0.5, 2.0, -7.0])
     def test_refuses_y0_off_its_axis(self, y0):
         # the readout used to clamp to the end node of [-6, 0]
+        assert not cn_applies(P.with_(y0=y0))
         with pytest.raises(ValueError, match=r"y0 = .*\[-6.0, 0.0\]"):
             cn_domestic_spread(P.with_(y0=y0), SCHED)
 
@@ -360,8 +363,7 @@ class TestCnBenchmark:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_y": 2}, "n_y"), ({"n_y": 1}, "n_y"), ({"n_y": 101.0}, "n_y"),
-        ({"n_y": True}, "n_y"), ({"y_min": -np.inf}, "y_min"),
-        ({"y_min": np.nan}, "y_min")])
+        ({"n_y": True}, "n_y")])
     def test_bad_axis_arguments_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             cn_domestic_spread(P, SCHED, **kwargs)
@@ -373,6 +375,7 @@ class TestCnBenchmark:
 
     def test_axis_ends_are_on_the_axis(self):
         for y0 in (-6.0, 0.0):
+            assert cn_applies(P.with_(y0=y0))
             s = cn_domestic_spread(P.with_(y0=y0), SCHED)
             assert type(s) is float and np.isfinite(s)
 

@@ -94,44 +94,33 @@ class TestSchedule:
 class TestTerminalCondition:
     def test_protection_node_value(self):
         g = build_grid(GridConfig(), P)
-        tc = terminal_condition("protection", g, P, 5.0)
+        tc = terminal_condition("protection", g, P)
         R, _, _, z = g.coordinate_fields()
         node = np.argmin(np.abs(R - 4.0 / 9.0) + np.abs(z - 4.0 / 3.0))
-        # generic node check: (1-R) z / T
-        assert tc.values[node] == pytest.approx(
-            (1 - R[node]) * z[node] / 5.0, rel=1e-12)
-        # the quoted example values R = 0.45, z = 1.15 give 0.1265
+        # generic node check: (1-R) z per unit horizon
+        assert tc.values[node] == pytest.approx((1 - R[node]) * z[node], rel=1e-12)
+        # over T = 5 the quoted example values R = 0.45, z = 1.15 give 0.1265
         assert (1 - 0.45) * 1.15 / 5.0 == pytest.approx(0.1265)
 
     def test_superposition_identity_nodewise(self):
         g = build_grid(GridConfig(), P)
-        tg = terminal_condition("recovery", g, P, 3.0).values
-        tb = terminal_condition("protection", g, P, 3.0).values
-        tt = terminal_condition("accrual", g, P, 3.0).values
+        tg = terminal_condition("recovery", g, P).values
+        tb = terminal_condition("protection", g, P).values
+        tt = terminal_condition("accrual", g, P).values
         assert np.abs(tg + tb - tt).max() < 1e-14
 
     def test_full_devaluation_kills_terminals(self):
         p = P.with_(gamma_z=-1.0)
         g = build_grid(GridConfig(), p)
-        tb = terminal_condition("protection", g, p, 5.0)
-        tt = terminal_condition("accrual", g, p, 5.0)
+        tb = terminal_condition("protection", g, p)
+        tt = terminal_condition("accrual", g, p)
         assert np.all(tb.values == 0.0)
         assert np.all(tt.values == 0.0)
-
-    def test_zero_horizon_convention(self):
-        g = build_grid(GridConfig(), P)
-        assert np.all(terminal_condition("recovery", g, P, 0.0).values == 0.0)
-
-    @pytest.mark.parametrize("T", [np.inf, np.nan])
-    def test_non_finite_horizon_rejected(self, T):
-        g = build_grid(GridConfig(), P)
-        with pytest.raises(ValueError, match="T must be"):
-            terminal_condition("accrual", g, P, T)
 
     def test_unknown_kind_rejected(self):
         g = build_grid(GridConfig(), P)
         with pytest.raises(ValueError, match="kind"):
-            terminal_condition("w", g, P, 1.0)
+            terminal_condition("w", g, P)
 
 
 def forward_system(p: ModelParams, grid_cfg: GridConfig | None = None):
@@ -155,7 +144,7 @@ def forward_curves(p: ModelParams, schedule: CdsSchedule,
     nsteps, h = schedule.m * schedule.n_quad, schedule.quad_step
     curves = {"w": rk4_sweep(A2, z, h, nsteps, lambda v, k: (r @ v)[0])[1:]}
     for kind in TERMINAL_KINDS:
-        v0 = np.concatenate([terminal_condition(kind, g, p, 1.0).values, np.zeros(n)])
+        v0 = np.concatenate([terminal_condition(kind, g, p).values, np.zeros(n)])
         vals = rk4_sweep(S, v0, h, nsteps, lambda v, k: (r @ v[n:])[0])
         curves[kind] = vals[1:] / schedule.quad_dates
     return curves
@@ -203,11 +192,6 @@ class TestSolveW:
 
 
 class TestGFamily:
-    def test_zero_horizon(self, pricer):
-        # density proxies vanish at zero horizon by convention
-        tb = terminal_condition("protection", pricer.grid, P, 0.0)
-        assert np.all(tb.values == 0.0)
-
     def test_superposition_of_solves(self, pricer):
         gr = pricer.g_curve("recovery", SCHED)
         gb = pricer.g_curve("protection", SCHED)
@@ -224,10 +208,10 @@ class TestGFamily:
         gb = pricer.g_curve("protection", SCHED)
         for j in (23, 119):
             nu = SCHED.quad_dates[j]
-            v0 = np.concatenate([terminal_condition("protection", g, P, nu).values,
+            v0 = np.concatenate([terminal_condition("protection", g, P).values,
                                  np.zeros(n)])
             g_pm = rk4_sweep(S, v0, SCHED.quad_step, j + 1,
-                             lambda v, k: (r @ v[n:])[0])[-1]
+                             lambda v, k: (r @ v[n:])[0])[-1] / nu
             assert g_pm == pytest.approx(gb[j], rel=1e-5)
 
 
@@ -382,6 +366,20 @@ class TestDomesticAndBasis:
         assert (hit.s_d, hit.s_d_1d) == (rep.s_d, rep.s_d_1d)
         # stochastic recovery: a new 4D contract, and no 1D value
         assert quanto_basis(_CORRELATED, SCHED).meta["cached"] == []
+
+    def test_one_reduction_per_quote(self, monkeypatch):
+        # both domestic spreads of a frozen-recovery quote are read from
+        # one reduction of the parameters
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return domestic_params(p)
+
+        monkeypatch.setattr("quantocds.pricing.domestic_params", counting)
+        rep = quanto_basis(P, SCHED)
+        assert rep.s_d_1d is not None
+        assert calls == [P]
 
     def test_cn_value_attached_only_on_its_axis(self):
         # the 1D oracle's log-hazard axis is [-6, 0]; the 4D grid here
@@ -607,6 +605,23 @@ class TestAdmissibleParams:
             p = validate_params(replace(p, rho=f @ f.T))
         p_dom = domestic_params(p)
         assert validate_params(p_dom) is p_dom
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_fx_drift_term_on_every_grid(self, data):
+        # why pde.inert_axes never finds z inert: the FX drift term
+        # (r_dom - rhat) z d/dz survives on every grid build_grid makes,
+        # so an FX jump's compensator always finds the z slots laid out
+        frozen = data.draw(st.sampled_from([(), ("R",), ("R", "rhat"), ("R", "rhat", "y")]))
+        p = data.draw(admissible_params(frozen)).with_(
+            gamma_z=data.draw(st.floats(-1.0, 0.5).filter(bool)))
+        n = data.draw(st.lists(st.integers(4, 12), min_size=4, max_size=4))
+        cfg = GridConfig(rhat_max=data.draw(st.floats(1e-3, 10.0)),
+                         y_min=data.draw(st.floats(-50.0, -1e-3)),
+                         z_max=data.draw(st.floats(1e-3, 20.0)),
+                         n_R=n[0], n_rhat=n[1], n_y=n[2], n_z=n[3])
+        terms = operator_terms(build_grid(cfg, p), p)
+        assert (3,) in [axes for _, axes in terms]
 
     @pytest.mark.parametrize("method", ["cn1d", "pde4d"])
     def test_negative_domestic_rate_rejected(self, method):
