@@ -27,8 +27,7 @@ import numpy as np
 from .grid import GridConfig
 from .model import CORRELATION_ORDER, ModelParams, require_real
 from .oracles import McConfig, credit_triangle, mc_spread
-from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params,
-                      domestic_spread, quanto_basis)
+from .pricing import CdsSchedule, QuantoCdsPricer, domestic_spread, quanto_basis
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main"]
 

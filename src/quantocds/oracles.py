@@ -55,14 +55,11 @@ class McConfig:
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
     seed: int = 0
-    antithetic: bool = False
     block_size: int = 25_000
 
     def __post_init__(self):
         require_integers(self, ("n_paths", "seed", "block_size"))
         require_real("step", self.step)
-        if not isinstance(self.antithetic, (bool, np.bool_)):
-            raise ValueError(f"antithetic must be a boolean, got {self.antithetic!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
         if self.n_paths < 1000:
@@ -106,15 +103,12 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     leg, the annuity (coupon plus accrual, discounted and FX converted)
     and the survival-weighted discounted terminal FX Z_T e^{-rT} 1.
 
-    ``normals[k]`` holds the step-k normals of the first
-    ``normals.shape[1]`` paths; under antithetic sampling the remaining
-    paths take their negation.  ``expo`` holds every path's default
-    threshold.  ``row_read()`` is called once per step, after the last
-    read of ``normals[k]``, so the row may then be overwritten.  The
-    Euler step updates preallocated arrays in place.
+    ``normals[k]`` holds the step-k normals of every path and ``expo``
+    every path's default threshold.  ``row_read()`` is called once per
+    step, after the last read of ``normals[k]``, so the row may then be
+    overwritten.  The Euler step updates preallocated arrays in place.
     """
-    n = expo.size
-    nsteps, half = normals.shape[:2]
+    nsteps, n = normals.shape[:2]
     dt = dtc / nsub
     sqdt = np.sqrt(dt)
     cholT = np.ascontiguousarray(np.linalg.cholesky(p.rho + 1e-14 * np.eye(4)).T)
@@ -132,18 +126,12 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     annuity = np.zeros(n)
     accr = np.zeros(n)
     dW = np.empty((4, n)).T          # column-major: each factor's draws contiguous
-    mirrored = np.empty((n, 4)) if half < n else None
     lam, gam_next, x, vol, rp, tmp = (np.empty(n) for _ in range(6))
     newly = np.empty(n, bool)
 
     t = 0.0
     for k in range(nsteps):
-        draw = normals[k]
-        if mirrored is not None:
-            mirrored[:half] = draw
-            np.negative(draw[:n - half], out=mirrored[half:])
-            draw = mirrored
-        np.matmul(draw, cholT, out=dW)
+        np.matmul(normals[k], cholT, out=dW)
         row_read()
         dW *= sqdt
         np.exp(Y, out=lam)
@@ -205,7 +193,10 @@ def mc_spread(p: ModelParams, schedule: "CdsSchedule",
     """Par spread by direct simulation of the four-factor dynamics.
 
     The spread solves E[protection] = s * E[annuity + accrual]; the
-    standard error comes from the delta method on the ratio.  With a
+    standard error comes from the delta method on the ratio, taken over
+    the per-path residuals, so it holds only while every path is
+    independent of every other: an estimator that couples paths (shared
+    draws, pairs) needs its error from the coupled groups.  With a
     fixed seed the estimate is bit-reproducible because each block of
     paths draws from a Philox substream jumped by its block index.
 
@@ -230,8 +221,7 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
 
     Block b draws from Philox(seed) jumped b times: first the normals of
     all its steps as one (steps, paths, 4) array, then the default
-    thresholds; under antithetic sampling it draws both for half the
-    paths, rounded up.  One buffer holds the normals of every block.  A
+    thresholds.  One buffer holds the normals of every block.  A
     helper thread draws block b + 1 into it row by row while this thread
     marches block b, writing row k only once the march has read row k:
     row k of a block lies within rows 0..k of any block at least as
@@ -242,9 +232,8 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     nsteps = schedule.m * nsub
     sizes = [min(cfg.block_size, cfg.n_paths - start)
              for start in range(0, cfg.n_paths, cfg.block_size)]
-    drawn = [(n + 1) // 2 if cfg.antithetic else n for n in sizes]
-    buf = np.empty(nsteps * drawn[0] * 4)
-    blocks = [buf[:nsteps * m * 4].reshape(nsteps, m, 4) for m in drawn]
+    buf = np.empty(nsteps * sizes[0] * 4)
+    blocks = [buf[:nsteps * n * 4].reshape(nsteps, n, 4) for n in sizes]
 
     rows_read = threading.Semaphore(0)    # released once per step marched
     stop = threading.Event()
@@ -252,7 +241,7 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
 
     def draw() -> None:
         try:
-            for block, (normals, n) in enumerate(zip(blocks, sizes)):
+            for block, normals in enumerate(blocks):
                 rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
                 for row in normals:
                     if block:
@@ -260,8 +249,7 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
                     if stop.is_set():
                         return
                     rng.standard_normal(out=row)
-                # antithetic pairs (i, m + i) share their threshold
-                thresholds.put(np.resize(rng.exponential(size=normals.shape[1]), n))
+                thresholds.put(rng.exponential(size=normals.shape[1]))
         except BaseException as exc:      # raised again by the marching thread
             thresholds.put(exc)
 

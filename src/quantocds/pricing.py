@@ -88,10 +88,6 @@ class CdsSchedule:
         return self.T / self.m
 
     @property
-    def coupon_dates(self) -> np.ndarray:
-        return self.coupon_interval * np.arange(1, self.m + 1)
-
-    @property
     def quad_step(self) -> float:
         return self.coupon_interval / self.n_quad
 

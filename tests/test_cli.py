@@ -201,6 +201,7 @@ class TestMain:
         ({"sweep": {"values": [0.0]}}, ["--task", "sweep"]),
         ({"task": "mc-check", "mc": {"seed": -1}}, []),
         ({"mc": {"antithetic": "false"}}, []),
+        ({"mc": {"antithetic": False}}, []),
         ({}, ["--seed", "-1"]),
         ({"task": "mc-check", "mc": {"seed": 1.5}}, []),
         ({"task": "mc-check", "mc": {"n_paths": 2500.9}}, []),
@@ -240,7 +241,7 @@ class TestMain:
         ({"grid": {"z_max": True}}, []),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
-            "mc.seed=-1", "mc.antithetic=string", "seed=-1",
+            "mc.seed=-1", "mc.antithetic=string", "mc.antithetic=false", "seed=-1",
             "mc.seed=1.5", "mc.n_paths=2500.9", "m=12.5", "n_quad=1.5",
             "workers=1.5", "grid.n_y=10.7", "mc.seed=true",
             "mc.n_paths=true", "m=true", "n_quad=true", "workers=true",
@@ -394,7 +395,7 @@ ACCEPTED_KEYS = {
              "n_R": 10, "n_rhat": 10, "n_y": 10, "n_z": 10},
     "solver": {"dt": 0.05, "n_quad": 1, "workers": 1},
     "schedule": {"T": 5.0, "m": 120},
-    "mc": {"n_paths": 100_000, "step": 1.0 / 48.0, "seed": 0, "antithetic": False},
+    "mc": {"n_paths": 100_000, "step": 1.0 / 48.0, "seed": 0},
     "sweep": {"parameter": "gamma_z", "values": [0.0]},
     "output": {"dir": "out"},
 }
@@ -411,7 +412,7 @@ _EXTRA_KEYS = [(None, "extra"), *[(name, "extra") for name in ACCEPTED_KEYS],
 class TestAcceptedKeys:
     def test_counts(self):
         assert {k: len(v) for k, v in ACCEPTED_KEYS.items()} == {
-            "model": 18, "grid": 7, "solver": 3, "schedule": 2, "mc": 4,
+            "model": 18, "grid": 7, "solver": 3, "schedule": 2, "mc": 3,
             "sweep": 2, "output": 1}
 
     def test_every_listed_key_accepted(self, tmp_path):

@@ -52,10 +52,8 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="block_size"):
             McConfig(block_size=block_size)
 
-    @pytest.mark.parametrize("field, value", [
-        ("antithetic", "false"), ("antithetic", 1), ("seed", 1.5), ("seed", True)])
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True)])
     def test_rejects_mistyped_field(self, field, value):
-        # "false" is truthy: it used to run antithetic
         with pytest.raises(ValueError, match=field):
             McConfig(**{field: value})
 
@@ -108,10 +106,6 @@ class TestMcSpread:
         with pytest.raises(ParameterError):
             mc_spread(ModelParams(rho=rho), SCHED, McConfig(n_paths=1000))
 
-    def test_antithetic_runs(self):
-        est = mc_spread(P, SCHED, McConfig(n_paths=4000, seed=9, antithetic=True))
-        assert est.std_error > 0.0
-
     def test_rate_jump_does_not_enter(self):
         # protection and accrual are paid at default, before the rate jumps
         cfg = McConfig(n_paths=2000)
@@ -134,10 +128,10 @@ STREAM_CASES = {
             "protection": (0.04160115325524075, 0.0023131328446744717),
             "annuity": (5.125589558539782, 0.020330980381391018),
             "w_maturity": (0.8878546846115272, 0.006803469099857635)}),
-    "antithetic-odd": (P, McConfig(n_paths=3001, seed=2, antithetic=True, block_size=1000), {
-        "protection": (0.05130926880888995, 0.003042083207953823),
-        "annuity": (5.020681737520051, 0.01922231771409198),
-        "w_maturity": (0.8507789750008192, 0.0063060577325950475)}),
+    "one-path-last-block": (P, McConfig(n_paths=3001, seed=2, block_size=1000), {
+        "protection": (0.05443077559733814, 0.003142491868226485),
+        "annuity": (5.019635564547054, 0.02015996479013165),
+        "w_maturity": (0.8533036868565164, 0.006429567235470699)}),
     "step=1/100": (P, McConfig(n_paths=3000, seed=3, step=1.0 / 100.0), {
         "protection": (0.05577689437110354, 0.003169675162126594),
         "annuity": (4.966743089073731, 0.02040298153209853),
@@ -162,19 +156,14 @@ def serial_reference_blocks(p: ModelParams, schedule, cfg: McConfig):
     dtc = schedule.coupon_interval
     nsub = max(1, int(round(dtc / cfg.step)))
     nsteps = schedule.m * nsub
-
-    def drawn(n: int) -> int:
-        return (n + 1) // 2 if cfg.antithetic else n
-
-    buf = np.empty(nsteps * drawn(min(cfg.block_size, cfg.n_paths)) * 4)
+    buf = np.empty(nsteps * min(cfg.block_size, cfg.n_paths) * 4)
     parts = ([], [], [])
     for block, start in enumerate(range(0, cfg.n_paths, cfg.block_size)):
         n = min(cfg.block_size, cfg.n_paths - start)
-        m = drawn(n)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
-        normals = buf[:nsteps * m * 4].reshape(nsteps, m, 4)
+        normals = buf[:nsteps * n * 4].reshape(nsteps, n, 4)
         rng.standard_normal(out=normals)
-        expo = np.resize(rng.exponential(size=m), n)
+        expo = rng.exponential(size=n)
         for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo,
                                                          lambda: None)):
             store.append(sample)
@@ -205,10 +194,11 @@ class TestBlockOverlap:
     @pytest.mark.parametrize("cfg", [
         McConfig(),
         McConfig(n_paths=30_000, block_size=7_000),
-        McConfig(n_paths=3001, seed=2, antithetic=True, block_size=1000),
+        McConfig(n_paths=3001, seed=2, block_size=1000),
         McConfig(n_paths=3000, seed=5, block_size=3000),
         McConfig(n_paths=3000, seed=3, step=1.0 / 100.0)],
-        ids=["defaults", "short-last-block", "antithetic-odd", "one-block", "step=1/100"])
+        ids=["defaults", "short-last-block", "one-path-last-block", "one-block",
+             "step=1/100"])
     def test_matches_serial_reference(self, cfg):
         got = _run_blocks(P, SCHED, cfg)
         want = serial_reference_blocks(P, SCHED, cfg)
@@ -217,7 +207,7 @@ class TestBlockOverlap:
     def test_concurrent_calls_under_fast_switching(self):
         # more threads than cores, switching every 10 us: a row drawn
         # before the march has read it would change the samples
-        cfgs = [McConfig(n_paths=2050, seed=s, block_size=200, antithetic=s == 1)
+        cfgs = [McConfig(n_paths=2050, seed=s, block_size=150 if s == 1 else 200)
                 for s in range(3)]
         want = [serial_reference_blocks(P, SCHED, cfg) for cfg in cfgs]
         interval = sys.getswitchinterval()

@@ -61,7 +61,7 @@ class TestSchedule:
     def test_defaults_semi_monthly(self):
         assert SCHED.m == 120
         assert SCHED.coupon_interval == pytest.approx(1.0 / 24.0)
-        assert SCHED.coupon_dates[-1] == pytest.approx(5.0)
+        assert SCHED.quad_dates[-1] == pytest.approx(5.0)
         assert SCHED.quad_dates.size == 120
 
     def test_validation(self):
