@@ -65,16 +65,6 @@ class Grid4D:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(float(a[1] - a[0]) for a in self.axes)
-
-    def flatten_index(self, multi) -> np.ndarray:
-        return np.ravel_multi_index(multi, self.shape)
-
-    def unflatten_index(self, flat) -> tuple:
-        return np.unravel_index(flat, self.shape)
-
     def coordinate_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Nodal coordinate arrays (R, rhat, y, z), each of length N."""
         mesh = np.meshgrid(*self.axes, indexing="ij")

@@ -6,7 +6,10 @@ dynamics (Euler scheme, intensity-threshold default sampling, explicit
 jumps at the default time), so it shares nothing with the PDE engine
 beyond the model definition.  The 1D benchmark reduces the domestic
 contract to the log-hazard coordinate alone (valid for frozen recovery)
-and integrates with Crank-Nicolson on standard finite differences.
+and owns only its operator, standard finite differences, and its
+Crank-Nicolson stepper; it reads out at x0 with the engine's
+``interpolation_matrix`` and builds the legs and the spread with the
+engine's ``LegTerms`` and ``par_spread``.
 """
 from __future__ import annotations
 
@@ -14,15 +17,14 @@ import math
 import queue
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sps
 
+from .grid import Grid4D, interpolation_matrix
 from .model import ModelParams, require_integers, require_real
-
-if TYPE_CHECKING:
-    from .pricing import CdsSchedule
+from .pricing import CdsSchedule, LegTerms, par_spread
 
 __all__ = ["McConfig", "McEstimate", "credit_triangle", "mc_spread",
            "mc_leg_estimates", "cn_applies", "cn_domestic_spread", "CN_Y_MIN"]
@@ -188,7 +190,7 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     return prot, annuity + accr, w_final
 
 
-def mc_spread(p: ModelParams, schedule: "CdsSchedule",
+def mc_spread(p: ModelParams, schedule: CdsSchedule,
               cfg: McConfig | None = None) -> McEstimate:
     """Par spread by direct simulation of the four-factor dynamics.
 
@@ -281,7 +283,7 @@ def _estimate(sample: np.ndarray, cfg: McConfig) -> McEstimate:
                       cfg.n_paths, cfg.seed)
 
 
-def mc_leg_estimates(p: ModelParams, schedule: "CdsSchedule",
+def mc_leg_estimates(p: ModelParams, schedule: CdsSchedule,
                      cfg: McConfig | None = None) -> dict[str, McEstimate]:
     """Leg-level estimates: protection, annuity (coupon plus accrual)
     and the survival-weighted discounted terminal FX w_0(T)."""
@@ -313,19 +315,22 @@ def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
 def cn_applies(p: ModelParams) -> bool:
     """Whether the 1D oracle prices ``p``: frozen recovery (kappa_R =
     sigma_R = 0), which its reduction to the log-hazard needs, and y0 on
-    its axis [CN_Y_MIN, 0], off which the linear readout would clamp."""
+    its fixed axis [CN_Y_MIN, 0], off which the shared readout
+    (``interpolation_matrix``) would extrapolate from the end cell."""
     return p.kappa_R == 0.0 and p.sigma_R == 0.0 and CN_Y_MIN <= p.y0 <= 0.0
 
 
-def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
+def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
                        n_y: int = 201) -> float:
     """Domestic par spread from the 1D log-hazard reduction.
 
     Requires ``cn_applies(p)``: frozen recovery and y0 on the axis
     [CN_Y_MIN, 0] of ``n_y`` nodes.  Crank-Nicolson in time on the coupled
     (post-default, pre-default) pair, with the same 1/T-style terminal
-    data and right-endpoint quadrature as the 4D engine; the market
-    state is read out by linear interpolation at y0.
+    data as the 4D engine.  The market state is read out at x0 by the
+    engine's ``interpolation_matrix`` on the y axis with one node on each
+    other axis, and the spread is ``par_spread`` of
+    ``LegTerms.from_curves``, the engine's right-endpoint quadrature.
     """
     # imported here, its only use: it adds about a quarter to the import
     # time of the package, and most runs never call this oracle
@@ -357,16 +362,13 @@ def cn_domestic_spread(p: ModelParams, schedule: "CdsSchedule",
     # in 1/T); under frozen recovery protection is (1 - R0) times it.
     # The second keeps a zero post-default block (M is block lower
     # triangular), so its pre-default block is the coupon curve w.
+    readout = interpolation_matrix(Grid4D((p.x0[:1], p.x0[1:2], y, p.x0[3:])),
+                                   p.x0[None, :])
     uv = np.kron(np.eye(2), np.ones((n_y, 1)))
     vals = np.empty((nsteps, 2))
     for k in range(nsteps):
         uv = lhs.solve(rhs @ uv)
-        vals[k] = [np.interp(p.y0, y, f) for f in uv[n_y:].T]
-    taus = schedule.quad_dates
-    gtil, w = vals[:, 0] / taus, vals[:, 1]
-
-    # right-endpoint quadrature; the common weight h cancels in the ratio
-    t_left = np.repeat(schedule.coupon_interval * np.arange(schedule.m),
-                       schedule.n_quad)
-    protection = (1.0 - p.R0) * gtil.sum()
-    return float(protection / (w.sum() + ((taus - t_left) * gtil).sum()))
+        vals[k] = readout @ uv[n_y:]
+    g = vals[:, 0] / schedule.quad_dates
+    return par_spread(LegTerms.from_curves(
+        {"w": vals[:, 1], "protection": (1.0 - p.R0) * g, "accrual": g}, schedule))

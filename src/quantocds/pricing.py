@@ -37,7 +37,6 @@ import numpy as np
 from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
                    interpolation_matrix)
 from .model import ModelParams, require_integers, require_real
-from .oracles import cn_applies
 from .pde import inert_axes, rk4_sweep, stacked_transpose
 from .rbffd import operator_terms
 
@@ -282,12 +281,10 @@ class QuantoCdsPricer:
             raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
         return self.leg_curves(schedule)[kind]
 
-    def leg_terms(self, schedule: CdsSchedule) -> LegTerms:
-        """Quadrature cell integrals A_i, B_i, C_i, D_i for i = 1..m."""
-        return LegTerms.from_curves(self.leg_curves(schedule), schedule)
-
     def spread(self, schedule: CdsSchedule) -> tuple[float, LegTerms]:
-        terms = self.leg_terms(schedule)
+        """Par spread and the quadrature cell integrals A_i, B_i, C_i,
+        D_i (i = 1..m) it is priced from."""
+        terms = LegTerms.from_curves(self.leg_curves(schedule), schedule)
         return par_spread(terms), terms
 
 
@@ -349,9 +346,10 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     four-factor engine (reduced parameters), so shared discretization
     bias cancels; the 1D Crank-Nicolson value is attached where
     ``oracles.cn_applies`` holds.  Both are read through the memo of
-    ``domestic_spread``, from one ``domestic_params(p)``.  The
-    (1+gamma_z)-proportional reference level is included in the
-    metadata for sweep outputs.  ``grid_shape`` is the configured grid
+    ``domestic_spread``, from one ``domestic_params(p)``.
+    ``reference_line`` is the proportional-devaluation level
+    (1 + gamma_z) * s_d of this quote (the sweep task computes its own
+    per row).  ``grid_shape`` is the configured grid
     and ``solve_shape`` the grid the foreign sweep marched (one node on
     a frozen R axis, two on each other inert axis).
     ``x0_interpolated`` records whether x0 lies inside the grid hull on
@@ -363,6 +361,9 @@ def quanto_basis(p: ModelParams, schedule: CdsSchedule,
     ``domestic`` spreads (both memo lookups, with any solve they ran);
     ``spmv`` counts the SpMVs the foreign sweep ran, four per RK4 step.
     """
+    # imported here: oracles builds its legs from this module
+    from .oracles import cn_applies
+
     t0 = time.perf_counter()
     pricer = QuantoCdsPricer(p, grid_cfg)
     t_build = time.perf_counter()

@@ -393,6 +393,25 @@ class TestCnBenchmark:
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
+    # (parameter changes, schedule, spread recorded while the oracle
+    # still had its own readout and quadrature; sharing the engine's
+    # moves them by under 4e-16 relative)
+    PINS = {
+        "defaults": ({}, SCHED, "0x1.4b13366761081p-7"),
+        "R0=0.2": ({"R0": 0.2}, SCHED, "0x1.e1904f2201802p-7"),
+        "y0=-2-n_quad=3": ({"y0": -2.0}, CdsSchedule(n_quad=3), "0x1.73b18172192ecp-4"),
+        "frozen-hazard-T=1": ({"kappa_y": 0.0, "sigma_y": 0.0},
+                              CdsSchedule(T=1.0, m=12), "0x1.2ef47394b80acp-7"),
+        "y0=-6": ({"y0": -6.0}, SCHED, "0x1.59bb1ec7efd82p-10"),
+        "y0=0": ({"y0": 0.0}, SCHED, "0x1.14a1f329e3290p+0"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS))
+    def test_pinned(self, case):
+        kw, schedule, want = self.PINS[case]
+        got = cn_domestic_spread(domestic_params(P.with_(**kw)), schedule)
+        assert got == pytest.approx(float.fromhex(want), rel=1e-14, abs=0.0)
+
     def test_protection_proportional_to_loss(self):
         # under frozen recovery only the protection leg carries R0, as 1 - R0
         ratio = cn_domestic_spread(P.with_(R0=0.45), SCHED) / cn_domestic_spread(

@@ -288,7 +288,7 @@ class TestBoundaryRows:
         p = ModelParams()
         g = build_grid(GridConfig(), p)
         L, _ = engine_blocks(g, p)
-        idx = g.unflatten_index(np.arange(g.size))
+        idx = np.unravel_index(np.arange(g.size), g.shape)
         # isolate the y-diffusion block by differencing two operators
         # A1 = L - r, in which r cancels
         Lref, _ = engine_blocks(g, p.with_(sigma_y=0.0))

@@ -217,7 +217,7 @@ class TestGFamily:
 
 class TestLegTerms:
     def test_accrual_nonnegative(self, pricer):
-        terms = pricer.leg_terms(SCHED)
+        terms = pricer.spread(SCHED)[1]
         assert np.all(terms.accrual() >= -1e-12)
         assert np.all(terms.B >= -1e-12)
 
@@ -226,14 +226,14 @@ class TestLegTerms:
         # default risk, so protection and accrual vanish
         p = P.with_(y0=-40.0)
         pricer = QuantoCdsPricer(p, GridConfig(y_min=-45.0))
-        terms = pricer.leg_terms(SCHED)
+        terms = pricer.spread(SCHED)[1]
         assert np.abs(terms.B).max() < 1e-12
         assert np.abs(terms.accrual()).max() < 1e-12
         assert par_spread(terms) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_refinement_stable(self, pricer):
-        s1 = par_spread(pricer.leg_terms(CdsSchedule(n_quad=1)))
-        s4 = par_spread(pricer.leg_terms(CdsSchedule(n_quad=4)))
+        s1 = par_spread(pricer.spread(CdsSchedule(n_quad=1))[1])
+        s4 = par_spread(pricer.spread(CdsSchedule(n_quad=4))[1])
         assert abs(s1 - s4) * 1e4 < 1.0       # under 1 bps
 
     @pytest.mark.parametrize("case", list(REDUCTION_CASES), ids=list(REDUCTION_CASES))
@@ -270,8 +270,8 @@ class TestLegTerms:
         g, _, S, _ = forward_system(p, grid_cfg)
         S = S.tocoo()
         nz = S.data != 0.0
-        rows = g.unflatten_index(S.row[nz] % g.size)
-        cols = g.unflatten_index(S.col[nz] % g.size)
+        rows = np.unravel_index(S.row[nz] % g.size, g.shape)
+        cols = np.unravel_index(S.col[nz] % g.size, g.shape)
         for k in pricer.inert_axes:
             assert np.array_equal(rows[k], cols[k]), k
         assert pricer.solve_grid.shape == tuple(
@@ -281,7 +281,7 @@ class TestLegTerms:
     def test_discrete_coupon_diagnostic_close_to_integral(self, pricer):
         # dt * sum_i w(t_i) over coupon dates, read off a sweep four times
         # finer, matches the n_quad = 1 coupon annuity
-        terms = pricer.leg_terms(SCHED)
+        terms = pricer.spread(SCHED)[1]
         w_fine = pricer.leg_curves(CdsSchedule(n_quad=4))["w"]
         disc = SCHED.coupon_interval * float(np.sum(w_fine[3::4]))
         assert disc == pytest.approx(float(np.sum(terms.A)), rel=1e-6)
