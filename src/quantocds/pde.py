@@ -9,11 +9,18 @@ through the jump term lambda*u_hat.  One stacked operator carries both,
 the coupling as its off-diagonal block.  Time stepping is classical
 explicit RK4, each step evaluated as its polynomial in Horner form: four
 calls of scipy's compiled CSR kernel into preallocated buffers, with no
-array allocated per step.
+array allocated per step.  A large operator's SpMV is cut into
+contiguous row ranges of about equal nnz, one per available core, each
+computed by the kernel on its own thread; every row is still summed by
+the same code in the same order, so the march is bit-identical to one
+kernel call over all rows.
 """
 from __future__ import annotations
 
-from typing import Callable
+import os
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sps
@@ -37,6 +44,13 @@ __all__ = [
 
 class StabilityError(RuntimeError):
     """Explicit march produced non-finite values."""
+
+
+# Nonzeros per row range below which an SpMV is not split further: on
+# smaller operators the handoff between threads (tens of microseconds
+# per SpMV) costs about what the split saves.  Every [10]^4 operator
+# (at most 243 600 nnz) stays on one range.
+_MIN_PART_NNZ = 250_000
 
 
 def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
@@ -137,6 +151,95 @@ def jump_shift(u: ScalarField, p: ModelParams) -> ScalarField:
     return ScalarField(u.grid, interpolation_matrix(u.grid, pts) @ u.values)
 
 
+def _cores() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _row_split_spmv(m: int, n: int, indptr: np.ndarray, indices: np.ndarray,
+                    data: np.ndarray, parts: int) -> Iterator[Callable]:
+    """Yield ``spmv(x, y)``, writing y = A x for the m x n CSR arrays of
+    A, computed as ``parts`` contiguous row ranges of about equal nnz.
+
+    The calling thread computes range 0 and one helper thread each
+    further range; each zeroes its own slice of y and calls the kernel
+    on it, with ``indptr`` cut to its rows.  Helpers start on entry and
+    are stopped and joined on exit, whether the block returned or
+    raised; an error in a helper is raised again by ``spmv``.
+
+    Each helper idles on its ``go`` lock, held between SpMVs: the
+    calling thread releases it to start the helper's range and acquires
+    ``done`` to wait for the range to finish.  Only the helper acquires
+    ``go`` and only the calling thread releases it, so on exit a held
+    ``go`` is a wake-up still owed, and releasing only held ones never
+    releases a lock twice.
+    """
+    cuts = np.searchsorted(indptr, np.arange(1, parts) * (indptr[-1] / parts)).tolist()
+    # each range as its row count, its cut of indptr and its slice of y
+    ranges = [(hi - lo, indptr[lo:hi + 1], slice(lo, hi))
+              for lo, hi in zip([0, *cuts], [*cuts, m])]
+    operands = [None, None]             # x and y of the SpMV in progress
+
+    def run(part: int, x: np.ndarray, y: np.ndarray) -> None:
+        rows, ptr, cut = ranges[part]
+        out = y[cut]
+        out.fill(0.0)
+        csr_matvec(rows, n, ptr, indices, data, x, out)
+
+    stop = threading.Event()
+    go = [threading.Lock() for _ in ranges[1:]]
+    done = [threading.Lock() for _ in ranges[1:]]
+    errors = [None] * len(go)
+
+    def serve(k: int) -> None:          # helper k computes range k + 1
+        while True:
+            go[k].acquire()
+            if stop.is_set():
+                return
+            try:
+                run(k + 1, *operands)
+            except BaseException as exc:    # raised again by the calling thread
+                errors[k] = exc
+            done[k].release()
+
+    def spmv(x: np.ndarray, y: np.ndarray) -> None:
+        if not go:                      # one range: nothing to hand off
+            run(0, x, y)
+            return
+        operands[:] = x, y
+        for lock in go:
+            lock.release()
+        run(0, x, y)
+        for lock in done:
+            lock.acquire()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    helpers = []
+    try:
+        for k in range(len(go)):
+            go[k].acquire()
+            done[k].acquire()
+            # a daemon, so that a helper stuck by a fault cannot keep the
+            # interpreter from exiting
+            helper = threading.Thread(target=serve, args=(k,), name=f"rk4-spmv-{k + 1}",
+                                      daemon=True)
+            helper.start()
+            helpers.append(helper)
+        yield spmv
+    finally:
+        stop.set()
+        for lock, helper in zip(go, helpers):
+            if lock.locked():
+                lock.release()
+            helper.join()
+
+
 def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
               record: Callable[[np.ndarray, int], float | np.ndarray]) -> np.ndarray:
     """Fixed-step RK4 recording ``record(v, k)`` after every step.
@@ -158,14 +261,26 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     compiled kernel ``csr_matvec`` (the one ``A @ v`` ends in) on two
     preallocated buffers that swap roles, so a step allocates nothing.
     The kernel accumulates y += A x, hence each output buffer is zeroed
-    first, as ``A @ v`` zeroes its fresh result.  The sweep is
-    bit-identical to the ``A @ v`` loop; ``record`` may return the same
-    array every step, since its rows are copied out.
+    first, as ``A @ v`` zeroes its fresh result.
+
+    Each SpMV runs as ``parts = max(1, min(cores, nnz // _MIN_PART_NNZ))``
+    contiguous row ranges of A, cut by ``indptr`` to about equal nnz,
+    where ``cores`` is the number this process may run on, read per
+    sweep.  The calling thread computes the first range and one helper
+    thread each further range; the kernel releases the interpreter lock,
+    so the ranges run at once, each on its own core and its own share of
+    A, x and y.  The helpers live for one sweep and are
+    joined before it returns or raises.  The Horner scalings, the
+    finiteness test and ``record`` run on the calling thread.  A row's
+    sum does not depend on which range holds it, so the sweep is
+    bit-identical to the ``A @ v`` loop for any number of parts;
+    ``record`` may return the same array every step, since its rows are
+    copied out.
     """
     A = A.tocsr()
     m, n = A.shape
-    indptr, indices = A.indptr, A.indices
     data = A.data.astype(np.float64, copy=False)
+    parts = max(1, min(_cores(), A.nnz // _MIN_PART_NNZ))
     v = np.array(v0, dtype=np.float64)
     w, spare = np.empty(m), np.empty(m)
     finite = np.empty(m, dtype=bool)
@@ -174,15 +289,14 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     out[0] = first
     # overflow past the stability limit is handled: every step is
     # tested with isfinite and raises StabilityError
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _row_split_spmv(m, n, A.indptr, A.indices, data, parts) as spmv:
         for k in range(nsteps):
-            w.fill(0.0)
-            csr_matvec(m, n, indptr, indices, data, v, w)
+            spmv(v, w)
             for c in (h / 4.0, h / 3.0, h / 2.0):
                 w *= c
                 w += v
-                spare.fill(0.0)
-                csr_matvec(m, n, indptr, indices, data, w, spare)
+                spmv(w, spare)
                 w, spare = spare, w
             w *= h
             v += w

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+import quantocds.pde as pde
 from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid, interpolate
 from quantocds.model import ModelParams
 from quantocds.pde import StabilityError, jump_shift, rk4_sweep
@@ -63,6 +67,14 @@ def horner_reference_sweep(A, v0: np.ndarray, h: float, nsteps: int,
                     f"non-finite values at sweep step {k + 1}/{nsteps} (dt={h:.4g})")
             out[k + 1] = record(v, k + 1)
     return out
+
+
+@pytest.fixture
+def split_three_ways(monkeypatch):
+    """Every SpMV of a sweep split into three row ranges (two helper
+    threads), whatever the operator's size or the host's cores."""
+    monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
+    monkeypatch.setattr(pde, "_cores", lambda: 3)
 
 
 def frozen_params(**kw) -> ModelParams:
@@ -166,6 +178,16 @@ class TestRk4:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    def test_split_sweep_bit_identical_to_reference(self, which, split_three_ways):
+        # row ranges computed on three threads sum every row as one
+        # kernel call does: the 14 600- and 243 600-nnz operators, which
+        # sweeps keep on one range, still match the reference bit for bit
+        self.test_sweep_bit_identical_to_reference(which)
+
+    def test_split_stability_error_at_reference_step(self, split_three_ways):
+        self.test_stability_error_at_reference_step()
+
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row
         # per step, as a record returning fresh arrays does
@@ -192,6 +214,87 @@ class TestRk4:
         rhs = 2.0 * march(A1, f, 1.0, 0.05) + 3.0 * march(A1, h, 1.0, 0.05)
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() / scale < 1e-9
+
+
+class TestSplitSweepThreads:
+    """The helper threads of a split sweep live for one call."""
+
+    def operator(self):
+        # diagonally dominant with a negative diagonal: a decaying march
+        rng = np.random.default_rng(3)
+        A = sps.random(300, 300, density=0.05, random_state=rng, format="csr")
+        return (A - sps.diags(np.asarray(abs(A).sum(axis=1)).ravel())).tocsr()
+
+    def threads_per_step(self, A, v0, nsteps=5):
+        """Threads alive at each step of a sweep, read by its record."""
+        return rk4_sweep(A, v0, 0.05, nsteps, lambda v, k: threading.active_count())
+
+    def test_helpers_run_during_sweep_and_end_with_it(self, split_three_ways):
+        A = self.operator()
+        before = threading.active_count()
+        alive = self.threads_per_step(A, np.ones(A.shape[0]))
+        assert (alive[1:] == before + 2).all()
+        assert threading.active_count() == before
+
+    def test_helpers_end_when_sweep_raises_stability_error(self, split_three_ways):
+        A = self.operator()
+        before = threading.active_count()
+        with pytest.raises(StabilityError, match="step"):
+            rk4_sweep(A, np.ones(A.shape[0]), 10.0, 200, lambda v, k: v[0])
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_kernel_error_reaches_caller(self, failing, split_three_ways, monkeypatch):
+        # the kernel fails on the helpers' rows only, or on the calling
+        # thread's only, right after it woke the helpers; the sweep
+        # raises that error and leaves no helper behind
+        caller = threading.current_thread()
+        kernel = pde.csr_matvec
+
+        class KernelFault(RuntimeError):
+            pass
+
+        def faulty(*args):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise KernelFault(f"{failing} rows")
+            kernel(*args)
+
+        monkeypatch.setattr(pde, "csr_matvec", faulty)
+        A = self.operator()
+        before = threading.active_count()
+        with pytest.raises(KernelFault, match=failing):
+            rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, lambda v, k: v[0])
+        assert threading.active_count() == before
+
+    def test_many_ranges_under_fast_switching(self, monkeypatch):
+        # eight ranges on at most a few cores, with the interpreter
+        # switching threads every microsecond: a lost or early handoff
+        # would leave a stale slice, so the states must still equal the
+        # reference; the sweep runs in a thread so that a hang fails
+        monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
+        monkeypatch.setattr(pde, "_cores", lambda: 8)
+        A = self.operator()
+        v0 = np.random.default_rng(4).standard_normal(A.shape[0])
+        want = horner_reference_sweep(A, v0, 0.05, 40, lambda v, k: v.copy())
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = threading.Thread(target=lambda: got.append(
+                rk4_sweep(A, v0, 0.05, 40, lambda v, k: v.copy())))
+            sweep.start()
+            sweep.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not sweep.is_alive()
+        assert len(got) == 1 and np.array_equal(got[0], want)
+
+    def test_one_core_starts_no_thread(self, split_three_ways, monkeypatch):
+        monkeypatch.setattr(pde, "_cores", lambda: 1)
+        A = self.operator()
+        before = threading.active_count()
+        alive = self.threads_per_step(A, np.ones(A.shape[0]))
+        assert (alive == before).all()
 
 
 class TestPde1:
