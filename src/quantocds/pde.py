@@ -7,20 +7,23 @@ value u (operator A1 = L - r); the pre-default equation governs v
 (operator A2 = L - (r + lambda) - lambda*gamma_z*z*d/dz), coupled to u
 through the jump term lambda*u_hat.  One stacked operator carries both,
 the coupling as its off-diagonal block.  Time stepping is classical
-explicit RK4, each step evaluated as its polynomial in Horner form: four
-calls of scipy's compiled CSR kernel into preallocated buffers, with no
-array allocated per step.  A large operator's SpMV is cut into
-contiguous row ranges of about equal nnz, one per available core, each
-computed by the kernel on its own thread; every row is still summed by
-the same code in the same order, so the march is bit-identical to one
-kernel call over all rows.
+explicit RK4, each step evaluated as its polynomial in Horner form:
+four calls of scipy's compiled CSR kernel into preallocated buffers,
+with no state vector allocated per step.  A large operator is marched
+as contiguous row ranges, one thread each: its owner runs the kernel on
+the range's rows, the Horner update, the finiteness test and the record
+of the rows it covers, so on two cores the pricer's two halves
+(post-default rows, pre-default rows) each march on their own core.
+With more cores a half is cut further, and a record no one range covers
+runs on the calling thread after the step.  Every row is still summed
+and updated by the same code in the same order, so the march is
+bit-identical to one kernel call over all rows.
 """
 from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sps
@@ -159,95 +162,50 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _row_split_spmv(m: int, n: int, indptr: np.ndarray, indices: np.ndarray,
-                    data: np.ndarray, parts: int) -> Iterator[Callable]:
-    """Yield ``spmv(x, y)``, writing y = A x for the m x n CSR arrays of
-    A, computed as ``parts`` contiguous row ranges of about equal nnz.
+def _row_ranges(indptr: np.ndarray, m: int, pieces: int,
+                parts: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of an m-row CSR operator marched on ``parts``
+    cores, with a record cut into ``pieces`` tiles of m // pieces rows.
 
-    The calling thread computes range 0 and one helper thread each
-    further range; each zeroes its own slice of y and calls the kernel
-    on it, with ``indptr`` cut to its rows.  Helpers start on entry and
-    are stopped and joined on exit, whether the block returned or
-    raised; an error in a helper is raised again by ``spmv``.
-
-    Each helper idles on its ``go`` lock, held between SpMVs: the
-    calling thread releases it to start the helper's range and acquires
-    ``done`` to wait for the range to finish.  Only the helper acquires
-    ``go`` and only the calling thread releases it, so on exit a held
-    ``go`` is a wake-up still owed, and releasing only held ones never
-    releases a lock twice.
+    One range when ``parts`` is 1.  Otherwise max(parts, pieces) ranges
+    whose cuts include every tile boundary: each tile gets one range,
+    each further range goes to the tile with the most nnz per range, and
+    a tile's ranges are cut by ``indptr`` to about equal nnz.
     """
-    cuts = np.searchsorted(indptr, np.arange(1, parts) * (indptr[-1] / parts)).tolist()
-    # each range as its row count, its cut of indptr and its slice of y
-    ranges = [(hi - lo, indptr[lo:hi + 1], slice(lo, hi))
-              for lo, hi in zip([0, *cuts], [*cuts, m])]
-    operands = [None, None]             # x and y of the SpMV in progress
+    if parts == 1:
+        return [(0, m)]
+    bounds = [i * (m // pieces) for i in range(pieces + 1)]
+    nnz = [indptr[hi] - indptr[lo] for lo, hi in zip(bounds, bounds[1:])]
+    count = [1] * pieces
+    for _ in range(parts - pieces):
+        i = max(range(pieces), key=lambda i: nnz[i] / count[i])
+        count[i] += 1
+    cuts = []
+    for lo, total, c in zip(bounds, nnz, count):
+        cuts.append(lo)
+        cuts += np.searchsorted(indptr, indptr[lo] + np.arange(1, c) * (total / c)).tolist()
+    return list(zip(cuts, cuts[1:] + [m]))
 
-    def run(part: int, x: np.ndarray, y: np.ndarray) -> None:
-        rows, ptr, cut = ranges[part]
-        out = y[cut]
-        out.fill(0.0)
-        csr_matvec(rows, n, ptr, indices, data, x, out)
 
-    stop = threading.Event()
-    go = [threading.Lock() for _ in ranges[1:]]
-    done = [threading.Lock() for _ in ranges[1:]]
-    errors = [None] * len(go)
+class _Stopped(Exception):
+    """Ends a helper's march when the sweep is over."""
 
-    def serve(k: int) -> None:          # helper k computes range k + 1
-        while True:
-            go[k].acquire()
-            if stop.is_set():
-                return
-            try:
-                run(k + 1, *operands)
-            except BaseException as exc:    # raised again by the calling thread
-                errors[k] = exc
-            done[k].release()
 
-    def spmv(x: np.ndarray, y: np.ndarray) -> None:
-        if not go:                      # one range: nothing to hand off
-            run(0, x, y)
-            return
-        operands[:] = x, y
-        for lock in go:
-            lock.release()
-        run(0, x, y)
-        for lock in done:
-            lock.acquire()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-
-    helpers = []
-    try:
-        for k in range(len(go)):
-            go[k].acquire()
-            done[k].acquire()
-            # a daemon, so that a helper stuck by a fault cannot keep the
-            # interpreter from exiting
-            helper = threading.Thread(target=serve, args=(k,), name=f"rk4-spmv-{k + 1}",
-                                      daemon=True)
-            helper.start()
-            helpers.append(helper)
-        yield spmv
-    finally:
-        stop.set()
-        for lock, helper in zip(go, helpers):
-            if lock.locked():
-                lock.release()
-            helper.join()
+_Record = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 
 def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
-              record: Callable[[np.ndarray, int], float | np.ndarray]) -> np.ndarray:
+              record: _Record | Sequence[_Record]) -> np.ndarray | tuple[np.ndarray, ...]:
     """Fixed-step RK4 recording ``record(v, k)`` after every step.
 
     Because the operators are time independent and terminal data scales
     linearly, one sweep of m steps prices all m nested horizons at once.
     ``record`` returns a scalar or a vector; row k of the returned array
-    holds the step-k record, for k = 0..nsteps.  Raises StabilityError
+    holds the step-k record, for k = 0..nsteps.  ``record`` may instead
+    be a sequence of P callables, one per tile of m // P consecutive rows
+    of v: callable i is called on ``v[i*m//P:(i+1)*m//P]`` and the sweep
+    returns a tuple of P such arrays.  Records may return the same array
+    every step, since their rows are copied out.  Raises StabilityError
     naming the step at which the explicit scheme blows up (the
     operator's spectral radius is the caller's responsibility; the
     engine detects rather than repairs).
@@ -258,50 +216,145 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     the same four SpMVs, with the scalings and adds done in place.
 
     A is converted to float64 CSR once, and every SpMV calls scipy's
-    compiled kernel ``csr_matvec`` (the one ``A @ v`` ends in) on two
-    preallocated buffers that swap roles, so a step allocates nothing.
-    The kernel accumulates y += A x, hence each output buffer is zeroed
-    first, as ``A @ v`` zeroes its fresh result.
+    compiled kernel ``csr_matvec`` (the one ``A @ v`` ends in) into
+    preallocated buffers, so a step allocates nothing beyond what the
+    records return.  The kernel accumulates y += A x, hence each output
+    slice is zeroed first, as ``A @ v`` zeroes its fresh result.
 
-    Each SpMV runs as ``parts = max(1, min(cores, nnz // _MIN_PART_NNZ))``
-    contiguous row ranges of A, cut by ``indptr`` to about equal nnz,
-    where ``cores`` is the number this process may run on, read per
-    sweep.  The calling thread computes the first range and one helper
-    thread each further range; the kernel releases the interpreter lock,
-    so the ranges run at once, each on its own core and its own share of
-    A, x and y.  The helpers live for one sweep and are
-    joined before it returns or raises.  The Horner scalings, the
-    finiteness test and ``record`` run on the calling thread.  A row's
-    sum does not depend on which range holds it, so the sweep is
-    bit-identical to the ``A @ v`` loop for any number of parts;
-    ``record`` may return the same array every step, since its rows are
-    copied out.
+    The rows of A are marched as contiguous ranges (``_row_ranges``):
+    one range when ``parts = max(1, min(cores, nnz // _MIN_PART_NNZ))``
+    is 1, where ``cores`` is the number this process may run on, read
+    per sweep; otherwise max(parts, P) ranges whose cuts include every
+    tile boundary.  Each range is owned by one thread: the calling
+    thread owns the first and one helper thread each further range.  Per
+    stage the owner zeroes its slice, runs the kernel on its rows and
+    applies the Horner update to them; at the end of a step it tests its
+    rows of v for finiteness and runs every record tile its range
+    covers.  Tiles that no one range covers (a single callable, once A
+    is split) run on the calling thread after the step.  The threads
+    meet after every stage, as the next SpMV reads every row; the
+    kernel, the elementwise updates and BLAS dots release the
+    interpreter lock, so the ranges run at once.  Each helper sets its
+    own floating-point error state, as numpy keeps one per thread.  The
+    helpers live for one sweep and are joined before it returns or
+    raises, also when a kernel call or record fails on a helper (that
+    error is raised again by the calling thread).  A row's sum and an
+    element's update do not depend on which range holds them, so the
+    sweep is bit-identical to the ``A @ v`` loop for any cut.
     """
     A = A.tocsr()
     m, n = A.shape
+    indptr, indices = A.indptr, A.indices
     data = A.data.astype(np.float64, copy=False)
-    parts = max(1, min(_cores(), A.nnz // _MIN_PART_NNZ))
+    single = callable(record)
+    pieces = (record,) if single else tuple(record)
+    if m % len(pieces):
+        raise ValueError(f"{len(pieces)} record tiles do not divide {m} rows")
+    size = m // len(pieces)
     v = np.array(v0, dtype=np.float64)
     w, spare = np.empty(m), np.empty(m)
     finite = np.empty(m, dtype=bool)
-    first = np.asarray(record(v, 0), dtype=float)
-    out = np.empty((nsteps + 1,) + first.shape)
-    out[0] = first
-    # overflow past the stability limit is handled: every step is
-    # tested with isfinite and raises StabilityError
-    with np.errstate(over="ignore", invalid="ignore"), \
-            _row_split_spmv(m, n, A.indptr, A.indices, data, parts) as spmv:
-        for k in range(nsteps):
-            spmv(v, w)
-            for c in (h / 4.0, h / 3.0, h / 2.0):
-                w *= c
-                w += v
-                spmv(w, spare)
-                w, spare = spare, w
-            w *= h
-            v += w
-            if not np.isfinite(v, out=finite).all():
+    tiles = [v[i * size:(i + 1) * size] for i in range(len(pieces))]
+    outs = []
+    for piece, tile in zip(pieces, tiles):
+        first = np.asarray(piece(tile, 0), dtype=float)
+        outs.append(np.empty((nsteps + 1,) + first.shape))
+        outs[-1][0] = first
+    parts = max(1, min(_cores(), A.nnz // _MIN_PART_NNZ))
+    ranges = _row_ranges(indptr, m, len(pieces), parts)
+    # each tile runs on the one range covering its rows, else after the step
+    owned, leftover = [[] for _ in ranges], []
+    for i in range(len(pieces)):
+        lo, hi = i * size, (i + 1) * size
+        owner = [r for r, (a, b) in enumerate(ranges) if a <= lo and hi <= b]
+        (owned[owner[0]] if owner else leftover).append(i)
+    ok = [True] * len(ranges)           # each range's rows of v are finite
+
+    def march(r: int, meet: Callable[[int], None]) -> None:
+        """Step range r's rows, calling ``meet`` after every stage."""
+        lo, hi = ranges[r]
+        rows, ptr = hi - lo, indptr[lo:hi + 1]
+        own, a, b, fin = v[lo:hi], w[lo:hi], spare[lo:hi], finite[lo:hi]
+        stages = ((v, a, h / 4.0), (w, b, h / 3.0), (spare, a, h / 2.0))
+        mine = [(outs[i], pieces[i], tiles[i]) for i in owned[r]]
+        for k in range(1, nsteps + 1):
+            for x, y, c in stages:
+                y.fill(0.0)
+                csr_matvec(rows, n, ptr, indices, data, x, y)
+                y *= c
+                y += own
+                meet(0)
+            b.fill(0.0)
+            csr_matvec(rows, n, ptr, indices, data, w, b)
+            b *= h
+            own += b
+            ok[r] = np.isfinite(own, out=fin).all()
+            if ok[r]:
+                for out, piece, tile in mine:
+                    out[k] = piece(tile, k)
+            meet(k)
+
+    # Helper j (range j + 1) releases ``done[j]`` after each stage and
+    # then waits on ``go[j]``; the calling thread acquires every ``done``
+    # and then releases every ``go``.  Only the helper acquires ``go``
+    # and only the calling thread releases it, so on exit a held ``go``
+    # is a wake-up still owed, and releasing only held ones never
+    # releases a lock twice.
+    stop = threading.Event()
+    go = [threading.Lock() for _ in ranges[1:]]
+    done = [threading.Lock() for _ in ranges[1:]]
+    errors = [None] * len(go)
+
+    def lead(k: int) -> None:           # the calling thread's meeting
+        for lock in done:
+            lock.acquire()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        if k:
+            if not all(ok):
                 raise StabilityError(
-                    f"non-finite values at sweep step {k + 1}/{nsteps} (dt={h:.4g})")
-            out[k + 1] = record(v, k + 1)
-    return out
+                    f"non-finite values at sweep step {k}/{nsteps} (dt={h:.4g})")
+            for i in leftover:
+                outs[i][k] = pieces[i](tiles[i], k)
+        for lock in go:
+            lock.release()
+
+    def serve(j: int) -> None:
+        def meet(_: int) -> None:
+            done[j].release()
+            go[j].acquire()
+            if stop.is_set():
+                raise _Stopped
+
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                march(j + 1, meet)
+        except _Stopped:
+            pass
+        except BaseException as exc:    # raised again by the calling thread
+            errors[j] = exc
+            done[j].release()
+
+    helpers = []
+    try:
+        for j in range(len(go)):
+            go[j].acquire()
+            done[j].acquire()
+            # a daemon, so that a helper stuck by a fault cannot keep the
+            # interpreter from exiting
+            helper = threading.Thread(target=serve, args=(j,), name=f"rk4-rows-{j + 1}",
+                                      daemon=True)
+            helper.start()
+            helpers.append(helper)
+        # overflow past the stability limit is handled: every step is
+        # tested with isfinite and raises StabilityError
+        with np.errstate(over="ignore", invalid="ignore"):
+            march(0, lead)
+    finally:
+        stop.set()
+        for lock, helper in zip(go, helpers):
+            if lock.locked():
+                lock.release()
+            helper.join()
+    return outs[0] if single else tuple(outs)

@@ -183,6 +183,23 @@ def par_spread(terms: LegTerms) -> float:
     return float(np.sum(terms.B)) / denom
 
 
+def sweep_legs(St, u0: np.ndarray, h: float, nsteps: int, pre: np.ndarray,
+               post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leg dots of the adjoint sweep u_k = P(h St)^k u0, k = 0..nsteps.
+
+    St is the transposed stacked operator on 2N rows: u[:N] is its
+    post-default half and u[N:] its pre-default half.  Returns the rows
+    ``pre @ u_k[N:]`` and ``post @ u_k[:N]`` for every k, row 0 included;
+    ``pre`` and ``post`` hold one payoff (1D) or one payoff per row
+    (2D).  The two dots are the record tiles of ``rk4_sweep``, so on an
+    operator split across cores each half's thread takes its own dot.
+    """
+    post_dots, pre_dots = rk4_sweep(St, u0, h, nsteps,
+                                    (lambda u, k: np.dot(post, u),
+                                     lambda u, k: np.dot(pre, u)))
+    return pre_dots, post_dots
+
+
 class QuantoCdsPricer:
     """Backward PDE pricer on a fixed grid for one parameter set.
 
@@ -242,37 +259,30 @@ class QuantoCdsPricer:
 
     def leg_curves(self, schedule: CdsSchedule) -> dict[str, np.ndarray]:
         """w and the density proxy of every terminal kind at every
-        quadrature date, from one adjoint sweep.
+        quadrature date, from one adjoint sweep (``sweep_legs``).
 
         The pre-default half u[N:] of the sweep pairs with the terminal
         z (w, whose post-default value vanishes); the post-default half
-        u[:N] pairs with the post-default terminal of each kind.  The
-        sweep uses the terminals per unit horizon and divides the step-k
-        value by the horizon k*h.  Each step's record
-        is ``z @ u[N:]`` and one (3, N) block of density terminals
-        against ``u[:N]``, written into one reused buffer; no product
-        touches the half of u a leg does not read.
+        u[:N] pairs with the (3, N) block of post-default terminals, one
+        row per kind.  The terminals are per unit horizon, so the step-k
+        density dot is divided by the horizon k*h.  Each dot goes into
+        its own per-step row.  On an operator split across two cores
+        (``pde.rk4_sweep``) the thread owning the post-default rows takes
+        the density dots and the thread owning the pre-default rows the
+        w dot; with more cores a half cut in two has its dot taken by
+        the calling thread after the step.
         """
         g = self.solve_grid
-        n = g.size
         _, _, _, z = g.coordinate_fields()
         densities = np.stack([terminal_condition(kind, g, self.p).values
                               for kind in TERMINAL_KINDS])
-        rec = np.empty(1 + len(TERMINAL_KINDS))
-        rec_densities = rec[1:]
-
-        def record(u: np.ndarray, k: int) -> np.ndarray:
-            rec[0] = z.dot(u[n:])
-            np.dot(densities, u[:n], out=rec_densities)
-            return rec
-
-        u0 = np.concatenate([np.zeros(n), self._readout])
-        vals = rk4_sweep(self._stacked, u0, schedule.quad_step,
-                         schedule.m * schedule.n_quad, record)[1:]
-        self.spmv += 4 * len(vals)          # one row per step swept
-        curves = {"w": vals[:, 0]}
+        u0 = np.concatenate([np.zeros(g.size), self._readout])
+        nsteps = schedule.m * schedule.n_quad
+        w, dots = sweep_legs(self._stacked, u0, schedule.quad_step, nsteps, z, densities)
+        self.spmv += 4 * nsteps
+        curves = {"w": w[1:]}
         for i, kind in enumerate(TERMINAL_KINDS):
-            curves[kind] = vals[:, i + 1] / schedule.quad_dates
+            curves[kind] = dots[1:, i] / schedule.quad_dates
         return curves
 
     def g_curve(self, kind: str, schedule: CdsSchedule) -> np.ndarray:

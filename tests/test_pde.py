@@ -77,6 +77,25 @@ def split_three_ways(monkeypatch):
     monkeypatch.setattr(pde, "_cores", lambda: 3)
 
 
+@pytest.fixture
+def split_in_halves(monkeypatch):
+    """Every sweep run on two cores with the split threshold at one
+    nonzero: a record given as two tiles is marched as two row ranges,
+    cut where the tiles meet, one thread each."""
+    monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
+    monkeypatch.setattr(pde, "_cores", lambda: 2)
+
+
+def pricer_case(which: str) -> QuantoCdsPricer:
+    return QuantoCdsPricer({
+        "defaults": ModelParams(),
+        "fx-sweep-quote": ModelParams().with_(gamma_z=-0.3719),
+        "correlated-stochastic-R": ModelParams().with_(
+            sigma_R=0.3, kappa_R=0.5,
+            rho=np.array([[1.0, 0.0, 0.8, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [0.8, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))}[which])
+
+
 def frozen_params(**kw) -> ModelParams:
     base = dict(sigma_R=0.0, kappa_R=0.0, sigma_rhat=0.0, kappa_rhat=0.0,
                 sigma_y=0.0, kappa_y=0.0, sigma_z=0.0)
@@ -150,13 +169,7 @@ class TestRk4:
     def test_sweep_bit_identical_to_reference(self, which):
         # the kernel calls on swapped buffers do the reference loop's
         # arithmetic in its order: every state and every record is equal
-        p = {"defaults": ModelParams(),
-             "fx-sweep-quote": ModelParams().with_(gamma_z=-0.3719),
-             "correlated-stochastic-R": ModelParams().with_(
-                 sigma_R=0.3, kappa_R=0.5,
-                 rho=np.array([[1.0, 0.0, 0.8, 0.0], [0.0, 1.0, 0.0, 0.0],
-                               [0.8, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))}[which]
-        pricer = QuantoCdsPricer(p)
+        pricer = pricer_case(which)
         A, n = pricer._stacked, pricer.solve_grid.size
         v0 = np.concatenate([np.zeros(n), pricer._readout])
         probe = np.random.default_rng(5).standard_normal(2 * n)
@@ -187,6 +200,48 @@ class TestRk4:
 
     def test_split_stability_error_at_reference_step(self, split_three_ways):
         self.test_stability_error_at_reference_step()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    def test_half_records_bit_identical_to_reference(self, which, cores, split_in_halves,
+                                                     monkeypatch):
+        # a record in two tiles, post-default rows and pre-default rows:
+        # on two cores each half's thread records its own tile, on three
+        # the post-default half is cut in two and its tile recorded
+        # after the step; every state row and every dot equals the
+        # reference loop's, the dot taken by the same call
+        monkeypatch.setattr(pde, "_cores", lambda: cores)
+        pricer = pricer_case(which)
+        A, n = pricer._stacked, pricer.solve_grid.size
+        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        payoffs = np.random.default_rng(5).standard_normal((3, n))
+        post, pre = rk4_sweep(A, v0, 5.0 / 120, 120,
+                              (lambda u, k: u.copy(), lambda u, k: np.dot(payoffs, u)))
+        states = horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v.copy())
+        dots = horner_reference_sweep(A, v0, 5.0 / 120, 120,
+                                      lambda v, k: np.dot(payoffs, v[n:]))
+        assert np.array_equal(post, states[:, :n])
+        assert np.array_equal(pre, dots)
+
+    def test_half_split_stability_error_at_reference_step(self, split_in_halves):
+        # blow-up under the per-half split: the same step and message as
+        # the reference loop, and no overflow warning escalated on the
+        # helper (numpy's error state is per thread, and a warning turned
+        # into an error there would reach the caller instead)
+        pricer = QuantoCdsPricer(ModelParams().with_(sigma_y=25.0))
+        A, n = pricer._stacked, pricer.solve_grid.size
+        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        payoff = pricer.solve_grid.coordinate_fields()[3]
+        with pytest.raises(StabilityError, match="step") as got:
+            rk4_sweep(A, v0, 5.0 / 120, 120, (lambda u, k: u[0], lambda u, k: payoff @ u))
+        with pytest.raises(StabilityError, match="step") as want:
+            horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
+        assert str(got.value) == str(want.value)
+
+    def test_tiles_must_divide_rows(self):
+        with pytest.raises(ValueError, match="tiles"):
+            rk4_sweep(sps.identity(3, format="csr"), np.ones(3), 0.1, 2,
+                      (lambda u, k: u[0], lambda u, k: u[0]))
 
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row
@@ -265,6 +320,89 @@ class TestSplitSweepThreads:
         with pytest.raises(KernelFault, match=failing):
             rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, lambda v, k: v[0])
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_tile_recorded_by_the_thread_owning_its_rows(self, cores, split_in_halves,
+                                                         monkeypatch):
+        # one core: both tiles on the calling thread, inline; two: the
+        # second half on the helper owning it; three: the first half is
+        # cut in two, so the calling thread records it after the step
+        monkeypatch.setattr(pde, "_cores", lambda: cores)
+        A = self.operator()
+        assert pde._row_ranges(A.indptr, 300, 2, cores) == {
+            1: [(0, 300)], 2: [(0, 150), (150, 300)],
+            3: [(0, 76), (76, 150), (150, 300)]}[cores]
+        seen = [set(), set()]
+
+        def tile(i):
+            def rec(u, k):
+                if k:
+                    seen[i].add(threading.current_thread().name)
+                return u.sum()
+            return rec
+
+        rk4_sweep(A, np.ones(300), 0.05, 5, (tile(0), tile(1)))
+        caller = threading.current_thread().name
+        assert seen == {1: [{caller}, {caller}], 2: [{caller}, {"rk4-rows-1"}],
+                        3: [{caller}, {"rk4-rows-2"}]}[cores]
+
+    @pytest.mark.parametrize("failing", ["helper kernel", "helper record", "caller record"])
+    def test_half_error_reaches_caller(self, failing, split_in_halves, monkeypatch):
+        # the helper owning the pre-default half fails in its kernel call
+        # or in its record tile, or the calling thread fails in its own
+        # tile while the helper marches on: the sweep raises that error
+        # and leaves no helper behind; it runs in a thread of its own, so
+        # that a lost error fails the test instead of hanging it
+        kernel = pde.csr_matvec
+        box = {}
+
+        class HalfFault(RuntimeError):
+            pass
+
+        def fail(where: str) -> None:
+            on_caller = threading.current_thread() is box["caller"]
+            if failing == where and on_caller == failing.startswith("caller"):
+                raise HalfFault(failing)
+
+        def faulty(*args):
+            fail("helper kernel")
+            kernel(*args)
+
+        def tile(u, k):
+            if k == 3:
+                fail("helper record")
+                fail("caller record")
+            return u[0]
+
+        def sweep():
+            box["caller"] = threading.current_thread()
+            try:
+                rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, (tile, tile))
+            except HalfFault as exc:
+                box["error"] = exc
+
+        monkeypatch.setattr(pde, "csr_matvec", faulty)
+        A = self.operator()
+        before = threading.active_count()
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert str(box["error"]) == failing
+        assert threading.active_count() == before
+
+    def test_row_ranges_cut_at_every_tile_boundary(self):
+        # rows 0-3 hold one nonzero each, rows 4-7 three: one range below
+        # two parts; otherwise each tile gets a range and each further
+        # range goes to the tile with the most nnz per range, cut there
+        # by nnz (one tile is the whole-vector cut by nnz)
+        indptr = np.concatenate([[0], np.cumsum([1] * 4 + [3] * 4)])
+        cases = {(2, 1): [(0, 8)], (2, 2): [(0, 4), (4, 8)],
+                 (2, 3): [(0, 4), (4, 6), (6, 8)],
+                 (2, 4): [(0, 4), (4, 6), (6, 7), (7, 8)],
+                 (1, 2): [(0, 6), (6, 8)], (1, 3): [(0, 5), (5, 7), (7, 8)]}
+        for (pieces, parts), want in cases.items():
+            assert pde._row_ranges(indptr, 8, pieces, parts) == want, (pieces, parts)
 
     def test_many_ranges_under_fast_switching(self, monkeypatch):
         # eight ranges on at most a few cores, with the interpreter

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from dataclasses import replace
@@ -8,6 +9,7 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantocds.pde as pde
 from quantocds.cli import ConfigError, load_config
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError, validate_params
@@ -534,6 +536,42 @@ class TestSpreadPins:
         got = (s, np.sum(legs.A), np.sum(legs.B), np.sum(legs.accrual()))
         for name, g, w in zip(("s", "A", "B", "C-D"), got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
+
+
+def _legs_digest(legs: LegTerms) -> str:
+    """sha256 of the A, B, C and D arrays as little-endian float64."""
+    h = hashlib.sha256()
+    for leg in (legs.A, legs.B, legs.C, legs.D):
+        h.update(np.ascontiguousarray(leg, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# quanto_basis bit for bit, recorded before the legs were swept through
+# ``sweep_legs``: s and s_d as float hex, the per-coupon leg arrays as a
+# digest of their bytes
+QUANTO_BASIS_PINS = {
+    "defaults": (P, "0x1.51f005ad7098bp-7", "0x1.527e2911ef6b1p-7",
+                 "9d9cc6baf8271e5ee8cd6d06f42c536e47a0fad7f8aaec25c5941552391eeb5c"),
+    "correlated": (_CORRELATED, "0x1.d1ec1226eb4c4p-7", "0x1.dbc2626a88540p-7",
+                   "d4208cc48b7e1998d8b78e7212a53cf2164fdc48d6a2bd7ac70f5e6a7db45d70"),
+}
+
+
+class TestLegSweepPins:
+    @pytest.mark.parametrize("case", list(QUANTO_BASIS_PINS))
+    def test_quanto_basis_bit_identical(self, case):
+        p, s, s_d, legs = QUANTO_BASIS_PINS[case]
+        report = quanto_basis(p, SCHED)
+        assert (report.s.hex(), report.s_d.hex()) == (s, s_d)
+        assert _legs_digest(report.legs) == legs
+
+    def test_two_worker_sweep_bit_identical_on_refined_grid(self, monkeypatch):
+        # two cores, whatever the host has: the 1 658 880-nnz operator is
+        # marched as its post-default and pre-default halves, each on its
+        # own thread
+        monkeypatch.setattr(pde, "_cores", lambda: 2)
+        s, _ = QuantoCdsPricer(_CORRELATED, _GRID16).spread(SCHED)
+        assert s.hex() == "0x1.cd48504379129p-7"
 
 
 _AXIS = {"R": 0, "rhat": 1, "y": 2}
