@@ -15,8 +15,10 @@ the range's rows, the Horner update, the finiteness test and the record
 of the rows it covers, so on two cores the pricer's two halves
 (post-default rows, pre-default rows) each march on their own core.
 With more cores a half is cut further, and a record no one range covers
-runs on the calling thread after the step.  Every row is still summed
-and updated by the same code in the same order, so the march is
+runs on the calling thread after the step.  The threads meet at one
+barrier after every stage; a helper that fails aborts it, and the
+calling thread raises that error.  Every row is still summed and
+updated by the same code in the same order, so the march is
 bit-identical to one kernel call over all rows.
 """
 from __future__ import annotations
@@ -50,7 +52,7 @@ class StabilityError(RuntimeError):
 
 
 # Nonzeros per row range below which an SpMV is not split further: on
-# smaller operators the handoff between threads (tens of microseconds
+# smaller operators the meeting of the threads (tens of microseconds
 # per SpMV) costs about what the split saves.  Every [10]^4 operator
 # (at most 243 600 nnz) stays on one range.
 _MIN_PART_NNZ = 250_000
@@ -187,10 +189,6 @@ def _row_ranges(indptr: np.ndarray, m: int, pieces: int,
     return list(zip(cuts, cuts[1:] + [m]))
 
 
-class _Stopped(Exception):
-    """Ends a helper's march when the sweep is over."""
-
-
 _Record = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 
@@ -230,17 +228,23 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     stage the owner zeroes its slice, runs the kernel on its rows and
     applies the Horner update to them; at the end of a step it tests its
     rows of v for finiteness and runs every record tile its range
-    covers.  Tiles that no one range covers (a single callable, once A
-    is split) run on the calling thread after the step.  The threads
-    meet after every stage, as the next SpMV reads every row; the
-    kernel, the elementwise updates and BLAS dots release the
-    interpreter lock, so the ranges run at once.  Each helper sets its
-    own floating-point error state, as numpy keeps one per thread.  The
-    helpers live for one sweep and are joined before it returns or
-    raises, also when a kernel call or record fails on a helper (that
-    error is raised again by the calling thread).  A row's sum and an
-    element's update do not depend on which range holds them, so the
-    sweep is bit-identical to the ``A @ v`` loop for any cut.
+    covers.  The owners meet at one ``threading.Barrier`` after every
+    stage, as the next SpMV reads every row (one range meets no one);
+    the kernel, the elementwise updates and BLAS dots release the
+    interpreter lock, so the ranges run at once.  After a step's last
+    meeting every owner reads whether all rows are finite: if not, the
+    helpers return and the calling thread raises.  Otherwise the calling
+    thread runs the tiles that no one range covers (a single callable,
+    once A is split) while the helpers start the next step; these write
+    v only three meetings later, so the records read the step's v.  Each
+    helper sets its own floating-point error state, as numpy keeps one
+    per thread, and waits once more after its last step, so it lives as
+    long as the sweep.  A helper that raises aborts the barrier, and
+    the calling thread raises that error; the calling thread aborts the
+    barrier and joins every helper before it returns or raises.  A
+    row's sum and an element's update do not depend on which range holds
+    them, so the sweep is bit-identical to the ``A @ v`` loop for any
+    cut.
     """
     A = A.tocsr()
     m, n = A.shape
@@ -269,9 +273,11 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
         owner = [r for r, (a, b) in enumerate(ranges) if a <= lo and hi <= b]
         (owned[owner[0]] if owner else leftover).append(i)
     ok = [True] * len(ranges)           # each range's rows of v are finite
+    split = len(ranges) > 1
+    barrier = threading.Barrier(len(ranges))
 
-    def march(r: int, meet: Callable[[int], None]) -> None:
-        """Step range r's rows, calling ``meet`` after every stage."""
+    def march(r: int) -> None:
+        """Step range r's rows, meeting the other ranges after every stage."""
         lo, hi = ranges[r]
         rows, ptr = hi - lo, indptr[lo:hi + 1]
         own, a, b, fin = v[lo:hi], w[lo:hi], spare[lo:hi], finite[lo:hi]
@@ -283,7 +289,8 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
                 csr_matvec(rows, n, ptr, indices, data, x, y)
                 y *= c
                 y += own
-                meet(0)
+                if split:
+                    barrier.wait()
             b.fill(0.0)
             csr_matvec(rows, n, ptr, indices, data, w, b)
             b *= h
@@ -292,69 +299,47 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
             if ok[r]:
                 for out, piece, tile in mine:
                     out[k] = piece(tile, k)
-            meet(k)
-
-    # Helper j (range j + 1) releases ``done[j]`` after each stage and
-    # then waits on ``go[j]``; the calling thread acquires every ``done``
-    # and then releases every ``go``.  Only the helper acquires ``go``
-    # and only the calling thread releases it, so on exit a held ``go``
-    # is a wake-up still owed, and releasing only held ones never
-    # releases a lock twice.
-    stop = threading.Event()
-    go = [threading.Lock() for _ in ranges[1:]]
-    done = [threading.Lock() for _ in ranges[1:]]
-    errors = [None] * len(go)
-
-    def lead(k: int) -> None:           # the calling thread's meeting
-        for lock in done:
-            lock.acquire()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        if k:
+            if split:
+                barrier.wait()
             if not all(ok):
+                if r:
+                    return
                 raise StabilityError(
                     f"non-finite values at sweep step {k}/{nsteps} (dt={h:.4g})")
-            for i in leftover:
-                outs[i][k] = pieces[i](tiles[i], k)
-        for lock in go:
-            lock.release()
+            if not r:
+                for i in leftover:
+                    outs[i][k] = pieces[i](tiles[i], k)
 
-    def serve(j: int) -> None:
-        def meet(_: int) -> None:
-            done[j].release()
-            go[j].acquire()
-            if stop.is_set():
-                raise _Stopped
+    errors = []
 
+    def serve(r: int) -> None:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                march(j + 1, meet)
-        except _Stopped:
+                march(r)
+            barrier.wait()              # until the calling thread aborts it
+        except threading.BrokenBarrierError:
             pass
         except BaseException as exc:    # raised again by the calling thread
-            errors[j] = exc
-            done[j].release()
+            errors.append(exc)
+            barrier.abort()
 
     helpers = []
     try:
-        for j in range(len(go)):
-            go[j].acquire()
-            done[j].acquire()
+        for r in range(1, len(ranges)):
             # a daemon, so that a helper stuck by a fault cannot keep the
             # interpreter from exiting
-            helper = threading.Thread(target=serve, args=(j,), name=f"rk4-rows-{j + 1}",
+            helper = threading.Thread(target=serve, args=(r,), name=f"rk4-rows-{r}",
                                       daemon=True)
             helper.start()
             helpers.append(helper)
         # overflow past the stability limit is handled: every step is
         # tested with isfinite and raises StabilityError
         with np.errstate(over="ignore", invalid="ignore"):
-            march(0, lead)
+            march(0)
+    except threading.BrokenBarrierError:
+        raise errors[0] from None
     finally:
-        stop.set()
-        for lock, helper in zip(go, helpers):
-            if lock.locked():
-                lock.release()
+        barrier.abort()
+        for helper in helpers:
             helper.join()
     return outs[0] if single else tuple(outs)

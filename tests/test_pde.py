@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ def split_in_halves(monkeypatch):
     cut where the tiles meet, one thread each."""
     monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
     monkeypatch.setattr(pde, "_cores", lambda: 2)
+
+
+def within_bound(call, timeout: float = 60.0):
+    """``call()`` run on a thread of its own, joined within ``timeout``
+    seconds: a sweep that loses a helper's error or meeting fails the
+    test instead of hanging the suite.  Returns what ``call`` returns
+    and raises again what it raises."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = call()
+        except BaseException as exc:
+            box["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    assert not runner.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+def on_helper() -> bool:
+    """Whether the current thread is a helper of a split sweep."""
+    return threading.current_thread().name.startswith("rk4-rows-")
 
 
 def pricer_case(which: str) -> QuantoCdsPricer:
@@ -281,8 +309,14 @@ class TestSplitSweepThreads:
         return (A - sps.diags(np.asarray(abs(A).sum(axis=1)).ravel())).tocsr()
 
     def threads_per_step(self, A, v0, nsteps=5):
-        """Threads alive at each step of a sweep, read by its record."""
-        return rk4_sweep(A, v0, 0.05, nsteps, lambda v, k: threading.active_count())
+        """Threads alive at each step of a sweep, read by its record
+        after a pause long enough for a helper that has left the sweep
+        to end."""
+        def alive(v, k):
+            time.sleep(0.01)
+            return threading.active_count()
+
+        return rk4_sweep(A, v0, 0.05, nsteps, alive)
 
     def test_helpers_run_during_sweep_and_end_with_it(self, split_three_ways):
         A = self.operator()
@@ -301,16 +335,15 @@ class TestSplitSweepThreads:
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_kernel_error_reaches_caller(self, failing, split_three_ways, monkeypatch):
         # the kernel fails on the helpers' rows only, or on the calling
-        # thread's only, right after it woke the helpers; the sweep
-        # raises that error and leaves no helper behind
-        caller = threading.current_thread()
+        # thread's only, while the helpers march; the sweep raises that
+        # error and leaves no helper behind
         kernel = pde.csr_matvec
 
         class KernelFault(RuntimeError):
             pass
 
         def faulty(*args):
-            if (threading.current_thread() is caller) == (failing == "caller"):
+            if on_helper() == (failing == "helper"):
                 raise KernelFault(f"{failing} rows")
             kernel(*args)
 
@@ -318,7 +351,7 @@ class TestSplitSweepThreads:
         A = self.operator()
         before = threading.active_count()
         with pytest.raises(KernelFault, match=failing):
-            rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, lambda v, k: v[0])
+            within_bound(lambda: rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, lambda v, k: v[0]))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -346,22 +379,23 @@ class TestSplitSweepThreads:
         assert seen == {1: [{caller}, {caller}], 2: [{caller}, {"rk4-rows-1"}],
                         3: [{caller}, {"rk4-rows-2"}]}[cores]
 
-    @pytest.mark.parametrize("failing", ["helper kernel", "helper record", "caller record"])
-    def test_half_error_reaches_caller(self, failing, split_in_halves, monkeypatch):
-        # the helper owning the pre-default half fails in its kernel call
-        # or in its record tile, or the calling thread fails in its own
-        # tile while the helper marches on: the sweep raises that error
-        # and leaves no helper behind; it runs in a thread of its own, so
-        # that a lost error fails the test instead of hanging it
+    @pytest.mark.parametrize("failing, cores", [
+        pytest.param(failing, cores, id=failing if cores == 2 else f"{failing}, 3 cores")
+        for cores in (2, 3) for failing in ("helper kernel", "helper record", "caller record")])
+    def test_half_error_reaches_caller(self, failing, cores, split_in_halves, monkeypatch):
+        # a helper fails in its kernel call or in the pre-default tile,
+        # or the calling thread fails in the post-default tile while the
+        # helpers march on (on three cores it records that tile after
+        # the step's last meeting, as the helpers start the next step):
+        # the sweep raises that error and leaves no helper behind
+        monkeypatch.setattr(pde, "_cores", lambda: cores)
         kernel = pde.csr_matvec
-        box = {}
 
         class HalfFault(RuntimeError):
             pass
 
         def fail(where: str) -> None:
-            on_caller = threading.current_thread() is box["caller"]
-            if failing == where and on_caller == failing.startswith("caller"):
+            if failing == where and on_helper() == failing.startswith("helper"):
                 raise HalfFault(failing)
 
         def faulty(*args):
@@ -374,21 +408,12 @@ class TestSplitSweepThreads:
                 fail("caller record")
             return u[0]
 
-        def sweep():
-            box["caller"] = threading.current_thread()
-            try:
-                rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, (tile, tile))
-            except HalfFault as exc:
-                box["error"] = exc
-
         monkeypatch.setattr(pde, "csr_matvec", faulty)
         A = self.operator()
         before = threading.active_count()
-        runner = threading.Thread(target=sweep, daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
-        assert str(box["error"]) == failing
+        with pytest.raises(HalfFault) as err:
+            within_bound(lambda: rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, (tile, tile)))
+        assert str(err.value) == failing
         assert threading.active_count() == before
 
     def test_row_ranges_cut_at_every_tile_boundary(self):
@@ -406,26 +431,21 @@ class TestSplitSweepThreads:
 
     def test_many_ranges_under_fast_switching(self, monkeypatch):
         # eight ranges on at most a few cores, with the interpreter
-        # switching threads every microsecond: a lost or early handoff
+        # switching threads every microsecond: a lost or early meeting
         # would leave a stale slice, so the states must still equal the
-        # reference; the sweep runs in a thread so that a hang fails
+        # reference
         monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
         monkeypatch.setattr(pde, "_cores", lambda: 8)
         A = self.operator()
         v0 = np.random.default_rng(4).standard_normal(A.shape[0])
         want = horner_reference_sweep(A, v0, 0.05, 40, lambda v, k: v.copy())
-        got = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sweep = threading.Thread(target=lambda: got.append(
-                rk4_sweep(A, v0, 0.05, 40, lambda v, k: v.copy())))
-            sweep.start()
-            sweep.join(timeout=60)
+            got = within_bound(lambda: rk4_sweep(A, v0, 0.05, 40, lambda v, k: v.copy()))
         finally:
             sys.setswitchinterval(interval)
-        assert not sweep.is_alive()
-        assert len(got) == 1 and np.array_equal(got[0], want)
+        assert np.array_equal(got, want)
 
     def test_one_core_starts_no_thread(self, split_three_ways, monkeypatch):
         monkeypatch.setattr(pde, "_cores", lambda: 1)
