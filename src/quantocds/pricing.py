@@ -1,10 +1,10 @@
 """Par spreads of the quanto CDS from backward PDE solves.
 
 Leg construction follows the defaultable-bond decomposition: the coupon
-annuity integrates the pre-default FX-converted discount factor w; the
-protection and accrual legs integrate the default-density proxies
-obtained from the two-step solves.  Their terminal data per unit
-horizon (``terminal_condition``) are
+annuity sums the pre-default FX-converted discount factor w at the
+coupon dates; the protection and accrual legs integrate the
+default-density proxies obtained from the two-step solves.  Their
+terminal data per unit horizon (``terminal_condition``) are
 
     recovery kind    R * z * (1 + gamma_z)
     protection kind  (1 - R) * z * (1 + gamma_z)
@@ -14,8 +14,9 @@ and the proxy at horizon T is that solve divided by T (approximating
 lambda / (e^{lambda T} - 1) in the small lambda*T regime).  Step 1
 marches the post-default equation from that terminal; step 2 marches the
 pre-default equation with coupling source lambda * u_hat and zero
-terminal.  Cell integrals are right-endpoint Riemann sums with N_q
-quadrature nodes per coupon interval, and the par spread is
+terminal.  The protection and accrual cell integrals are right-endpoint
+Riemann sums with N_q quadrature nodes per coupon interval
+(``LegTerms``), and the par spread is
 
     s = sum(B_i) / sum(A_i + C_i - D_i).
 
@@ -98,24 +99,42 @@ class CdsSchedule:
 
 @dataclass(frozen=True)
 class LegTerms:
-    """Per-coupon-cell integrals (domestic currency per unit notional)."""
+    """Per-coupon-cell leg terms (domestic currency per unit notional).
 
-    A: np.ndarray   # integral of w      (coupon annuity)
-    B: np.ndarray   # integral of gbar   (protection)
+    With coupon interval dt, coupon dates t_i = i*dt and quadrature
+    step h = dt / N_q:
+
+    - A_i = dt * w(t_i), the discrete coupon paid at t_i if no default
+      has occurred by then (the premium leg ``mc_spread`` prices),
+      whatever N_q is;
+    - B_i ~ the integral of the protection density gbar over
+      (t_{i-1}, t_i], the protection leg;
+    - C_i - D_i ~ the integral of (nu - t_{i-1}) * gtilde over the same
+      cell, the premium accrued from the last coupon date to default.
+
+    B, C and D are right-endpoint Riemann sums over the N_q nodes of
+    each cell, so raising N_q refines them; A reads w at the coupon
+    dates only.
+    """
+
+    A: np.ndarray   # dt * w at the coupon date  (coupon annuity)
+    B: np.ndarray   # integral of gbar           (protection)
     C: np.ndarray   # integral of nu * gtilde
     D: np.ndarray   # t_{i-1} * integral of gtilde
 
     @classmethod
     def from_curves(cls, curves: dict[str, np.ndarray],
                     schedule: CdsSchedule) -> LegTerms:
-        """Right-endpoint cell integrals of the w, protection and accrual
-        curves sampled at every quadrature date."""
+        """Leg terms from the w, protection and accrual curves sampled
+        at every quadrature date: A from w at the coupon dates (the
+        last node of each cell), B, C and D as right-endpoint cell
+        sums."""
         h = schedule.quad_step
         nq, m = schedule.n_quad, schedule.m
         t_left = schedule.coupon_interval * np.arange(0, m)
         w, gb, gt = (curves[k].reshape(m, nq) for k in ("w", "protection", "accrual"))
         nu_cells = schedule.quad_dates.reshape(m, nq)
-        A = h * w.sum(axis=1)
+        A = schedule.coupon_interval * w[:, -1]
         B = h * gb.sum(axis=1)
         C = h * (nu_cells * gt).sum(axis=1)
         D = h * t_left * gt.sum(axis=1)
@@ -234,9 +253,15 @@ class QuantoCdsPricer:
 
     The operator terms are evaluated once, on ``grid``: they decide the
     inert axes, and their cut to ``solve_grid`` is what S^T is built
-    from (``pde.stacked_transpose`` writes the CSR arrays of S from the
-    slot table of L and transposes them once).  ``spmv`` counts the
-    SpMVs of every sweep the pricer ran.
+    from.  ``pde.stacked_transpose`` never builds S: it writes the left
+    block column [A1; Lambda C] from the slot table of L, frees the
+    table and transposes that buffer into the first half of S^T; the
+    buffer's top rows then take A2's values and are transposed into the
+    second half.  The build peaks at about 1.65 times the S^T it
+    returns (32.3 MiB at [16]^4 with stochastic recovery), and S^T's
+    arrays keep the tail of its dropped exact zeros (20.8 MiB held for
+    19.5 MiB there).  ``spmv`` counts the SpMVs of every sweep the
+    pricer ran.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):

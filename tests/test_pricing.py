@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,13 @@ class TestLegTerms:
         w_fine = pricer.leg_curves(CdsSchedule(n_quad=4))["w"]
         disc = SCHED.coupon_interval * float(np.sum(w_fine[3::4]))
         assert disc == pytest.approx(float(np.sum(terms.A)), rel=1e-6)
+
+    def test_annuity_reads_coupon_dates(self, pricer):
+        # at any n_quad the coupon annuity is the discrete coupons: dt
+        # times w at each coupon date, the last quadrature node of its cell
+        sched = CdsSchedule(n_quad=4)
+        w = pricer.leg_curves(sched)["w"]
+        assert np.array_equal(pricer.spread(sched)[1].A, sched.coupon_interval * w[3::4])
 
 
 class TestParSpread:
@@ -689,6 +697,8 @@ _OPERATOR_CASES = {
     "sigma_z=0": (P.with_(sigma_z=0.0), None),
     "frozen-y-rhat": (P.with_(kappa_y=0.0, sigma_y=0.0, kappa_rhat=0.0, sigma_rhat=0.0),
                       None),
+    # the largest slot table, the one refined-grid marches
+    "correlated-n16": (_CORRELATED, _GRID16),
 }
 # every case also through the domestic reduction
 OPERATOR_PINS = {**_OPERATOR_CASES,
@@ -715,6 +725,20 @@ class TestOperatorPins:
         g = build_grid(grid_cfg or GridConfig(), p)
         assert same_csr(stacked_transpose(g, p, operator_terms(g, p)),
                         reference_stacked(g, p)[0])
+
+    def test_build_peak_within_1_8x_operator(self):
+        # the build holds [A1; Lambda C] and S^T, never S: its traced
+        # peak stays under 1.8 times the operator it returns (2.7 times
+        # while S and S^T were held at once)
+        g = build_grid(GridConfig(n_R=12, n_rhat=12, n_y=12, n_z=12), _CORRELATED)
+        terms = operator_terms(g, _CORRELATED)
+        tracemalloc.start()
+        try:
+            St = stacked_transpose(g, _CORRELATED, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * (St.data.nbytes + St.indices.nbytes + St.indptr.nbytes)
 
     @pytest.mark.parametrize("frozen", [(), ("R",)], ids=["live-R", "frozen-R"])
     @settings(max_examples=20, deadline=None)
