@@ -9,17 +9,16 @@ through the jump term lambda*u_hat.  One stacked operator carries both,
 the coupling as its off-diagonal block.  Time stepping is classical
 explicit RK4, each step evaluated as its polynomial in Horner form:
 four calls of scipy's compiled CSR kernel into preallocated buffers,
-with no state vector allocated per step.  A large operator is marched
-as contiguous row ranges, one thread each: its owner runs the kernel on
-the range's rows, the Horner update, the finiteness test and the record
-of the rows it covers, so on two cores the pricer's two halves
-(post-default rows, pre-default rows) each march on their own core.
-With more cores a half is cut further, and a record no one range covers
-runs on the calling thread after the step.  The threads meet at one
-barrier after every stage; a helper that fails aborts it, and the
-calling thread raises that error.  Every row is still summed and
-updated by the same code in the same order, so the march is
-bit-identical to one kernel call over all rows.
+with no state vector allocated per step.  A large operator recorded
+in P tiles is marched on P threads, one per tile, when the process may
+run on P cores: a tile's thread runs the kernel on its rows, the Horner
+update, the finiteness test and the tile's record, so on two cores the
+pricer's two halves (post-default rows, pre-default rows) each march
+on their own core.  Anything else marches on the calling thread.  The
+threads meet at one barrier after every stage; a helper that fails
+aborts it, and the calling thread raises that error.  Every row is
+still summed and updated by the same code in the same order, so the
+march is bit-identical to one kernel call over all rows.
 """
 from __future__ import annotations
 
@@ -54,10 +53,10 @@ class StabilityError(RuntimeError):
     """Explicit march produced non-finite values."""
 
 
-# Nonzeros per row range below which an SpMV is not split further: on
-# smaller operators the meeting of the threads (tens of microseconds
-# per SpMV) costs about what the split saves.  Every [10]^4 operator
-# (at most 243 600 nnz) stays on one range.
+# Nonzeros per record tile below which a sweep is not split into one
+# thread per tile: on smaller operators the meeting of the threads (tens
+# of microseconds per SpMV) costs about what the split saves.  Every
+# [10]^4 operator (at most 243 600 nnz) stays on the calling thread.
 _MIN_PART_NNZ = 250_000
 
 
@@ -193,31 +192,6 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _row_ranges(indptr: np.ndarray, m: int, pieces: int,
-                parts: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of an m-row CSR operator marched on ``parts``
-    cores, with a record cut into ``pieces`` tiles of m // pieces rows.
-
-    One range when ``parts`` is 1.  Otherwise max(parts, pieces) ranges
-    whose cuts include every tile boundary: each tile gets one range,
-    each further range goes to the tile with the most nnz per range, and
-    a tile's ranges are cut by ``indptr`` to about equal nnz.
-    """
-    if parts == 1:
-        return [(0, m)]
-    bounds = [i * (m // pieces) for i in range(pieces + 1)]
-    nnz = [indptr[hi] - indptr[lo] for lo, hi in zip(bounds, bounds[1:])]
-    count = [1] * pieces
-    for _ in range(parts - pieces):
-        i = max(range(pieces), key=lambda i: nnz[i] / count[i])
-        count[i] += 1
-    cuts = []
-    for lo, total, c in zip(bounds, nnz, count):
-        cuts.append(lo)
-        cuts += np.searchsorted(indptr, indptr[lo] + np.arange(1, c) * (total / c)).tolist()
-    return list(zip(cuts, cuts[1:] + [m]))
-
-
 _Record = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 
@@ -248,32 +222,27 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     records return.  The kernel accumulates y += A x, hence each output
     slice is zeroed first, as ``A @ v`` zeroes its fresh result.
 
-    The rows of A are marched as contiguous ranges (``_row_ranges``):
-    one range when ``parts = max(1, min(cores, nnz // _MIN_PART_NNZ))``
-    is 1, where ``cores`` is the number this process may run on, read
-    per sweep; otherwise max(parts, P) ranges whose cuts include every
-    tile boundary.  Each range is owned by one thread: the calling
-    thread owns the first and one helper thread each further range.  Per
-    stage the owner zeroes its slice, runs the kernel on its rows and
-    applies the Horner update to them; at the end of a step it tests its
-    rows of v for finiteness and runs every record tile its range
-    covers.  The owners meet at one ``threading.Barrier`` after every
-    stage, as the next SpMV reads every row (one range meets no one);
-    the kernel, the elementwise updates and BLAS dots release the
-    interpreter lock, so the ranges run at once.  After a step's last
-    meeting every owner reads whether all rows are finite: if not, the
-    helpers return and the calling thread raises.  Otherwise the calling
-    thread runs the tiles that no one range covers (a single callable,
-    once A is split) while the helpers start the next step; these write
-    v only three meetings later, so the records read the step's v.  Each
-    helper sets its own floating-point error state, as numpy keeps one
-    per thread, and waits once more after its last step, so it lives as
-    long as the sweep.  A helper that raises aborts the barrier, and
+    A single callable is one tile.  Given P tiles, at least P cores
+    (``cores``, the number this process may run on, read per sweep) and
+    at least P * ``_MIN_PART_NNZ`` nonzeros, the sweep runs one thread
+    per tile: the calling thread owns tile 0's rows and helper thread i
+    (named ``rk4-rows-i``) tile i's.  Otherwise the calling thread
+    marches every row and records every tile.  Per stage a thread zeroes
+    its slice, runs the kernel on its rows and applies the Horner update
+    to them; at the end of a step it tests its rows of v for finiteness
+    and runs its tiles' records.  The threads meet at one
+    ``threading.Barrier`` after every stage, as the next SpMV reads every
+    row; the kernel, the elementwise updates and the records' numpy
+    calls release the interpreter lock, so the tiles run at once.  After
+    a step's last meeting every thread reads whether all rows are
+    finite: if not, the helpers return and the calling thread raises.
+    Each helper sets its own floating-point error state, as numpy keeps
+    one per thread, and waits once more after its last step, so it lives
+    as long as the sweep.  A helper that raises aborts the barrier, and
     the calling thread raises that error; the calling thread aborts the
-    barrier and joins every helper before it returns or raises.  A
-    row's sum and an element's update do not depend on which range holds
-    them, so the sweep is bit-identical to the ``A @ v`` loop for any
-    cut.
+    barrier and joins every helper before it returns or raises.  A row's
+    sum and an element's update do not depend on which thread computes
+    them, so the sweep is bit-identical to the ``A @ v`` loop either way.
     """
     A = A.tocsr()
     m, n = A.shape
@@ -281,7 +250,7 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     data = A.data.astype(np.float64, copy=False)
     single = callable(record)
     pieces = (record,) if single else tuple(record)
-    if m % len(pieces):
+    if not pieces or m % len(pieces):
         raise ValueError(f"{len(pieces)} record tiles do not divide {m} rows")
     size = m // len(pieces)
     v = np.array(v0, dtype=np.float64)
@@ -293,25 +262,19 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
         first = np.asarray(piece(tile, 0), dtype=float)
         outs.append(np.empty((nsteps + 1,) + first.shape))
         outs[-1][0] = first
-    parts = max(1, min(_cores(), A.nnz // _MIN_PART_NNZ))
-    ranges = _row_ranges(indptr, m, len(pieces), parts)
-    # each tile runs on the one range covering its rows, else after the step
-    owned, leftover = [[] for _ in ranges], []
-    for i in range(len(pieces)):
-        lo, hi = i * size, (i + 1) * size
-        owner = [r for r, (a, b) in enumerate(ranges) if a <= lo and hi <= b]
-        (owned[owner[0]] if owner else leftover).append(i)
-    ok = [True] * len(ranges)           # each range's rows of v are finite
-    split = len(ranges) > 1
-    barrier = threading.Barrier(len(ranges))
+    # one thread per tile, once every tile has a core and its nonzeros
+    split = 1 < len(pieces) <= _cores() and A.nnz >= len(pieces) * _MIN_PART_NNZ
+    threads = len(pieces) if split else 1
+    ok = [True] * threads               # each thread's rows of v are finite
+    barrier = threading.Barrier(threads)
 
     def march(r: int) -> None:
-        """Step range r's rows, meeting the other ranges after every stage."""
-        lo, hi = ranges[r]
+        """Step thread r's rows, meeting the other threads after every stage."""
+        lo, hi = r * m // threads, (r + 1) * m // threads
         rows, ptr = hi - lo, indptr[lo:hi + 1]
         own, a, b, fin = v[lo:hi], w[lo:hi], spare[lo:hi], finite[lo:hi]
         stages = ((v, a, h / 4.0), (w, b, h / 3.0), (spare, a, h / 2.0))
-        mine = [(outs[i], pieces[i], tiles[i]) for i in owned[r]]
+        mine = [(outs[r], pieces[r], tiles[r])] if split else list(zip(outs, pieces, tiles))
         for k in range(1, nsteps + 1):
             for x, y, c in stages:
                 y.fill(0.0)
@@ -335,9 +298,6 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
                     return
                 raise StabilityError(
                     f"non-finite values at sweep step {k}/{nsteps} (dt={h:.4g})")
-            if not r:
-                for i in leftover:
-                    outs[i][k] = pieces[i](tiles[i], k)
 
     errors = []
 
@@ -354,7 +314,7 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
 
     helpers = []
     try:
-        for r in range(1, len(ranges)):
+        for r in range(1, threads):
             # a daemon, so that a helper stuck by a fault cannot keep the
             # interpreter from exiting
             helper = threading.Thread(target=serve, args=(r,), name=f"rk4-rows-{r}",

@@ -211,11 +211,14 @@ def sweep_legs(St, u0: np.ndarray, h: float, nsteps: int, pre: np.ndarray,
     ``pre @ u_k[N:]`` and ``post @ u_k[:N]`` for every k, row 0 included;
     ``pre`` and ``post`` hold one payoff (1D) or one payoff per row
     (2D).  The two dots are the record tiles of ``rk4_sweep``, so on an
-    operator split across cores each half's thread takes its own dot.
+    operator split in its two halves each half's thread takes its own
+    dot.  They are taken by ``np.einsum``, which calls no BLAS: a dot
+    sums in one order on one thread, so the legs' bits and speed do not
+    depend on the BLAS thread count.
     """
     post_dots, pre_dots = rk4_sweep(St, u0, h, nsteps,
-                                    (lambda u, k: np.dot(post, u),
-                                     lambda u, k: np.dot(pre, u)))
+                                    (lambda u, k: np.einsum("...j,j->...", post, u),
+                                     lambda u, k: np.einsum("...j,j->...", pre, u)))
     return pre_dots, post_dots
 
 
@@ -291,11 +294,11 @@ class QuantoCdsPricer:
         u[:N] pairs with the (3, N) block of post-default terminals, one
         row per kind.  The terminals are per unit horizon, so the step-k
         density dot is divided by the horizon k*h.  Each dot goes into
-        its own per-step row.  On an operator split across two cores
+        its own per-step row.  The two halves are the sweep's two record
+        tiles, so on an operator split one thread per tile
         (``pde.rk4_sweep``) the thread owning the post-default rows takes
         the density dots and the thread owning the pre-default rows the
-        w dot; with more cores a half cut in two has its dot taken by
-        the calling thread after the step.
+        w dot.
         """
         g = self.solve_grid
         _, _, _, z = g.coordinate_fields()

@@ -71,18 +71,10 @@ def horner_reference_sweep(A, v0: np.ndarray, h: float, nsteps: int,
 
 
 @pytest.fixture
-def split_three_ways(monkeypatch):
-    """Every SpMV of a sweep split into three row ranges (two helper
-    threads), whatever the operator's size or the host's cores."""
-    monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
-    monkeypatch.setattr(pde, "_cores", lambda: 3)
-
-
-@pytest.fixture
 def split_in_halves(monkeypatch):
     """Every sweep run on two cores with the split threshold at one
-    nonzero: a record given as two tiles is marched as two row ranges,
-    cut where the tiles meet, one thread each."""
+    nonzero: a record given as two tiles is marched on two threads, one
+    per tile."""
     monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
     monkeypatch.setattr(pde, "_cores", lambda: 2)
 
@@ -196,7 +188,8 @@ class TestRk4:
     @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
     def test_sweep_bit_identical_to_reference(self, which):
         # the kernel calls on swapped buffers do the reference loop's
-        # arithmetic in its order: every state and every record is equal
+        # arithmetic in its order: every state and every record is equal,
+        # whether v is recorded whole or as its two halves
         pricer = pricer_case(which)
         A, n = pricer._stacked, pricer.solve_grid.size
         v0 = np.concatenate([np.zeros(n), pricer._readout])
@@ -205,51 +198,35 @@ class TestRk4:
             got = rk4_sweep(A, v0, 5.0 / 120, 120, record)
             want = horner_reference_sweep(A, v0, 5.0 / 120, 120, record)
             assert np.array_equal(got, want)
+        halves = rk4_sweep(A, v0, 5.0 / 120, 120, (lambda u, k: u.copy(),) * 2)
+        states = horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v.copy())
+        assert np.array_equal(np.hstack(halves), states)
 
     def test_stability_error_at_reference_step(self):
         # a step far past the RK4 limit blows up at the same step, with
-        # the same message, as the reference loop
+        # the same message, as the reference loop, whether v is recorded
+        # whole or as its two halves
         pricer = QuantoCdsPricer(ModelParams().with_(sigma_y=25.0))
-        A = pricer._stacked
-        v0 = np.concatenate([np.zeros(pricer.solve_grid.size), pricer._readout])
-        messages = []
-        for sweep in (rk4_sweep, horner_reference_sweep):
-            with pytest.raises(StabilityError, match="step") as err:
-                sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
-    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
-    def test_split_sweep_bit_identical_to_reference(self, which, split_three_ways):
-        # row ranges computed on three threads sum every row as one
-        # kernel call does: the 14 600- and 243 600-nnz operators, which
-        # sweeps keep on one range, still match the reference bit for bit
-        self.test_sweep_bit_identical_to_reference(which)
-
-    def test_split_stability_error_at_reference_step(self, split_three_ways):
-        self.test_stability_error_at_reference_step()
-
-    @pytest.mark.parametrize("cores", [2, 3])
-    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
-    def test_half_records_bit_identical_to_reference(self, which, cores, split_in_halves,
-                                                     monkeypatch):
-        # a record in two tiles, post-default rows and pre-default rows:
-        # on two cores each half's thread records its own tile, on three
-        # the post-default half is cut in two and its tile recorded
-        # after the step; every state row and every dot equals the
-        # reference loop's, the dot taken by the same call
-        monkeypatch.setattr(pde, "_cores", lambda: cores)
-        pricer = pricer_case(which)
         A, n = pricer._stacked, pricer.solve_grid.size
         v0 = np.concatenate([np.zeros(n), pricer._readout])
-        payoffs = np.random.default_rng(5).standard_normal((3, n))
-        post, pre = rk4_sweep(A, v0, 5.0 / 120, 120,
-                              (lambda u, k: u.copy(), lambda u, k: np.dot(payoffs, u)))
-        states = horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v.copy())
-        dots = horner_reference_sweep(A, v0, 5.0 / 120, 120,
-                                      lambda v, k: np.dot(payoffs, v[n:]))
-        assert np.array_equal(post, states[:, :n])
-        assert np.array_equal(pre, dots)
+        payoff = pricer.solve_grid.coordinate_fields()[3]
+        with pytest.raises(StabilityError, match="step") as want:
+            horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
+        for record in (lambda v, k: v[0], (lambda u, k: u[0], lambda u, k: payoff @ u)):
+            with pytest.raises(StabilityError, match="step") as got:
+                rk4_sweep(A, v0, 5.0 / 120, 120, record)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    def test_split_sweep_bit_identical_to_reference(self, which, split_in_halves):
+        # the two halves marched on two threads sum every row as one
+        # kernel call does: the 14 600- and 243 600-nnz operators, which
+        # sweeps keep on the calling thread, still match the reference
+        # bit for bit
+        self.test_sweep_bit_identical_to_reference(which)
+
+    def test_split_stability_error_at_reference_step(self, split_in_halves):
+        self.test_stability_error_at_reference_step()
 
     def test_half_split_stability_error_at_reference_step(self, split_in_halves):
         # blow-up under the per-half split: the same step and message as
@@ -266,10 +243,33 @@ class TestRk4:
             horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    def test_half_records_bit_identical_to_reference(self, which, cores, split_in_halves,
+                                                     monkeypatch):
+        # a record in two tiles, post-default rows and pre-default rows:
+        # on two cores or more each half's thread records its own tile;
+        # every state row and every dot equals the reference loop's, the
+        # dot taken by the same call
+        monkeypatch.setattr(pde, "_cores", lambda: cores)
+        pricer = pricer_case(which)
+        A, n = pricer._stacked, pricer.solve_grid.size
+        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        payoffs = np.random.default_rng(5).standard_normal((3, n))
+        post, pre = rk4_sweep(A, v0, 5.0 / 120, 120,
+                              (lambda u, k: u.copy(), lambda u, k: np.dot(payoffs, u)))
+        states = horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v.copy())
+        dots = horner_reference_sweep(A, v0, 5.0 / 120, 120,
+                                      lambda v, k: np.dot(payoffs, v[n:]))
+        assert np.array_equal(post, states[:, :n])
+        assert np.array_equal(pre, dots)
+
     def test_tiles_must_divide_rows(self):
-        with pytest.raises(ValueError, match="tiles"):
-            rk4_sweep(sps.identity(3, format="csr"), np.ones(3), 0.1, 2,
-                      (lambda u, k: u[0], lambda u, k: u[0]))
+        # two tiles of three rows, and a record of no tiles at all
+        for tiles in (2, 0):
+            with pytest.raises(ValueError, match="tiles"):
+                rk4_sweep(sps.identity(3, format="csr"), np.ones(3), 0.1, 2,
+                          (lambda u, k: u[0],) * tiles)
 
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row
@@ -309,33 +309,33 @@ class TestSplitSweepThreads:
         return (A - sps.diags(np.asarray(abs(A).sum(axis=1)).ravel())).tocsr()
 
     def threads_per_step(self, A, v0, nsteps=5):
-        """Threads alive at each step of a sweep, read by its record
-        after a pause long enough for a helper that has left the sweep
-        to end."""
-        def alive(v, k):
+        """Threads alive at each step of a sweep recorded in two tiles,
+        read by the first tile's record after a pause long enough for a
+        helper that has left the sweep to end."""
+        def alive(u, k):
             time.sleep(0.01)
             return threading.active_count()
 
-        return rk4_sweep(A, v0, 0.05, nsteps, alive)
+        return rk4_sweep(A, v0, 0.05, nsteps, (alive, lambda u, k: u[0]))[0]
 
-    def test_helpers_run_during_sweep_and_end_with_it(self, split_three_ways):
+    def test_helpers_run_during_sweep_and_end_with_it(self, split_in_halves):
         A = self.operator()
         before = threading.active_count()
         alive = self.threads_per_step(A, np.ones(A.shape[0]))
-        assert (alive[1:] == before + 2).all()
+        assert (alive[1:] == before + 1).all()
         assert threading.active_count() == before
 
-    def test_helpers_end_when_sweep_raises_stability_error(self, split_three_ways):
+    def test_helpers_end_when_sweep_raises_stability_error(self, split_in_halves):
         A = self.operator()
         before = threading.active_count()
         with pytest.raises(StabilityError, match="step"):
-            rk4_sweep(A, np.ones(A.shape[0]), 10.0, 200, lambda v, k: v[0])
+            rk4_sweep(A, np.ones(A.shape[0]), 10.0, 200, (lambda u, k: u[0],) * 2)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_kernel_error_reaches_caller(self, failing, split_three_ways, monkeypatch):
-        # the kernel fails on the helpers' rows only, or on the calling
-        # thread's only, while the helpers march; the sweep raises that
+    def test_kernel_error_reaches_caller(self, failing, split_in_halves, monkeypatch):
+        # the kernel fails on the helper's rows only, or on the calling
+        # thread's only, while the helper marches; the sweep raises that
         # error and leaves no helper behind
         kernel = pde.csr_matvec
 
@@ -351,20 +351,18 @@ class TestSplitSweepThreads:
         A = self.operator()
         before = threading.active_count()
         with pytest.raises(KernelFault, match=failing):
-            within_bound(lambda: rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5, lambda v, k: v[0]))
+            within_bound(lambda: rk4_sweep(A, np.ones(A.shape[0]), 0.05, 5,
+                                           (lambda u, k: u[0],) * 2))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_tile_recorded_by_the_thread_owning_its_rows(self, cores, split_in_halves,
                                                          monkeypatch):
-        # one core: both tiles on the calling thread, inline; two: the
-        # second half on the helper owning it; three: the first half is
-        # cut in two, so the calling thread records it after the step
+        # one core: both tiles on the calling thread; two: the second
+        # half on the helper owning it; three: two tiles still take two
+        # threads
         monkeypatch.setattr(pde, "_cores", lambda: cores)
         A = self.operator()
-        assert pde._row_ranges(A.indptr, 300, 2, cores) == {
-            1: [(0, 300)], 2: [(0, 150), (150, 300)],
-            3: [(0, 76), (76, 150), (150, 300)]}[cores]
         seen = [set(), set()]
 
         def tile(i):
@@ -377,7 +375,45 @@ class TestSplitSweepThreads:
         rk4_sweep(A, np.ones(300), 0.05, 5, (tile(0), tile(1)))
         caller = threading.current_thread().name
         assert seen == {1: [{caller}, {caller}], 2: [{caller}, {"rk4-rows-1"}],
-                        3: [{caller}, {"rk4-rows-2"}]}[cores]
+                        3: [{caller}, {"rk4-rows-1"}]}[cores]
+
+    @pytest.mark.parametrize("cores, nnz, tiles, recorders", [
+        (4, "enough", None, ["caller"]),
+        (4, "enough", 1, ["caller"]),
+        (2, "enough", 2, ["caller", "rk4-rows-1"]),
+        (4, "enough", 2, ["caller", "rk4-rows-1"]),
+        (1, "enough", 2, ["caller", "caller"]),
+        (2, "short", 2, ["caller", "caller"]),
+        (2, "enough", 3, ["caller", "caller", "caller"]),
+        (3, "enough", 3, ["caller", "rk4-rows-1", "rk4-rows-2"]),
+        (3, "short", 3, ["caller", "caller", "caller"]),
+    ], ids=["callable", "1 tile", "2 tiles", "2 tiles, 4 cores", "2 tiles, 1 core",
+            "2 tiles, short", "3 tiles, 2 cores", "3 tiles", "3 tiles, short"])
+    def test_one_thread_per_tile(self, cores, nnz, tiles, recorders, monkeypatch):
+        # ``tiles`` None is a single callable.  A sweep takes one thread
+        # per tile when it has a core per tile and a nonzero count of at
+        # least tiles * _MIN_PART_NNZ ("enough"; "short" is one below the
+        # threshold); otherwise the calling thread records every tile
+        A = self.operator()
+        count = tiles or 1
+        monkeypatch.setattr(pde, "_cores", lambda: cores)
+        monkeypatch.setattr(pde, "_MIN_PART_NNZ", A.nnz // count + (nnz == "short"))
+        caller = threading.current_thread().name
+        before = threading.active_count()
+        seen, alive = [set() for _ in range(count)], set()
+
+        def tile(i):
+            def rec(u, k):
+                if k:
+                    seen[i].add(threading.current_thread().name)
+                    alive.add(threading.active_count())
+                return u.sum()
+            return rec
+
+        record = tile(0) if tiles is None else [tile(i) for i in range(tiles)]
+        rk4_sweep(A, np.ones(300), 0.05, 5, record)
+        assert seen == [{caller if name == "caller" else name} for name in recorders]
+        assert alive == {before + len(set(recorders) - {"caller"})}
 
     @pytest.mark.parametrize("failing, cores", [
         pytest.param(failing, cores, id=failing if cores == 2 else f"{failing}, 3 cores")
@@ -385,9 +421,9 @@ class TestSplitSweepThreads:
     def test_half_error_reaches_caller(self, failing, cores, split_in_halves, monkeypatch):
         # a helper fails in its kernel call or in the pre-default tile,
         # or the calling thread fails in the post-default tile while the
-        # helpers march on (on three cores it records that tile after
-        # the step's last meeting, as the helpers start the next step):
-        # the sweep raises that error and leaves no helper behind
+        # helper marches on, on two cores and on three (where the two
+        # tiles still take two threads): the sweep raises that error and
+        # leaves no helper behind
         monkeypatch.setattr(pde, "_cores", lambda: cores)
         kernel = pde.csr_matvec
 
@@ -416,38 +452,24 @@ class TestSplitSweepThreads:
         assert str(err.value) == failing
         assert threading.active_count() == before
 
-    def test_row_ranges_cut_at_every_tile_boundary(self):
-        # rows 0-3 hold one nonzero each, rows 4-7 three: one range below
-        # two parts; otherwise each tile gets a range and each further
-        # range goes to the tile with the most nnz per range, cut there
-        # by nnz (one tile is the whole-vector cut by nnz)
-        indptr = np.concatenate([[0], np.cumsum([1] * 4 + [3] * 4)])
-        cases = {(2, 1): [(0, 8)], (2, 2): [(0, 4), (4, 8)],
-                 (2, 3): [(0, 4), (4, 6), (6, 8)],
-                 (2, 4): [(0, 4), (4, 6), (6, 7), (7, 8)],
-                 (1, 2): [(0, 6), (6, 8)], (1, 3): [(0, 5), (5, 7), (7, 8)]}
-        for (pieces, parts), want in cases.items():
-            assert pde._row_ranges(indptr, 8, pieces, parts) == want, (pieces, parts)
-
-    def test_many_ranges_under_fast_switching(self, monkeypatch):
-        # eight ranges on at most a few cores, with the interpreter
-        # switching threads every microsecond: a lost or early meeting
-        # would leave a stale slice, so the states must still equal the
-        # reference
-        monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
-        monkeypatch.setattr(pde, "_cores", lambda: 8)
+    def test_many_ranges_under_fast_switching(self, split_in_halves, monkeypatch):
+        # four tiles on four threads, more than the cores of a small
+        # host, with the interpreter switching threads every microsecond:
+        # a lost or early meeting would leave a stale slice, so the
+        # states must still equal the reference
+        monkeypatch.setattr(pde, "_cores", lambda: 4)
         A = self.operator()
         v0 = np.random.default_rng(4).standard_normal(A.shape[0])
         want = horner_reference_sweep(A, v0, 0.05, 40, lambda v, k: v.copy())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = within_bound(lambda: rk4_sweep(A, v0, 0.05, 40, lambda v, k: v.copy()))
+            got = within_bound(lambda: rk4_sweep(A, v0, 0.05, 40, (lambda u, k: u.copy(),) * 4))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, want)
+        assert np.array_equal(np.hstack(got), want)
 
-    def test_one_core_starts_no_thread(self, split_three_ways, monkeypatch):
+    def test_one_core_starts_no_thread(self, split_in_halves, monkeypatch):
         monkeypatch.setattr(pde, "_cores", lambda: 1)
         A = self.operator()
         before = threading.active_count()

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +14,9 @@ import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantocds
 import quantocds.pde as pde
+import quantocds.pricing as pricing
 from quantocds.cli import ConfigError, load_config
 from quantocds.grid import GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError, validate_params
@@ -554,14 +560,14 @@ def _legs_digest(legs: LegTerms) -> str:
     return h.hexdigest()
 
 
-# quanto_basis bit for bit, recorded before the legs were swept through
-# ``sweep_legs``: s and s_d as float hex, the per-coupon leg arrays as a
+# quanto_basis bit for bit, recorded with ``sweep_legs`` taking its dots
+# by ``np.einsum``: s and s_d as float hex, the per-coupon leg arrays as a
 # digest of their bytes
 QUANTO_BASIS_PINS = {
-    "defaults": (P, "0x1.51f005ad7098bp-7", "0x1.527e2911ef6b1p-7",
-                 "9d9cc6baf8271e5ee8cd6d06f42c536e47a0fad7f8aaec25c5941552391eeb5c"),
-    "correlated": (_CORRELATED, "0x1.d1ec1226eb4c4p-7", "0x1.dbc2626a88540p-7",
-                   "d4208cc48b7e1998d8b78e7212a53cf2164fdc48d6a2bd7ac70f5e6a7db45d70"),
+    "defaults": (P, "0x1.51f005ad7098bp-7", "0x1.527e2911ef6b2p-7",
+                 "36165cd7ff9b32f180a2fe59f96b3ac6753f64b61e87ab600799f5b65a1b4cf9"),
+    "correlated": (_CORRELATED, "0x1.d1ec1226eb4c5p-7", "0x1.dbc2626a88543p-7",
+                   "5394689de0399eafca9926081065c140a247655f0b31e567882fda1357f5c2ac"),
 }
 
 
@@ -576,10 +582,65 @@ class TestLegSweepPins:
     def test_two_worker_sweep_bit_identical_on_refined_grid(self, monkeypatch):
         # two cores, whatever the host has: the 1 658 880-nnz operator is
         # marched as its post-default and pre-default halves, each on its
-        # own thread
+        # own thread, which takes its half's leg dots
         monkeypatch.setattr(pde, "_cores", lambda: 2)
+        seen = _leg_dot_threads(monkeypatch)
         s, _ = QuantoCdsPricer(_CORRELATED, _GRID16).spread(SCHED)
-        assert s.hex() == "0x1.cd48504379129p-7"
+        assert s.hex() == "0x1.cd4850437912cp-7"
+        assert seen == [{threading.current_thread().name}, {"rk4-rows-1"}]
+
+    def test_default_grid_quote_starts_no_helper(self, monkeypatch):
+        # the 243 600-nnz operator, under the split threshold, is marched
+        # and recorded on the calling thread, even on two cores
+        monkeypatch.setattr(pde, "_cores", lambda: 2)
+        seen = _leg_dot_threads(monkeypatch)
+        QuantoCdsPricer(_CORRELATED).spread(SCHED)
+        assert seen == [{threading.current_thread().name}] * 2
+
+    def test_quote_independent_of_blas_threads(self):
+        # a refined-grid quote priced in two processes, one BLAS thread
+        # and two: the leg dots call no BLAS, so s reads the same bits
+        script = (
+            "import numpy as np\n"
+            "from quantocds.grid import GridConfig\n"
+            "from quantocds.model import ModelParams\n"
+            "from quantocds.pricing import CdsSchedule, QuantoCdsPricer\n"
+            "rho = np.eye(4)\n"
+            "rho[0, 2] = rho[2, 0] = 0.8145002950489294\n"
+            "p = ModelParams().with_(sigma_R=0.2812245943888376,\n"
+            "                        kappa_R=0.5074090206353802, rho=rho)\n"
+            "grid = GridConfig(n_R=16, n_rhat=16, n_y=16, n_z=16)\n"
+            "s, _ = QuantoCdsPricer(p, grid).spread(CdsSchedule())\n"
+            "print(s.hex())\n")
+        src = os.path.dirname(os.path.dirname(quantocds.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            runs.append(subprocess.Popen([sys.executable, "-c", script], env=env,
+                                         stdout=subprocess.PIPE, text=True))
+        one, two = (run.communicate(timeout=300)[0].strip() for run in runs)
+        assert all(run.returncode == 0 for run in runs)
+        assert one == two
+
+
+def _leg_dot_threads(monkeypatch) -> list[set[str]]:
+    """Names of the threads that take the post-default and the
+    pre-default leg dots of every sweep after step 0, filled in as the
+    pricer sweeps."""
+    seen = [set(), set()]
+
+    def watched(St, u0, h, nsteps, records):
+        def watch(i, rec):
+            def dot(u, k):
+                if k:
+                    seen[i].add(threading.current_thread().name)
+                return rec(u, k)
+            return dot
+        return rk4_sweep(St, u0, h, nsteps, [watch(i, rec) for i, rec in enumerate(records)])
+
+    monkeypatch.setattr(pricing, "rk4_sweep", watched)
+    return seen
 
 
 _AXIS = {"R": 0, "rhat": 1, "y": 2}
