@@ -7,8 +7,7 @@ with classical RK4, cross-checked by a 1D Crank-Nicolson benchmark, the
 credit-triangle closed form, and a correlated Monte Carlo simulator.
 """
 from .grid import Grid4D, GridConfig, ScalarField, build_grid, interpolate
-from .model import (BoundaryKind, BoundaryRegime, DegenerateRecoveryError,
-                    ModelParams, ParameterError, beta_stationary_params,
+from .model import (BoundaryKind, ModelParams, ParameterError,
                     boundary_regimes, validate_params)
 from .oracles import (McConfig, McEstimate, cn_domestic_spread,
                       credit_triangle, mc_leg_estimates, mc_spread)
@@ -21,9 +20,8 @@ from .rbffd import StencilWeights, rbf_fd_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "ParameterError", "DegenerateRecoveryError",
-    "BoundaryKind", "BoundaryRegime", "validate_params",
-    "boundary_regimes", "beta_stationary_params",
+    "ModelParams", "ParameterError", "BoundaryKind", "validate_params",
+    "boundary_regimes",
     "GridConfig", "Grid4D", "ScalarField", "build_grid", "interpolate",
     "StencilWeights", "rbf_fd_weights",
     "StabilityError", "jump_shift", "rk4_sweep",

@@ -8,8 +8,8 @@ with an optional proportional jump at default).  The domestic short
 rate is a deterministic constant.
 
 Everything here is plain parameter bookkeeping: validation of the
-admissible domain, classification of the degenerate PDE boundaries
-(Feller-type inflow tests) and the stationary Beta shape parameters.
+admissible domain and classification of the degenerate PDE boundaries
+(Feller-type inflow tests).
 """
 from __future__ import annotations
 
@@ -22,12 +22,9 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "ParameterError",
-    "DegenerateRecoveryError",
     "BoundaryKind",
-    "BoundaryRegime",
     "validate_params",
     "boundary_regimes",
-    "beta_stationary_params",
     "CORRELATION_ORDER",
 ]
 
@@ -37,10 +34,6 @@ CORRELATION_ORDER = ("R", "rhat", "z", "y")
 
 class ParameterError(ValueError):
     """A model parameter violates its admissible domain."""
-
-
-class DegenerateRecoveryError(ParameterError):
-    """Stationary recovery distribution undefined (sigma_R or kappa_R is 0)."""
 
 
 @dataclass(frozen=True)
@@ -180,60 +173,40 @@ def require_real(name: str, value, error: type[Exception] = ValueError) -> None:
 
 
 class BoundaryKind(Enum):
+    """Treatment of one boundary of the computational domain.
+
+    Degenerate-pde means no boundary condition is imposed: the PDE row
+    itself, with boundary-evaluated coefficients and one-sided
+    stencils, is used.  The alternative drops the second derivative
+    normal to the boundary.
+    """
+
     DEGENERATE_PDE = "degenerate-pde"
     VANISHING_SECOND_DERIVATIVE = "vanishing-second-derivative"
 
-
-@dataclass(frozen=True)
-class BoundaryRegime:
-    """Treatment of one boundary of the computational domain.
-
-    ``boundary`` is one of "R=0", "R=1", "rhat=0", "rhat=max", "y=min",
-    "y=max", "z=0", "z=max".  Degenerate-pde means no boundary condition
-    is imposed: the PDE row itself, with boundary-evaluated coefficients
-    and one-sided stencils, is used.  The alternative drops the
-    second derivative normal to the boundary.
-    """
-
-    boundary: str
-    kind: BoundaryKind
+    @property
+    def kind(self) -> "BoundaryKind":
+        """The member itself, so ``boundary_regimes(p)[name].kind`` still
+        reads a boundary's kind."""
+        return self
 
 
-def boundary_regimes(p: ModelParams) -> dict[str, BoundaryRegime]:
+def boundary_regimes(p: ModelParams) -> dict[str, BoundaryKind]:
     """Classify all eight boundaries from the inflow (Feller-type) tests.
 
-    At R=0 the convection-vs-diffusion test reads kappa_R*theta_R -
-    sigma_R^2/2 >= 0; at R=1 the inflow flux is oriented the other way,
-    so the test is kappa_R*(theta_R - 1) + sigma_R^2/2 <= 0; at rhat=0
-    the CIR analogue applies.  Every far (truncation) boundary gets the
+    Returns the kind of each boundary, keyed by its name: "R=0", "R=1",
+    "rhat=0", "rhat=max", "y=min", "y=max", "z=0", "z=max".  At R=0 the
+    convection-vs-diffusion test reads kappa_R*theta_R - sigma_R^2/2 >=
+    0; at R=1 the inflow flux is oriented the other way, so the test is
+    kappa_R*(theta_R - 1) + sigma_R^2/2 <= 0; at rhat=0 the CIR analogue
+    applies.  Every far (truncation) boundary gets the
     vanishing-second-derivative treatment.
     """
     deg = BoundaryKind.DEGENERATE_PDE
     van = BoundaryKind.VANISHING_SECOND_DERIVATIVE
-    out: dict[str, BoundaryRegime] = {}
-    out["R=0"] = BoundaryRegime(
-        "R=0", deg if p.kappa_R * p.theta_R - 0.5 * p.sigma_R**2 >= 0.0 else van)
-    out["R=1"] = BoundaryRegime(
-        "R=1", deg if p.kappa_R * (p.theta_R - 1.0) + 0.5 * p.sigma_R**2 <= 0.0 else van)
-    out["rhat=0"] = BoundaryRegime(
-        "rhat=0", deg if p.kappa_rhat * p.theta_rhat - 0.5 * p.sigma_rhat**2 >= 0.0 else van)
-    for name in ("rhat=max", "y=min", "y=max", "z=0", "z=max"):
-        out[name] = BoundaryRegime(name, van)
-    return out
-
-
-def beta_stationary_params(p: ModelParams) -> tuple[float, float]:
-    """Shape parameters (alpha, beta) of the stationary Beta law of R.
-
-    alpha = kappa_R*theta_R/sigma_R^2, beta = kappa_R*(1-theta_R)/sigma_R^2,
-    so the stationary mean alpha/(alpha+beta) equals theta_R.
-    """
-    if p.sigma_R == 0.0 or p.kappa_R == 0.0:
-        raise DegenerateRecoveryError(
-            "stationary recovery density undefined: kappa_R and sigma_R "
-            "must be positive (recovery is effectively constant)")
-    if not 0.0 < p.theta_R < 1.0:
-        raise ParameterError("theta_R must lie strictly inside (0, 1)")
-    alpha = p.kappa_R * p.theta_R / p.sigma_R**2
-    beta = p.kappa_R * (1.0 - p.theta_R) / p.sigma_R**2
-    return alpha, beta
+    return {
+        "R=0": deg if p.kappa_R * p.theta_R - 0.5 * p.sigma_R**2 >= 0.0 else van,
+        "R=1": deg if p.kappa_R * (p.theta_R - 1.0) + 0.5 * p.sigma_R**2 <= 0.0 else van,
+        "rhat=0": deg if p.kappa_rhat * p.theta_rhat - 0.5 * p.sigma_rhat**2 >= 0.0 else van,
+        **dict.fromkeys(("rhat=max", "y=min", "y=max", "z=0", "z=max"), van),
+    }

@@ -21,12 +21,13 @@ equations, so the untransposed operator is never built; the build
 peaks at the buffer plus the result, about 1.65 times the operator it
 returns.
 
-Numerical note: for uniformly spaced stencils the collocation system is
-solved in closed form.  The naive 3x3 solve loses up to 11 digits at
-fine spacings because the Gram matrix approaches the rank-one flat
-limit (its determinant is (1-E)^3 (1+E) with E = exp(-2 eps^2 h^2)),
-while the closed forms isolate every cancellation inside expm1/sinh
-calls and stay accurate to machine precision for any eps*h.
+Numerical note: every stencil is uniform with 3 nodes and centred on
+one of them, so the collocation system is solved in closed form.  A
+naive 3x3 solve loses up to 11 digits at fine spacings because the Gram
+matrix approaches the rank-one flat limit (its determinant is
+(1-E)^3 (1+E) with E = exp(-2 eps^2 h^2)), while the closed forms
+isolate every cancellation inside expm1/sinh calls and stay accurate
+to machine precision for any eps*h.
 
 The shape parameter follows the eps = 2h rule with h measured on the
 axis rescaled to unit length, i.e. eps_hat = 2/(n-1) on [0,1]; weights
@@ -47,23 +48,15 @@ from .model import ModelParams, boundary_regimes, BoundaryKind
 
 __all__ = [
     "StencilWeights",
-    "ShapeParameterError",
     "rbf_fd_weights",
     "operator_terms",
     "StencilSlots",
     "operator_slots",
-    "CONDITION_LIMIT",
 ]
-
-CONDITION_LIMIT = 1e12
 
 # (low, high) boundary names of each grid axis, as keyed by boundary_regimes
 _AXIS_BOUNDARIES = (("R=0", "R=1"), ("rhat=0", "rhat=max"),
                    ("y=min", "y=max"), ("z=0", "z=max"))
-
-
-class ShapeParameterError(ValueError):
-    """Collocation matrix numerically singular; increase eps*h."""
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,6 @@ class StencilWeights:
     weights: np.ndarray
     order: int
     epsilon: float
-
-
-def _gaussian_rhs(nodes: np.ndarray, center: float, eps: float, order: int) -> np.ndarray:
-    d = center - nodes
-    e = np.exp(-(eps * d) ** 2)
-    if order == 1:
-        return -2.0 * eps**2 * d * e
-    return (4.0 * eps**4 * d * d - 2.0 * eps**2) * e
 
 
 def _uniform3_weights(h: float, eps: float, pos: str, order: int) -> np.ndarray:
@@ -122,45 +107,34 @@ def _uniform3_weights(h: float, eps: float, pos: str, order: int) -> np.ndarray:
 def rbf_fd_weights(nodes, center: float, epsilon: float, order: int) -> StencilWeights:
     """Weights w with sum_i w_i f(x_i) ~ f^(order)(center).
 
-    Solves the symmetric collocation system A w = b, A_ij =
-    phi(|x_i - x_j|), b_i = phi^(order)(|center - x_i|).  Uniform
-    3-node stencils whose center coincides with a node take the
-    closed-form path; anything else is solved densely, guarded by a
-    condition-number check.
+    The exact solution of the symmetric collocation system A w = b,
+    A_ij = phi(|x_i - x_j|), b_i = phi^(order)(|center - x_i|), taken
+    in closed form.  Only uniform 3-node stencils whose center is one
+    of the nodes have one; any other stencil raises ValueError.
     """
     nodes = np.asarray(nodes, dtype=float)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if not np.all(np.isfinite(nodes)):
         raise ValueError(f"nodes must be finite, got {nodes}")
-    if nodes.size < 3 or np.unique(nodes).size != nodes.size:
-        raise ValueError("need at least 3 distinct nodes")
+    if nodes.size != 3 or np.unique(nodes).size != 3:
+        raise ValueError(f"closed-form weights need 3 distinct nodes, got {nodes}")
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center!r}")
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
-    if nodes.size == 3:
-        srt = np.argsort(nodes)
-        xs = nodes[srt]
-        h0, h1 = xs[1] - xs[0], xs[2] - xs[1]
-        if np.isclose(h0, h1, rtol=1e-12, atol=0.0):
-            for pos, xc in (("left", xs[0]), ("mid", xs[1]), ("right", xs[2])):
-                if np.isclose(center, xc, rtol=0.0, atol=1e-13 * max(1.0, abs(xc))):
-                    ws = _uniform3_weights(h0, epsilon, pos, order)
-                    w = np.empty(3)
-                    w[srt] = ws
-                    return StencilWeights(center, nodes, w, order, epsilon)
-
-    A = np.exp(-(epsilon * (nodes[:, None] - nodes[None, :])) ** 2)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ShapeParameterError(
-            f"collocation matrix condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}; "
-            "increase epsilon*h or use a uniform stencil")
-    b = _gaussian_rhs(nodes, center, epsilon, order)
-    w = np.linalg.solve(A, b)
-    return StencilWeights(center, nodes, w, order, epsilon)
+    srt = np.argsort(nodes)
+    xs = nodes[srt]
+    h0, h1 = xs[1] - xs[0], xs[2] - xs[1]
+    if not np.isclose(h0, h1, rtol=1e-12, atol=0.0):
+        raise ValueError(f"closed-form weights need uniform nodes, got spacings {h0!r}, {h1!r}")
+    for pos, xc in (("left", xs[0]), ("mid", xs[1]), ("right", xs[2])):
+        if np.isclose(center, xc, rtol=0.0, atol=1e-13 * max(1.0, abs(xc))):
+            w = np.empty(3)
+            w[srt] = _uniform3_weights(h0, epsilon, pos, order)
+            return StencilWeights(center, nodes, w, order, epsilon)
+    raise ValueError(f"closed-form weights need the center on a node, got {center!r}")
 
 
 def _stencil_tables(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,7 +282,7 @@ def operator_slots(grid: Grid4D, p: ModelParams, terms) -> tuple[StencilSlots, n
     regimes = boundary_regimes(p)
     zeroed = [(k, row) for k in live
               for row, b in zip((0, -1), _AXIS_BOUNDARIES[k])
-              if regimes[b].kind is BoundaryKind.VANISHING_SECOND_DERIVATIVE]
+              if regimes[b] is BoundaryKind.VANISHING_SECOND_DERIVATIVE]
     slots = StencilSlots(grid, live, pairs, zeroed)
     vals = np.zeros(slots.cols.shape)
     for coef, k in terms:

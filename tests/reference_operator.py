@@ -112,7 +112,7 @@ def reference_L(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     for k in sorted({k for _, axes in terms for k in axes}):
         d1, d2 = axis_operators(grid.axes[k])
         for row, b in zip((0, -1), _AXIS_BOUNDARIES[k]):
-            if regimes[b].kind is van:
+            if regimes[b] is van:
                 # zeroed in place: lift_axis_operator needs three stored entries per row
                 d2.data.reshape(-1, 3)[row] = 0.0
         D1[k] = lift_axis_operator(grid.shape, k, d1)

@@ -28,14 +28,14 @@ def test_package_names_exported_by_their_module():
 
 
 PUBLIC_NAMES = [
-    "BoundaryKind", "BoundaryRegime", "CdsSchedule", "DegenerateRecoveryError",
-    "Grid4D", "GridConfig", "LegTerms", "McConfig", "McEstimate", "ModelParams",
-    "ParameterError", "QuantoCdsPricer", "ScalarField", "SpreadReport",
-    "StabilityError", "StencilWeights", "beta_stationary_params",
-    "boundary_regimes", "build_grid", "cn_domestic_spread", "credit_triangle",
-    "domestic_params", "domestic_spread", "interpolate", "jump_shift",
-    "mc_leg_estimates", "mc_spread", "par_spread", "quanto_basis",
-    "rbf_fd_weights", "rk4_sweep", "terminal_condition", "validate_params",
+    "BoundaryKind", "CdsSchedule", "Grid4D", "GridConfig", "LegTerms",
+    "McConfig", "McEstimate", "ModelParams", "ParameterError",
+    "QuantoCdsPricer", "ScalarField", "SpreadReport", "StabilityError",
+    "StencilWeights", "boundary_regimes", "build_grid",
+    "cn_domestic_spread", "credit_triangle", "domestic_params",
+    "domestic_spread", "interpolate", "jump_shift", "mc_leg_estimates",
+    "mc_spread", "par_spread", "quanto_basis", "rbf_fd_weights",
+    "rk4_sweep", "terminal_condition", "validate_params",
 ]
 
 

@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quantocds.model import (BoundaryKind, DegenerateRecoveryError, ModelParams,
-                             ParameterError, beta_stationary_params,
+from quantocds.model import (BoundaryKind, ModelParams, ParameterError,
                              boundary_regimes, validate_params)
 
 
@@ -149,27 +148,27 @@ class TestBoundaryRegimes:
     def test_table1_defaults_all_degenerate(self):
         regs = boundary_regimes(ModelParams())
         for name in ("R=0", "R=1", "rhat=0"):
-            assert regs[name].kind is BoundaryKind.DEGENERATE_PDE
+            assert regs[name] is BoundaryKind.DEGENERATE_PDE
 
     def test_far_boundaries_always_vanishing(self):
         regs = boundary_regimes(ModelParams(sigma_R=0.5, kappa_R=0.1))
         for name in ("rhat=max", "y=min", "y=max", "z=0", "z=max"):
-            assert regs[name].kind is BoundaryKind.VANISHING_SECOND_DERIVATIVE
+            assert regs[name] is BoundaryKind.VANISHING_SECOND_DERIVATIVE
 
     def test_inflow_tests_by_substitution(self):
         # kappa_R=1, theta_R=0.6, sigma_R=0.5: both R ends degenerate
         regs = boundary_regimes(ModelParams(kappa_R=1.0, theta_R=0.6, sigma_R=0.5))
-        assert regs["R=0"].kind is BoundaryKind.DEGENERATE_PDE       # 0.6 - 0.125 >= 0
-        assert regs["R=1"].kind is BoundaryKind.DEGENERATE_PDE       # -0.4 + 0.125 <= 0
+        assert regs["R=0"] is BoundaryKind.DEGENERATE_PDE       # 0.6 - 0.125 >= 0
+        assert regs["R=1"] is BoundaryKind.DEGENERATE_PDE       # -0.4 + 0.125 <= 0
         # kappa_R=0.1, theta_R=0.5, sigma_R=0.9: diffusion wins at R=0
         regs = boundary_regimes(ModelParams(kappa_R=0.1, theta_R=0.5, sigma_R=0.9))
-        assert regs["R=0"].kind is BoundaryKind.VANISHING_SECOND_DERIVATIVE
+        assert regs["R=0"] is BoundaryKind.VANISHING_SECOND_DERIVATIVE
 
     def test_equality_counts_as_degenerate(self):
         # kappa*theta = sigma^2/2 exactly
         regs = boundary_regimes(ModelParams(kappa_R=0.5, theta_R=0.25,
                                             sigma_R=0.5))
-        assert regs["R=0"].kind is BoundaryKind.DEGENERATE_PDE
+        assert regs["R=0"] is BoundaryKind.DEGENERATE_PDE
 
     def test_scale_consistency(self):
         # multiplying (kappa_R, sigma_R^2) by the same constant keeps the
@@ -183,27 +182,4 @@ class TestBoundaryRegimes:
             a = boundary_regimes(ModelParams(kappa_R=k, theta_R=th, sigma_R=s))
             b = boundary_regimes(ModelParams(kappa_R=c * k, theta_R=th,
                                              sigma_R=s * np.sqrt(c)))
-            assert a["R=0"].kind is b["R=0"].kind
-
-
-class TestBetaStationary:
-    def test_point_example(self):
-        a, b = beta_stationary_params(ModelParams(kappa_R=0.5, theta_R=0.4,
-                                                  sigma_R=0.2))
-        assert a == pytest.approx(5.0)
-        assert b == pytest.approx(7.5)
-
-    def test_mean_identity_random_triples(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            k = rng.uniform(1e-3, 5.0)
-            th = rng.uniform(1e-3, 1 - 1e-3)
-            s = rng.uniform(1e-3, 2.0)
-            a, b = beta_stationary_params(ModelParams(kappa_R=k, theta_R=th,
-                                                      sigma_R=s))
-            assert a > 0 and b > 0
-            assert abs(a / (a + b) - th) < 1e-12
-
-    def test_degenerate_recovery_error(self):
-        with pytest.raises(DegenerateRecoveryError):
-            beta_stationary_params(ModelParams())   # default sigma_R = 0
+            assert a["R=0"] is b["R=0"]

@@ -4,7 +4,7 @@ import scipy.sparse as sps
 
 from quantocds.grid import Grid4D, GridConfig, build_grid
 from quantocds.model import ModelParams
-from quantocds.rbffd import ShapeParameterError, StencilSlots, rbf_fd_weights
+from quantocds.rbffd import StencilSlots, rbf_fd_weights
 from reference_operator import (axis_operators, engine_blocks, lift_axis_operator,
                                 same_csr, slot_axis_operators, slots_csr)
 
@@ -42,28 +42,45 @@ def test_first_derivative_center_weight_zero_antisymmetric():
     assert w[0] == pytest.approx(-w[2], abs=1e-14)
 
 
+def collocation_weights(nodes, center, eps, order):
+    """Reference weights from a dense solve of the Gaussian collocation
+    system A w = b, A_ij = phi(|x_i - x_j|), b_i = phi^(order)(|center - x_i|).
+
+    Only for well-conditioned stencils: the Gram matrix approaches the
+    rank-one flat limit as eps*h shrinks, and the solve then loses up to
+    11 digits that the closed forms keep.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    basis = [gaussian(eps, xj) for xj in nodes]
+    A = np.array([f[0](nodes) for f in basis])
+    assert np.linalg.cond(A) < 1e12
+    b = np.array([f[order](center) for f in basis])
+    return np.linalg.solve(A, b)
+
+
 def test_generic_path_matches_closed_form():
-    # off-node center forces the dense solve; compare against a
-    # well-conditioned configuration solved both ways
+    # the closed forms against the dense solve, on all six stencils of a
+    # well-conditioned configuration
     h, eps = 0.25, 1.5
     nodes = np.array([0.0, h, 2 * h])
-    dense = rbf_fd_weights(nodes + 1e-17, h, eps, 2).weights
-    closed = rbf_fd_weights(nodes, h, eps, 2).weights
-    assert np.allclose(dense, closed, rtol=1e-8)
+    for center in nodes:
+        for order in (1, 2):
+            dense = collocation_weights(nodes, center, eps, order)
+            closed = rbf_fd_weights(nodes, center, eps, order).weights
+            assert np.allclose(dense, closed, rtol=1e-8)
 
 
-def test_nonuniform_stencil_supported():
-    nodes = np.array([0.0, 0.3, 1.0])
-    w = rbf_fd_weights(nodes, 0.3, 1.0, 2).weights
-    for xj in nodes:
-        phi, _, d2phi = gaussian(1.0, xj)
-        assert abs(w @ phi(nodes) - d2phi(0.3)) < 1e-10
+def test_nonuniform_stencil_refused():
+    with pytest.raises(ValueError, match="uniform"):
+        rbf_fd_weights([0.0, 0.3, 1.0], 0.3, 1.0, 2)
 
 
-def test_shape_parameter_error_on_near_singular_system():
-    nodes = np.array([0.0, 1.0, 2.0, 3.0])   # 4 nodes -> generic path
-    with pytest.raises(ShapeParameterError, match="condition"):
-        rbf_fd_weights(nodes, 1.0, 1e-5, 2)
+@pytest.mark.parametrize("nodes, center, match", [
+    ([0.0, 1.0, 2.0, 3.0], 1.0, "3 distinct nodes"),
+    ([0.0, 0.5, 1.0], 0.25, "center")], ids=["four-nodes", "center-off-node"])
+def test_stencil_without_closed_form_refused(nodes, center, match):
+    with pytest.raises(ValueError, match=match):
+        rbf_fd_weights(nodes, center, 1e-5, 2)
 
 
 def test_weight_input_validation():
