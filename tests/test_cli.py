@@ -371,6 +371,23 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_quote_leaves_scipy_linalg_unloaded(tmp_path):
+    # a frozen-recovery quote runs the Crank-Nicolson oracle, which solves
+    # with numpy alone: neither scipy.sparse.linalg nor scipy.linalg loads
+    src = str(Path(quantocds.__file__).resolve().parents[1])
+    cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+    code = ("import json, sys\n"
+            "from quantocds.cli import main\n"
+            f"assert main(['--config', {cfg!r}]) == 0\n"
+            "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.linalg')"
+            " if name in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    report = json.loads((tmp_path / "out" / "spread_report.json").read_text())
+    assert math.isfinite(report["s_d_1d_bps"])
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
 def test_cli_import_starts_no_thread():
     # the Monte Carlo helper thread lives only inside a call of the block
     # loop; the sweep pool forks, which must not happen while it runs

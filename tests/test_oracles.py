@@ -4,13 +4,15 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from quantocds import oracles
+from quantocds.grid import Grid4D, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError
 from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, _run_blocks,
                                _simulate_block, cn_applies, cn_domestic_spread,
                                credit_triangle, mc_leg_estimates, mc_spread)
-from quantocds.pricing import CdsSchedule, domestic_params
+from quantocds.pricing import CdsSchedule, LegTerms, domestic_params, par_spread
 
 P = ModelParams()
 SCHED = CdsSchedule()
@@ -328,6 +330,34 @@ class TestDiscountedFxMartingale:
         assert abs(est.mean - p.z0 * cir_bond(p, 1.0)) < 3 * est.std_error
 
 
+def splu_reference_spread(p: ModelParams, schedule: CdsSchedule, n_y: int) -> float:
+    """``cn_domestic_spread`` by its earlier march: one sparse LU of the
+    whole 2 n_y CN system, solved at every step for both columns.  It
+    shares the operator and readout with the oracle, not its propagator."""
+    y = np.linspace(CN_Y_MIN, 0.0, n_y)
+    lam = np.exp(y)
+    D1, D2 = _fd_axis_ops(y)
+    L = (sps.diags(0.5 * p.sigma_y**2 * np.ones(n_y)) @ D2
+         + sps.diags(p.kappa_y * (p.theta_y - y)) @ D1).tocsc()
+    A1 = L - p.r_dom * sps.identity(n_y, format="csc")
+    A2 = L - sps.diags(p.r_dom + lam)
+    h = schedule.quad_step
+    I2 = sps.identity(2 * n_y, format="csc")
+    M = sps.bmat([[A1, None], [sps.diags(lam), A2]], format="csc")
+    lhs = spla.splu((I2 - 0.5 * h * M).tocsc())
+    rhs = (I2 + 0.5 * h * M).tocsc()
+    readout = interpolation_matrix(Grid4D((p.x0[:1], p.x0[1:2], y, p.x0[3:])),
+                                   p.x0[None, :])
+    uv = np.kron(np.eye(2), np.ones((n_y, 1)))
+    vals = np.empty((schedule.m * schedule.n_quad, 2))
+    for k in range(len(vals)):
+        uv = lhs.solve(rhs @ uv)
+        vals[k] = readout @ uv[n_y:]
+    g = vals[:, 0] / schedule.quad_dates
+    return par_spread(LegTerms.from_curves(
+        {"w": vals[:, 1], "protection": (1.0 - p.R0) * g, "accrual": g}, schedule))
+
+
 class TestCnBenchmark:
     def test_requires_frozen_recovery(self):
         p = P.with_(sigma_R=0.2, kappa_R=0.3)
@@ -372,7 +402,11 @@ class TestCnBenchmark:
     def test_grid_refinement_stable(self):
         a = cn_domestic_spread(P, SCHED, n_y=101)
         b = cn_domestic_spread(P, SCHED, n_y=201)
+        c = cn_domestic_spread(P, SCHED, n_y=401)
         assert abs(a - b) * 1e4 < 0.1
+        # measured 0.0066 bps from 201 to 401 nodes (0.0133 from 101 to
+        # 201); the bound leaves a threefold margin
+        assert abs(b - c) * 1e4 < 0.02
 
     def test_full_recovery_zero(self):
         p = P.with_(R0=1.0, kappa_y=0.0, sigma_y=0.0)
@@ -412,6 +446,14 @@ class TestCnBenchmark:
         kw, schedule, want = self.PINS[case]
         got = cn_domestic_spread(domestic_params(P.with_(**kw)), schedule)
         assert got == pytest.approx(float.fromhex(want), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_y", [3, 101, 201])
+    @pytest.mark.parametrize("case", list(PINS))
+    def test_matches_splu_reference(self, case, n_y):
+        kw, schedule, _ = self.PINS[case]
+        p = domestic_params(P.with_(**kw))
+        assert cn_domestic_spread(p, schedule, n_y=n_y) == pytest.approx(
+            splu_reference_spread(p, schedule, n_y), rel=1e-14, abs=0.0)
 
     def test_protection_proportional_to_loss(self):
         # under frozen recovery only the protection leg carries R0, as 1 - R0
