@@ -9,10 +9,12 @@ contract to the log-hazard coordinate alone (valid for frozen recovery)
 and owns only its operator, standard finite differences, and its
 Crank-Nicolson stepper; it reads out at x0 with the engine's
 ``interpolation_matrix`` and builds the legs and the spread with the
-engine's ``LegTerms`` and ``par_spread``.  Its stepper applies the dense
-one-step propagator of the CN system, built once per call with
-``numpy.linalg.solve``, so no quote loads ``scipy.sparse.linalg`` or
-``scipy.linalg``.
+engine's ``LegTerms`` and ``par_spread``.  Its finite-difference
+matrices are dense numpy arrays, its readout row is the engine's made
+dense, and its stepper applies the dense one-step propagator of the CN
+system, built once per call with ``numpy.linalg.solve``.  So no quote
+loads ``scipy.sparse``, ``scipy.sparse.linalg`` or ``scipy.linalg``
+(see ``grid`` for the import footprint).
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sps
 
 from .grid import Grid4D, interpolation_matrix
 from .model import ModelParams, require_integers, require_real
@@ -297,21 +298,20 @@ def mc_leg_estimates(p: ModelParams, schedule: CdsSchedule,
             "w_maturity": _estimate(w_final, cfg)}
 
 
-def _fd_axis_ops(y: np.ndarray) -> tuple[sps.csr_matrix, sps.csr_matrix]:
-    """Second-order FD matrices with one-sided first-derivative edge rows
-    and vanishing second derivative at both ends."""
+def _fd_axis_ops(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense second-order FD matrices with one-sided first-derivative
+    edge rows and vanishing second derivative at both ends."""
     n = y.size
     h = y[1] - y[0]
-    mid = np.arange(1, n - 1)[:, None]
-    # (rows, columns, weights times h) of the first row, the centred rows
-    # and the last row of D1
-    rows, cols, w = (np.concatenate(part) for part in zip(
-        ([0] * 3, [0, 1, 2], [-1.5, 2.0, -0.5]),
-        (np.repeat(mid, 2), (mid + [-1, 1]).ravel(), np.tile([-0.5, 0.5], n - 2)),
-        ([n - 1] * 3, [n - 3, n - 2, n - 1], [0.5, -2.0, 1.5])))
-    D1 = sps.csr_matrix((w / h, (rows, cols)), shape=(n, n))
-    D2 = sps.csr_matrix((np.tile([1.0, -2.0, 1.0], n - 2) / h**2,
-                         (np.repeat(mid, 3), (mid + [-1, 0, 1]).ravel())), shape=(n, n))
+    mid = np.arange(1, n - 1)
+    D1 = np.zeros((n, n))
+    D2 = np.zeros((n, n))
+    D1[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    D1[mid, mid - 1] = -0.5 / h
+    D1[mid, mid + 1] = 0.5 / h
+    D1[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    for offset, w in ((-1, 1.0), (0, -2.0), (1, 1.0)):
+        D2[mid, mid + offset] = w / h**2
     return D1, D2
 
 
@@ -364,8 +364,12 @@ def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
                          f"and y0 = {p.y0} on its log-hazard axis [{CN_Y_MIN}, 0.0]")
     y = np.linspace(CN_Y_MIN, 0.0, n_y)
     lam = np.exp(y)
-    D1, D2 = _fd_axis_ops(y)
-    L = (0.5 * p.sigma_y**2 * D2 + sps.diags(p.kappa_y * (p.theta_y - y)) @ D1).toarray()
+    # L = sigma_y^2/2 D2 + diag(kappa_y (theta_y - y)) D1, in D2's array
+    D1, L = _fd_axis_ops(y)
+    L *= 0.5 * p.sigma_y**2
+    D1 *= (p.kappa_y * (p.theta_y - y))[:, None]
+    L += D1
+    del D1
     # M = [[A1, 0], [diag(lam), A2]] on (post-default, pre-default) is
     # block lower triangular, so the CN step (I - h/2 M) x' = (I + h/2 M) x
     # gives the post-default block first: u' = G11 u, then v' = G22 v +
@@ -388,9 +392,12 @@ def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
     # accrual density proxy times the horizon (terminal data are linear
     # in 1/T); under frozen recovery protection is (1 - R0) times it.
     # The second keeps a zero post-default block, so its pre-default
-    # block w is the coupon curve: columns (v, w) of vw.
+    # block w is the coupon curve: columns (v, w) of vw.  The readout
+    # row has two nonzero weights, so its products summed in any order
+    # give the bits of scipy's CSR product; a BLAS dot may fuse a
+    # multiply and an add and round differently.
     readout = interpolation_matrix(Grid4D((p.x0[:1], p.x0[1:2], y, p.x0[3:])),
-                                   p.x0[None, :])
+                                   p.x0[None, :]).toarray()[0]
     u = np.ones(n_y)
     vw = np.tile([0.0, 1.0], (n_y, 1))
     nsteps = schedule.m * schedule.n_quad
@@ -399,7 +406,7 @@ def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
         vw = G22 @ vw
         vw[:, 0] += G21 @ u
         u = G11 @ u
-        vals[k] = readout @ vw
+        vals[k] = (readout[:, None] * vw).sum(axis=0)
     g = vals[:, 0] / schedule.quad_dates
     return par_spread(LegTerms.from_curves(
         {"w": vals[:, 1], "protection": (1.0 - p.R0) * g, "accrual": g}, schedule))

@@ -9,12 +9,17 @@ through the jump term lambda*u_hat.  One stacked operator carries both,
 the coupling as its off-diagonal block.  Time stepping is classical
 explicit RK4, each step evaluated as its polynomial in Horner form:
 four calls of scipy's compiled CSR kernel into preallocated buffers,
-with no state vector allocated per step.  A large operator recorded
-in P tiles is marched on P threads, one per tile, when the process may
-run on P cores: a tile's thread runs the kernel on its rows, the Horner
-update, the finiteness test and the tile's record, so on two cores the
-pricer's two halves (post-default rows, pre-default rows) each march
-on their own core.  Anything else marches on the calling thread.  The
+with no state vector allocated per step.  The operator is a
+``grid.Csr``, and the kernels come from scipy's compiled extension
+``scipy.sparse._sparsetools``, which ``grid`` loads alone: no quote
+imports the ``scipy.sparse`` package (``grid`` gives the import RSS
+and each benchmark workload's peak, before and after).  A large
+operator recorded in P tiles is marched on P threads, one per tile,
+when the process may run on P cores: a tile's thread runs the kernel
+on its rows, the Horner update, the finiteness test and the tile's
+record, so on two cores the pricer's two halves (post-default rows,
+pre-default rows) each march on their own core.  Anything else
+marches on the calling thread.  The
 threads meet at one barrier after every stage; a helper that fails
 aborts it, and the calling thread raises that error.  Every row is
 still summed and updated by the same code in the same order, so the
@@ -27,17 +32,19 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sps
-# private scipy API: ``csr_matvec`` is the compiled SpMV behind
-# ``csr @ vector``, pinned against the ``A @ v`` loop in
-# tests/test_pde.py; ``csr_tocsc`` is the compiled transpose behind
-# ``csr.tocsc()``, pinned against ``reference_stacked``'s ``bmat`` of
-# transposed blocks in tests/test_pricing.py
-from scipy.sparse._sparsetools import csr_matvec, csr_tocsc
 
-from .grid import Grid4D, ScalarField, interpolation_matrix
+from .grid import Csr, Grid4D, ScalarField, index_dtype, interpolation_matrix, sparsetools
 from .model import ModelParams
 from .rbffd import operator_slots
+
+# scipy's compiled CSR kernels (``grid.sparsetools``): ``csr_matvec`` is
+# the SpMV behind ``A @ v``, pinned against the ``A @ v`` loop in
+# tests/test_pde.py; ``csr_tocsc`` is the transpose behind scipy's
+# ``tocsc()``, pinned against ``reference_stacked``'s ``bmat`` of
+# transposed blocks in tests/test_pricing.py
+csr_eliminate_zeros = sparsetools.csr_eliminate_zeros
+csr_matvec = sparsetools.csr_matvec
+csr_tocsc = sparsetools.csr_tocsc
 
 __all__ = [
     "StabilityError",
@@ -60,7 +67,7 @@ class StabilityError(RuntimeError):
 _MIN_PART_NNZ = 250_000
 
 
-def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
+def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> Csr:
     """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]].
 
     ``terms`` are the ``operator_terms`` of ``grid`` (the pricer cuts
@@ -76,10 +83,12 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     compensator convection keeps discounted Z a martingale before
     default.  Those slot columns of the buffer's top rows are
     overwritten with A2's values, and a second pass transposes them
-    into the last N rows of S^T.  Every row comes out sorted, and exact
-    zeros are dropped in place: the arrays are prefix views of the
-    buffers, so the dropped zeros' tail stays allocated (20.8 MiB held
-    for 19.5 MiB of operator on [16]^4 with stochastic recovery).  The
+    into the last N rows of S^T.  Every row comes out sorted, and
+    ``csr_eliminate_zeros`` drops exact zeros in place.  The returned
+    ``Csr`` always holds prefix views of the buffers, whatever share of
+    them survives, so the dropped zeros' tail stays allocated (20.8 MiB
+    held for 19.5 MiB of operator on [16]^4 with stochastic recovery;
+    15 000 slots for 14 600 entries on the default grid).  The
     build peaks at the buffer plus S^T, 1.6-1.7 times the operator it
     returns (traced with stochastic recovery: 10.2, 32.3 and 78.7 MiB
     on [12]^4, [16]^4 and [20]^4).  Each entry is the float that the
@@ -91,7 +100,7 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
     width = C.nnz // n              # every coupling row holds the same count
     top = n * nslots
     head = top + n * width
-    itype = np.int32 if head + top < 2**31 else np.int64
+    itype = index_dtype(head + top)
     lam = np.exp(grid.axes[2]).reshape(1, 1, -1, 1)
     # [A1; Lambda C], the left block column of S, as 2n CSR rows
     data = np.empty(head)
@@ -123,12 +132,12 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> sps.csr_matrix:
               st_indptr[n:], st_indices[head:], st_data[head:])
     st_indptr[n:] += head
     st_indices[head:] += n
-    St = sps.csr_matrix((st_data, st_indices, st_indptr), shape=(2 * n, 2 * n))
-    St.eliminate_zeros()
-    return St
+    csr_eliminate_zeros(2 * n, 2 * n, st_indptr, st_indices, st_data)
+    nnz = st_indptr[-1]
+    return Csr(st_data[:nnz], st_indices[:nnz], st_indptr, (2 * n, 2 * n))
 
 
-def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
+def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> Csr:
     """Post-default solution translated onto pre-default states for the
     coupling term of the pre-default equation.
 
@@ -141,7 +150,10 @@ def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> sps.csr_matrix:
     break the proportionality of the foreign spread to (1+gamma_z).
     """
     if p.gamma_rhat == 0.0:
-        return sps.identity(grid.size, format="csr")
+        n = grid.size
+        itype = index_dtype(n)
+        return Csr(np.ones(n), np.arange(n, dtype=itype), np.arange(n + 1, dtype=itype),
+                   (n, n))
     R, rr, y, z = grid.coordinate_fields()
     if 1.0 + p.gamma_rhat < 1e-12:
         # total rate collapse: the jump maps every state to rhat = 0 and
@@ -195,7 +207,7 @@ def _cores() -> int:
 _Record = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 
-def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
+def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
               record: _Record | Sequence[_Record]) -> np.ndarray | tuple[np.ndarray, ...]:
     """Fixed-step RK4 recording ``record(v, k)`` after every step.
 
@@ -216,11 +228,15 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     evaluates in Horner form, v + hA(v + h/2 A(v + h/3 A(v + h/4 Av))):
     the same four SpMVs, with the scalings and adds done in place.
 
-    A is converted to float64 CSR once, and every SpMV calls scipy's
-    compiled kernel ``csr_matvec`` (the one ``A @ v`` ends in) into
-    preallocated buffers, so a step allocates nothing beyond what the
-    records return.  The kernel accumulates y += A x, hence each output
-    slice is zeroed first, as ``A @ v`` zeroes its fresh result.
+    A is a CSR matrix: a ``grid.Csr`` or scipy's ``csr_matrix``, whose
+    ``format`` is ``"csr"``.  Any other input raises ValueError, since
+    the arrays of a CSC matrix read as CSR are its transpose.  Its
+    ``indptr``, ``indices`` and ``data`` (as float64) are read once, and
+    every SpMV calls scipy's compiled kernel ``csr_matvec`` (the one
+    ``A @ v`` ends in) into preallocated buffers, so a step allocates
+    nothing beyond what the records return.  The kernel accumulates
+    y += A x, hence each output slice is zeroed first, as ``A @ v``
+    zeroes its fresh result.
 
     A single callable is one tile.  Given P tiles, at least P cores
     (``cores``, the number this process may run on, read per sweep) and
@@ -244,7 +260,8 @@ def rk4_sweep(A: sps.spmatrix, v0: np.ndarray, h: float, nsteps: int,
     sum and an element's update do not depend on which thread computes
     them, so the sweep is bit-identical to the ``A @ v`` loop either way.
     """
-    A = A.tocsr()
+    if getattr(A, "format", None) != "csr":
+        raise ValueError(f"rk4_sweep needs a CSR matrix, got {type(A).__name__}")
     m, n = A.shape
     indptr, indices = A.indptr, A.indices
     data = A.data.astype(np.float64, copy=False)

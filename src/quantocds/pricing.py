@@ -263,8 +263,10 @@ class QuantoCdsPricer:
     second half.  The build peaks at about 1.65 times the S^T it
     returns (32.3 MiB at [16]^4 with stochastic recovery), and S^T's
     arrays keep the tail of its dropped exact zeros (20.8 MiB held for
-    19.5 MiB there).  ``spmv`` counts the SpMVs of every sweep the
-    pricer ran.
+    19.5 MiB there).  S^T and the interpolation rows are ``grid.Csr``
+    matrices, applied by scipy's compiled kernels without the
+    ``scipy.sparse`` package (see ``grid``); the readout row is kept
+    dense.  ``spmv`` counts the SpMVs of every sweep the pricer ran.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):

@@ -8,9 +8,11 @@ transposed blocks.  The engine writes the same entries straight into
 per-node slots; the tests require the two builds to agree bit for bit.
 
 The module also reads matrices off the engine for tests that march or
-inspect them: ``engine_blocks`` gives A1 and A2 as the diagonal blocks
-of the engine's stacked operator, and ``slots_csr`` turns the slot
-values of a ``StencilSlots`` layout into a CSR matrix.
+inspect them: ``as_scipy`` views an engine ``Csr`` as scipy's
+``csr_matrix``, for scipy's arithmetic; ``engine_blocks`` gives A1 and
+A2 as the diagonal blocks of the engine's stacked operator, and
+``slots_csr`` turns the slot values of a ``StencilSlots`` layout into a
+CSR matrix.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sps
 
-from quantocds.grid import Grid4D, interpolation_matrix
+from quantocds.grid import Csr, Grid4D, interpolation_matrix
 from quantocds.model import BoundaryKind, ModelParams, boundary_regimes
 from quantocds.pde import coupling_shift_matrix, stacked_transpose
 from quantocds.rbffd import StencilSlots, operator_terms, rbf_fd_weights
@@ -153,9 +155,14 @@ def reference_stacked(grid: Grid4D, p: ModelParams) -> tuple[sps.csr_matrix, np.
     L = reference_L(grid, p)
     A1, A2 = reference_pde1(grid, p, L), reference_pde2(grid, p, L)
     _, _, y, _ = grid.coordinate_fields()
-    coupling = sps.diags(np.exp(y)) @ coupling_shift_matrix(grid, p)
+    coupling = sps.diags(np.exp(y)) @ as_scipy(coupling_shift_matrix(grid, p))
     St = sps.bmat([[A1.T, coupling.T], [None, A2.T]], format="csr")
     return St, interpolation_matrix(grid, p.x0[None, :]).toarray()[0]
+
+
+def as_scipy(M: Csr) -> sps.csr_matrix:
+    """scipy's ``csr_matrix`` on the arrays of the engine's ``Csr``."""
+    return sps.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def same_csr(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
@@ -168,7 +175,7 @@ def same_csr(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
 def engine_blocks(grid: Grid4D, p: ModelParams) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     """A1 = L - r and A2, the diagonal blocks of the engine's stacked
     operator S, read off the transpose of ``stacked_transpose``."""
-    S = stacked_transpose(grid, p, operator_terms(grid, p)).T.tocsr()
+    S = as_scipy(stacked_transpose(grid, p, operator_terms(grid, p))).T.tocsr()
     n = grid.size
     return S[:n, :n], S[n:, n:]
 

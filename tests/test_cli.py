@@ -362,25 +362,29 @@ class TestLegCsv:
 
 
 def test_cli_import_leaves_sparse_linalg_unloaded():
-    # only the Crank-Nicolson oracle needs scipy.sparse.linalg; importing
-    # the command line must not pay for it
+    # importing the command line pays for none of scipy.sparse.linalg,
+    # the scipy.sparse package (the engine loads only its compiled
+    # kernels) or numpy.f2py, which scipy.sparse's array-API shim loads
     src = str(Path(quantocds.__file__).resolve().parents[1])
-    code = "import sys, quantocds.cli; print('scipy.sparse.linalg' in sys.modules)"
+    code = ("import json, sys, quantocds.cli\n"
+            "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.sparse',"
+            " 'numpy.f2py') if name in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == []
 
 
 def test_cli_quote_leaves_scipy_linalg_unloaded(tmp_path):
     # a frozen-recovery quote runs the Crank-Nicolson oracle, which solves
-    # with numpy alone: neither scipy.sparse.linalg nor scipy.linalg loads
+    # with numpy alone: neither scipy.sparse.linalg nor scipy.linalg
+    # loads, nor the scipy.sparse package or numpy.f2py
     src = str(Path(quantocds.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     code = ("import json, sys\n"
             "from quantocds.cli import main\n"
             f"assert main(['--config', {cfg!r}]) == 0\n"
-            "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.linalg')"
-            " if name in sys.modules]))")
+            "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.linalg',"
+            " 'scipy.sparse', 'numpy.f2py') if name in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     report = json.loads((tmp_path / "out" / "spread_report.json").read_text())

@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantocds
 from quantocds.grid import (Grid4D, GridConfig, ScalarField, build_grid,
                             cell_slices, interpolate, interpolation_matrix)
 from quantocds.model import ModelParams
+from reference_operator import as_scipy
 
 
 def default_grid(**model_kwargs) -> Grid4D:
@@ -130,6 +136,42 @@ def test_interpolation_matrix_matches_corner_products():
             assert np.array_equal(E.data.reshape(-1, width), data)
             assert np.array_equal(E.indices.reshape(-1, width), cols)
             assert np.all(np.diff(cols, axis=1) > 0)
+
+
+def test_csr_products_are_scipys():
+    # Csr runs scipy's kernels on scipy's arrays: its product and dense
+    # form are scipy's bit for bit, and its indices are int32, as scipy's
+    # constructor makes them on a grid this size
+    rng = np.random.default_rng(4)
+    E = interpolation_matrix(default_grid(), rng.uniform(-1.0, 2.0, (50, 4)))
+    ref = as_scipy(E)
+    x = rng.standard_normal(E.shape[1])
+    assert E.format == "csr" and E.nnz == ref.nnz == 800
+    assert E.indices.dtype == E.indptr.dtype == np.int32
+    assert np.array_equal(E @ x, ref @ x)
+    assert np.array_equal(E.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("first", ["quantocds", "scipy.sparse"])
+def test_kernels_shared_with_scipy_sparse_in_either_import_order(first):
+    # loading the kernels alone leaves scipy.sparse's own import as it
+    # was: either import order gives scipy.sparse its _sparsetools, whose
+    # functions are the engine's
+    src = str(Path(quantocds.__file__).resolve().parents[1])
+    imports = ["import quantocds.grid as grid", "import scipy.sparse as sps"]
+    code = "\n".join(imports if first == "quantocds" else imports[::-1]) + (
+        "\nprint(sps._sparsetools.csr_matvec is grid.sparsetools.csr_matvec)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("shape", [(9_999,), (10_001,), (10_000, 1)])
+def test_csr_refuses_vector_of_wrong_shape(shape):
+    # the kernel reads x without bounds checks: a short vector is refused
+    E = interpolation_matrix(default_grid(), ModelParams().x0[None, :])
+    with pytest.raises(ValueError, match="shape"):
+        E @ np.zeros(shape)
 
 
 def test_extrapolation_continuous_across_hull():

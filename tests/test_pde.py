@@ -271,6 +271,15 @@ class TestRk4:
                 rk4_sweep(sps.identity(3, format="csr"), np.ones(3), 0.1, 2,
                           (lambda u, k: u[0],) * tiles)
 
+    @pytest.mark.parametrize("fmt", ["csc", "dense"])
+    def test_refuses_non_csr_input(self, fmt):
+        # the arrays of a CSC matrix read as CSR are its transpose: the
+        # sweep refuses it rather than marching the wrong operator
+        M = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        A = sps.csc_matrix(M) if fmt == "csc" else M
+        with pytest.raises(ValueError, match="CSR"):
+            rk4_sweep(A, np.ones(2), 0.1, 2, lambda v, k: v[0])
+
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row
         # per step, as a record returning fresh arrays does

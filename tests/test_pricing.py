@@ -28,7 +28,7 @@ from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                domestic_params, domestic_spread, par_spread,
                                quanto_basis, terminal_condition)
 from quantocds.rbffd import operator_terms
-from reference_operator import engine_blocks, reference_stacked, same_csr
+from reference_operator import as_scipy, engine_blocks, reference_stacked, same_csr
 
 P = ModelParams()
 SCHED = CdsSchedule()
@@ -139,7 +139,8 @@ def forward_system(p: ModelParams, grid_cfg: GridConfig | None = None):
     A1, A2 = engine_blocks(g, p)
     _, _, y, _ = g.coordinate_fields()
     S = sps.bmat([[A1, None],
-                  [sps.diags(np.exp(y)) @ coupling_shift_matrix(g, p), A2]], format="csr")
+                  [sps.diags(np.exp(y)) @ as_scipy(coupling_shift_matrix(g, p)), A2]],
+                 format="csr")
     return g, A2, S, interpolation_matrix(g, p.x0[None, :])
 
 
