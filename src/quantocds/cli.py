@@ -350,7 +350,8 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--task", choices=_TASKS, help="replaces the config's task")
     ap.add_argument("--out", help="replaces output.dir")
-    ap.add_argument("--threads", type=int, help="replaces solver.workers")
+    ap.add_argument("--threads", type=int,
+                    help="replaces solver.workers, the sweep task's worker processes")
     ap.add_argument("--seed", type=int, help="replaces mc.seed")
     args = ap.parse_args(argv)
 

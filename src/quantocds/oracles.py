@@ -12,9 +12,9 @@ Crank-Nicolson stepper; it reads out at x0 with the engine's
 engine's ``LegTerms`` and ``par_spread``.  Its finite-difference
 matrices are dense numpy arrays, its readout row is the engine's made
 dense, and its stepper applies the dense one-step propagator of the CN
-system, built once per call with ``numpy.linalg.solve``.  So no quote
-loads ``scipy.sparse``, ``scipy.sparse.linalg`` or ``scipy.linalg``
-(see ``grid`` for the import footprint).
+system, built once per call with ``numpy.linalg.solve``, so the oracle
+loads neither ``scipy.sparse.linalg`` nor ``scipy.linalg`` (``grid``
+gives the import footprint).
 """
 from __future__ import annotations
 

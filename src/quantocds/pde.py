@@ -10,10 +10,7 @@ the coupling as its off-diagonal block.  Time stepping is classical
 explicit RK4, each step evaluated as its polynomial in Horner form:
 four calls of scipy's compiled CSR kernel into preallocated buffers,
 with no state vector allocated per step.  The operator is a
-``grid.Csr``, and the kernels come from scipy's compiled extension
-``scipy.sparse._sparsetools``, which ``grid`` loads alone: no quote
-imports the ``scipy.sparse`` package (``grid`` gives the import RSS
-and each benchmark workload's peak, before and after).  A large
+``grid.Csr``, run by the kernels ``grid`` loads (see there).  A large
 operator recorded in P tiles is marched on P threads, one per tile,
 when the process may run on P cores: a tile's thread runs the kernel
 on its rows, the Horner update, the finiteness test and the tile's
@@ -35,7 +32,7 @@ import numpy as np
 
 from .grid import Csr, Grid4D, ScalarField, index_dtype, interpolation_matrix, sparsetools
 from .model import ModelParams
-from .rbffd import operator_slots
+from .rbffd import operator_slots, operator_terms
 
 # scipy's compiled CSR kernels (``grid.sparsetools``): ``csr_matvec`` is
 # the SpMV behind ``A @ v``, pinned against the ``A @ v`` loop in
@@ -67,11 +64,11 @@ class StabilityError(RuntimeError):
 _MIN_PART_NNZ = 250_000
 
 
-def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> Csr:
-    """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]].
+def stacked_transpose(grid: Grid4D, p: ModelParams) -> Csr:
+    """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]] on ``grid``.
 
-    ``terms`` are the ``operator_terms`` of ``grid`` (the pricer cuts
-    them from the configured grid).  S itself is never built.  The left
+    L comes from ``operator_slots(grid, p)``, its coefficients evaluated
+    on ``grid``'s own nodes.  S itself is never built.  The left
     block column [A1; Lambda C] is written as 2N CSR rows into one
     buffer: row i of the top half holds the slots of A1 = L - r, row i
     of the bottom half the coupling row lambda_i * C_i
@@ -94,7 +91,7 @@ def stacked_transpose(grid: Grid4D, p: ModelParams, terms) -> Csr:
     on [12]^4, [16]^4 and [20]^4).  Each entry is the float that the
     term-by-term reference build gives, in the same place.
     """
-    slots, vals = operator_slots(grid, p, terms)
+    slots, vals = operator_slots(grid, p)
     C = coupling_shift_matrix(grid, p)
     n, nslots = grid.size, len(vals)
     width = C.nnz // n              # every coupling row holds the same count
@@ -165,19 +162,20 @@ def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> Csr:
     return interpolation_matrix(grid, pts)
 
 
-def inert_axes(p: ModelParams, terms) -> tuple[int, ...]:
-    """Axes along which the stacked system never couples two slices.
+def inert_axes(grid: Grid4D, p: ModelParams) -> tuple[int, ...]:
+    """Axes along which the stacked system on ``grid`` never couples two
+    slices.
 
-    ``terms`` are ``operator_terms`` on the grid in question, which
-    leaves out the terms that vanish there.  An axis is inert when no
-    term differentiates along it and when it is not rhat under a rate
-    jump (the coupling shift interpolates along rhat).  On an inert axis
-    both operators act slice by slice.  z is never inert, so an FX
+    An axis is inert when no term of ``operator_terms(grid, p)``, which
+    leaves out the terms that vanish on ``grid``, differentiates along
+    it and when it is not rhat under a rate jump (the coupling shift
+    interpolates along rhat).  On an inert axis both operators act
+    slice by slice.  z is never inert, so an FX
     jump's compensator needs no rule here: the FX drift (r_dom - rhat) z
     d/dz is nonzero on every ``build_grid`` grid, as its rhat axis has
     four or more distinct nodes and its z axis reaches z_max > 0.
     """
-    live = {k for _, axes in terms for k in axes}
+    live = {k for _, axes in operator_terms(grid, p) for k in axes}
     if p.gamma_rhat != 0.0:
         live.add(1)
     return tuple(k for k in range(4) if k not in live)
@@ -228,9 +226,11 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     evaluates in Horner form, v + hA(v + h/2 A(v + h/3 A(v + h/4 Av))):
     the same four SpMVs, with the scalings and adds done in place.
 
-    A is a CSR matrix: a ``grid.Csr`` or scipy's ``csr_matrix``, whose
-    ``format`` is ``"csr"``.  Any other input raises ValueError, since
-    the arrays of a CSC matrix read as CSR are its transpose.  Its
+    A is a square CSR matrix: a ``grid.Csr`` or scipy's ``csr_matrix``,
+    whose ``format`` is ``"csr"``, and ``v0`` a vector of its row count.
+    Any other input raises ValueError before any kernel call, since the
+    arrays of a CSC matrix read as CSR are its transpose and the kernel
+    reads ``v`` without bounds checks.  Its
     ``indptr``, ``indices`` and ``data`` (as float64) are read once, and
     every SpMV calls scipy's compiled kernel ``csr_matvec`` (the one
     ``A @ v`` ends in) into preallocated buffers, so a step allocates
@@ -263,6 +263,9 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     if getattr(A, "format", None) != "csr":
         raise ValueError(f"rk4_sweep needs a CSR matrix, got {type(A).__name__}")
     m, n = A.shape
+    v = np.array(v0, dtype=np.float64)
+    if m != n or v.shape != (m,):
+        raise ValueError(f"need a square CSR matrix and v0 of shape ({m},), got {m}x{n}, {v.shape}")
     indptr, indices = A.indptr, A.indices
     data = A.data.astype(np.float64, copy=False)
     single = callable(record)
@@ -270,7 +273,6 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     if not pieces or m % len(pieces):
         raise ValueError(f"{len(pieces)} record tiles do not divide {m} rows")
     size = m // len(pieces)
-    v = np.array(v0, dtype=np.float64)
     w, spare = np.empty(m), np.empty(m)
     finite = np.empty(m, dtype=bool)
     tiles = [v[i * size:(i + 1) * size] for i in range(len(pieces))]

@@ -39,7 +39,6 @@ from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
                    interpolation_matrix)
 from .model import ModelParams, require_integers, require_real
 from .pde import inert_axes, rk4_sweep, stacked_transpose
-from .rbffd import operator_terms
 
 __all__ = [
     "CdsSchedule",
@@ -254,36 +253,27 @@ class QuantoCdsPricer:
     axes keep two slices: S reads their coordinate (rhat in the z
     drift, y in the hazard).
 
-    The operator terms are evaluated once, on ``grid``: they decide the
-    inert axes, and their cut to ``solve_grid`` is what S^T is built
-    from.  ``pde.stacked_transpose`` never builds S: it writes the left
-    block column [A1; Lambda C] from the slot table of L, frees the
-    table and transposes that buffer into the first half of S^T; the
-    buffer's top rows then take A2's values and are transposed into the
-    second half.  The build peaks at about 1.65 times the S^T it
-    returns (32.3 MiB at [16]^4 with stochastic recovery), and S^T's
-    arrays keep the tail of its dropped exact zeros (20.8 MiB held for
-    19.5 MiB there).  S^T and the interpolation rows are ``grid.Csr``
-    matrices, applied by scipy's compiled kernels without the
-    ``scipy.sparse`` package (see ``grid``); the readout row is kept
-    dense.  ``spmv`` counts the SpMVs of every sweep the pricer ran.
+    The inert axes are found on ``grid``.  S^T is built by
+    ``pde.stacked_transpose(solve_grid, p)``, which evaluates every
+    coefficient at the solve grid's own nodes (R0 on a frozen R axis);
+    ``inert_axes`` finds the same axes on ``solve_grid`` as on ``grid``.
+    The ``stacked_transpose`` docstring gives the build's peak memory.
+    S^T and the interpolation rows are ``grid.Csr`` matrices (see
+    ``grid``); the readout row is kept dense.  ``spmv`` counts the SpMVs
+    of every sweep the pricer ran.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
         self.p = p
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
-        terms = operator_terms(self.grid, self.p)
-        self.inert_axes = inert_axes(self.p, terms)
-        keep = list(cell_slices(self.grid, self.p.x0, self.inert_axes))
+        self.inert_axes = inert_axes(self.grid, self.p)
+        keep = cell_slices(self.grid, self.p.x0, self.inert_axes)
         axes = [a[k] for a, k in zip(self.grid.axes, keep)]
         if 0 in self.inert_axes:
-            # no remaining term reads R: node 0's coefficients are R0's
-            keep[0], axes[0] = slice(0, 1), np.array([self.p.R0])
+            axes[0] = np.array([self.p.R0])
         self.solve_grid = g = Grid4D(tuple(axes))
-        keep = tuple(keep)
-        terms = [(np.broadcast_to(coef, self.grid.shape)[keep], k) for coef, k in terms]
-        self._stacked = stacked_transpose(g, self.p, terms)
+        self._stacked = stacked_transpose(g, self.p)
         self._readout = interpolation_matrix(g, self.p.x0[None, :]).toarray()[0]
         self.spmv = 0
 

@@ -17,9 +17,8 @@ nodal coefficient times the per-axis stencil weight into its slots, in
 term order.  ``pde.stacked_transpose`` copies the slot values row-major
 into one buffer, frees the slot table and transposes that buffer
 straight into the transposed stacked operator of both pricing
-equations, so the untransposed operator is never built; the build
-peaks at the buffer plus the result, about 1.65 times the operator it
-returns.
+equations, so the untransposed operator is never built (its docstring
+gives the build's peak memory).
 
 Numerical note: every stencil is uniform with 3 nodes and centred on
 one of them, so the collocation system is solved in closed form.  A
@@ -158,6 +157,9 @@ def _stencil_tables(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def operator_terms(grid: Grid4D, p: ModelParams) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The terms of L that do not vanish on the grid, as (nodal
     coefficient, axes) pairs, in the order ``operator_slots`` sums them.
+    They are the one record of which parameters feed which axis:
+    ``operator_slots`` lays out its slots from them and
+    ``pde.inert_axes`` finds the inert axes from them.
 
     L has 14 terms: 4 pure second derivatives, 4 convections and 6
     mixed derivatives.  ``axes`` names the derivative: (k,) is d/dx_k,
@@ -267,16 +269,18 @@ class StencilSlots:
                 vals[s] += coef * (self._d1[a][ja] * self._d1[b][jb])
 
 
-def operator_slots(grid: Grid4D, p: ModelParams, terms) -> tuple[StencilSlots, np.ndarray]:
-    """Slot layout of L and the slot values of L.
+def operator_slots(grid: Grid4D, p: ModelParams) -> tuple[StencilSlots, np.ndarray]:
+    """Slot layout of L on ``grid`` and the slot values of L.
 
-    ``terms`` are the ``operator_terms`` of ``grid``.  Slots are laid
-    out for every axis some term differentiates along.  Boundary
-    regimes come from ``boundary_regimes``: rows on a
-    vanishing-second-derivative boundary lose the D2 weights normal to
+    L's terms are the ``operator_terms`` of ``grid``.  Slots are laid
+    out for every axis some term differentiates along, so an axis no
+    term differentiates along may hold any number of nodes, one
+    included.  Boundary regimes come from ``boundary_regimes``: rows on
+    a vanishing-second-derivative boundary lose the D2 weights normal to
     that boundary; degenerate-pde boundaries keep the PDE row, whose
     normal diffusion coefficient vanishes there by itself.
     """
+    terms = operator_terms(grid, p)
     live = sorted({k for _, term_axes in terms for k in term_axes})
     pairs = [k for _, k in terms if len(k) == 2 and k[0] != k[1]]
     regimes = boundary_regimes(p)

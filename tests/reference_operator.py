@@ -24,7 +24,7 @@ import scipy.sparse as sps
 from quantocds.grid import Csr, Grid4D, interpolation_matrix
 from quantocds.model import BoundaryKind, ModelParams, boundary_regimes
 from quantocds.pde import coupling_shift_matrix, stacked_transpose
-from quantocds.rbffd import StencilSlots, operator_terms, rbf_fd_weights
+from quantocds.rbffd import StencilSlots, rbf_fd_weights
 
 _AXIS_BOUNDARIES = (("R=0", "R=1"), ("rhat=0", "rhat=max"),
                     ("y=min", "y=max"), ("z=0", "z=max"))
@@ -175,7 +175,7 @@ def same_csr(a: sps.csr_matrix, b: sps.csr_matrix) -> bool:
 def engine_blocks(grid: Grid4D, p: ModelParams) -> tuple[sps.csr_matrix, sps.csr_matrix]:
     """A1 = L - r and A2, the diagonal blocks of the engine's stacked
     operator S, read off the transpose of ``stacked_transpose``."""
-    S = as_scipy(stacked_transpose(grid, p, operator_terms(grid, p))).T.tocsr()
+    S = as_scipy(stacked_transpose(grid, p)).T.tocsr()
     n = grid.size
     return S[:n, :n], S[n:, n:]
 

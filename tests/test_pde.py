@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sps
 
 import quantocds.pde as pde
-from quantocds.grid import Grid4D, GridConfig, ScalarField, build_grid, interpolate
+from quantocds.grid import Csr, Grid4D, GridConfig, ScalarField, build_grid, interpolate
 from quantocds.model import ModelParams
 from quantocds.pde import StabilityError, jump_shift, rk4_sweep
 from quantocds.pricing import QuantoCdsPricer
@@ -279,6 +279,22 @@ class TestRk4:
         A = sps.csc_matrix(M) if fmt == "csc" else M
         with pytest.raises(ValueError, match="CSR"):
             rk4_sweep(A, np.ones(2), 0.1, 2, lambda v, k: v[0])
+
+    @pytest.mark.parametrize("rows, cols, size", [(5, 5, 8), (5, 5, 2), (3, 10, 3)],
+                             ids=["long-state", "short-state", "wide-matrix"])
+    def test_refuses_mismatched_shapes(self, rows, cols, size, monkeypatch):
+        # the kernel reads the state without bounds checks: a longer
+        # state would march with its tail dropped, a shorter one or a
+        # wide matrix would read past it, so the sweep refuses them
+        # before any kernel call
+        def no_kernel(*args):
+            raise AssertionError("kernel called on mismatched shapes")
+
+        monkeypatch.setattr(pde, "csr_matvec", no_kernel)
+        A = Csr(-np.ones(rows), (np.arange(rows) * 5 + 4) % cols,
+                np.arange(rows + 1), (rows, cols))
+        with pytest.raises(ValueError, match="square CSR matrix"):
+            rk4_sweep(A, np.ones(size), 0.1, 2, lambda v, k: v[0])
 
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row

@@ -18,9 +18,9 @@ import quantocds
 import quantocds.pde as pde
 import quantocds.pricing as pricing
 from quantocds.cli import ConfigError, load_config
-from quantocds.grid import GridConfig, build_grid, interpolation_matrix
+from quantocds.grid import Grid4D, GridConfig, build_grid, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError, validate_params
-from quantocds.pde import coupling_shift_matrix, rk4_sweep, stacked_transpose
+from quantocds.pde import coupling_shift_matrix, inert_axes, rk4_sweep, stacked_transpose
 from quantocds.oracles import cn_domestic_spread
 from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                DegenerateAnnuityError, LegTerms,
@@ -778,6 +778,26 @@ class TestOperatorPins:
         St, readout = reference_stacked(pricer.solve_grid, p)
         assert same_csr(pricer._stacked, St)
         assert np.array_equal(pricer._readout, readout)
+        # the solve grid is a fixed point: the pricer's S^T is the one
+        # build, made on the grid it holds, and that grid keeps the
+        # inert axes of the configured grid
+        assert same_csr(pricer._stacked, stacked_transpose(pricer.solve_grid, p))
+        assert inert_axes(pricer.solve_grid, p) == pricer.inert_axes
+
+    @pytest.mark.parametrize("frozen", [("rhat", "y"), ("rhat",)], ids=["rhat-y", "rhat"])
+    def test_one_node_inert_axes(self, frozen):
+        # a grid whose every inert axis is the single spot node x0[k]:
+        # the operator builds on it, equals the reference and keeps the
+        # inert axes of the configured grid
+        p = P.with_(**{f"{kind}_{axis}": 0.0 for axis in frozen
+                       for kind in ("kappa", "sigma")})
+        g = build_grid(GridConfig(), p)
+        inert = inert_axes(g, p)
+        assert inert == (0,) + tuple(_AXIS[axis] for axis in frozen)
+        sg = Grid4D(tuple(p.x0[k:k + 1] if k in inert else a
+                          for k, a in enumerate(g.axes)))
+        assert same_csr(stacked_transpose(sg, p), reference_stacked(sg, p)[0])
+        assert inert_axes(sg, p) == inert
 
     @pytest.mark.parametrize("case", list(OPERATOR_PINS))
     def test_public_operators(self, case):
@@ -785,18 +805,16 @@ class TestOperatorPins:
         # coupling included, equals the reference
         p, grid_cfg = OPERATOR_PINS[case]
         g = build_grid(grid_cfg or GridConfig(), p)
-        assert same_csr(stacked_transpose(g, p, operator_terms(g, p)),
-                        reference_stacked(g, p)[0])
+        assert same_csr(stacked_transpose(g, p), reference_stacked(g, p)[0])
 
     def test_build_peak_within_1_8x_operator(self):
         # the build holds [A1; Lambda C] and S^T, never S: its traced
         # peak stays under 1.8 times the operator it returns (2.7 times
         # while S and S^T were held at once)
         g = build_grid(GridConfig(n_R=12, n_rhat=12, n_y=12, n_z=12), _CORRELATED)
-        terms = operator_terms(g, _CORRELATED)
         tracemalloc.start()
         try:
-            St = stacked_transpose(g, _CORRELATED, terms)
+            St = stacked_transpose(g, _CORRELATED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
