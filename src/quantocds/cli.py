@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -26,8 +25,9 @@ import numpy as np
 
 from .grid import GridConfig
 from .model import CORRELATION_ORDER, ModelParams, require_real
-from .oracles import McConfig, credit_triangle, mc_spread
-from .pricing import CdsSchedule, QuantoCdsPricer, domestic_spread, quanto_basis
+from .oracles import CN_Y_MIN, McConfig, cn_applies, credit_triangle, mc_spread
+from .pricing import (CdsSchedule, QuantoCdsPricer, domestic_params, domestic_spread,
+                      quanto_basis)
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main"]
 
@@ -170,13 +170,16 @@ def _parse(raw: dict) -> RunConfig:
         for i, v in enumerate(sweep_vals):
             require_real(f"values[{i}]", v)
         sweep_vals = [float(v) for v in sweep_vals]
-        if sweep_param:
-            for v in sweep_vals:
-                apply_sweep_value(model, sweep_param, v)
+        swept = [apply_sweep_value(model, sweep_param, v)
+                 for v in sweep_vals] if sweep_param else []
     if task == "sweep" and not sweep_param:
         raise ConfigError("sweep task requires sweep.parameter")
     if task == "sweep" and not sweep_vals:
         raise ConfigError("sweep task requires a non-empty sweep.values list")
+    if task != "mc-check":
+        with _checked("sweep" if task == "sweep" else "model"):
+            for p in swept if task == "sweep" else [model]:
+                _require_domestic(p, task)
 
     # block_size changes the random stream, so the config does not expose it
     mc = _section(raw, "mc", _field_names(McConfig) - {"block_size"},
@@ -192,6 +195,21 @@ def _parse(raw: dict) -> RunConfig:
                      task=task, workers=workers,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
                      mc=mc, out_dir=Path(out_dir))
+
+
+def _require_domestic(p: ModelParams, task: str) -> None:
+    """Raise ValueError unless ``task`` can price the domestic contract
+    of ``p``: ``domestic_params`` pins rhat0 at r_dom, which must
+    therefore be >= 0, and the benchmark task prices the contract with
+    the 1D oracle too.  (mc-check prices ``p`` alone.)"""
+    if p.r_dom < 0.0:
+        raise ValueError(f"r_dom = {p.r_dom} must be >= 0: the {task} task prices "
+                         "the domestic contract, whose short rate is r_dom")
+    if task == "benchmark" and not cn_applies(domestic_params(p)):
+        raise ValueError(
+            "the benchmark task prices the domestic contract with the 1D oracle, "
+            f"which needs frozen recovery (kappa_R = {p.kappa_R}, sigma_R = "
+            f"{p.sigma_R}; both must be 0) and y0 = {p.y0} on [{CN_Y_MIN}, 0.0]")
 
 
 def apply_sweep_value(p: ModelParams, parameter: str, value: float) -> ModelParams:
@@ -267,6 +285,9 @@ def _task_sweep(cfg: RunConfig) -> None:
     jobs = [(cfg.model, cfg.grid, cfg.schedule,
              cfg.sweep_parameter, v) for v in cfg.sweep_values]
     if cfg.workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket,
+        # subprocess, logging) are about 1 MiB that no other task uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:

@@ -13,7 +13,7 @@ module loads by itself: ``importlib.util.find_spec("scipy")`` locates
 scipy without running its code, and the extension is executed from
 scipy's ``sparse`` directory.  No quote imports the ``scipy.sparse``
 package, whose array-API shim also loads ``numpy.f2py``.  A process
-that imports ``quantocds.cli`` holds 30.4 MiB of RSS and 260 modules,
+that imports ``quantocds.cli`` holds 29.5 MiB of RSS and 231 modules,
 against 50.9 MiB and 554 modules when this module imported
 ``scipy.sparse`` (Python 3.11, numpy 2.4, scipy 1.17; numpy alone
 takes about 27 MiB).  Every benchmark workload imports the package, so

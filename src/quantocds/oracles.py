@@ -12,9 +12,9 @@ Crank-Nicolson stepper; it reads out at x0 with the engine's
 engine's ``LegTerms`` and ``par_spread``.  Its finite-difference
 matrices are dense numpy arrays, its readout row is the engine's made
 dense, and its stepper applies the dense one-step propagator of the CN
-system, built once per call with ``numpy.linalg.solve``, so the oracle
-loads neither ``scipy.sparse.linalg`` nor ``scipy.linalg`` (``grid``
-gives the import footprint).
+system, built once per call by three ``numpy.linalg.solve`` calls, so
+the oracle loads neither ``scipy.sparse.linalg`` nor ``scipy.linalg``
+(``grid`` gives the import footprint).
 """
 from __future__ import annotations
 
@@ -349,12 +349,14 @@ def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
     ``LegTerms.from_curves``, the engine's right-endpoint quadrature.
 
     The CN system is block lower triangular, so its one-step propagator
-    has three dense ``n_y`` x ``n_y`` blocks, G11, G21 and G22, built
-    once by two ``numpy.linalg.solve`` calls.  That build is cubic in
-    ``n_y``: about 10 ms at 201 nodes and 47 ms at 401 (one BLAS thread,
-    2-core Xeon).  Each step is then four dense matrix-vector products,
-    so a default call (120 steps) takes about 21 ms at 201 nodes and
-    76 ms at 401.
+    has three dense ``n_y`` x ``n_y`` blocks, G11, G22 and G21, built
+    once by three ``numpy.linalg.solve`` calls, each ``n_y`` columns
+    wide.  At most five such blocks are alive at once: the traced peak
+    is about 5.0 n_y^2 doubles, LAPACK's internal copies aside.  That
+    build is cubic in ``n_y``: about 14 ms at 201 nodes and 70 ms at
+    401 (one BLAS thread, 2-core Xeon).  Each step is then four dense
+    matrix-vector products, so a default call (120 steps) takes about
+    21 ms at 201 nodes and 108 ms at 401.
     """
     if isinstance(n_y, bool) or not isinstance(n_y, (int, np.integer)) or n_y < 3:
         raise ValueError(f"n_y must be an integer >= 3, got {n_y!r}")
@@ -373,20 +375,21 @@ def cn_domestic_spread(p: ModelParams, schedule: CdsSchedule,
     # M = [[A1, 0], [diag(lam), A2]] on (post-default, pre-default) is
     # block lower triangular, so the CN step (I - h/2 M) x' = (I + h/2 M) x
     # gives the post-default block first: u' = G11 u, then v' = G22 v +
-    # G21 u.  With B_i = I - h/2 A_i and C_i = I + h/2 A_i, G11 = B1^-1 C1
-    # and [G22 | G21] = B2^-1 [C2 | h/2 diag(lam) (I + G11)].  Both
-    # right-hand sides are built in place in ``rhs``, and L is dropped
-    # before the second solve, whose copies are the call's peak memory.
+    # G21 u.  With B_i = I - h/2 A_i and C_i = I + h/2 A_i, G11 = B1^-1 C1,
+    # G22 = B2^-1 C2 and G21 = B2^-1 h/2 diag(lam) (I + G11).  The three
+    # right-hand sides take turns in ``rhs`` and each solve is n_y wide,
+    # since numpy's solve copies both operands; narrower chunks would
+    # take other OpenBLAS triangular-solve paths and move the bits.
     hh = 0.5 * schedule.quad_step
-    rhs = np.empty((n_y, 2 * n_y))
-    C, X = rhs[:, :n_y], rhs[:, n_y:]
-    G11 = np.linalg.solve(_cn_halves(L, p.r_dom, hh, C), C)
-    B2 = _cn_halves(L, p.r_dom + lam, hh, C)
+    rhs = np.empty((n_y, n_y))
+    G11 = np.linalg.solve(_cn_halves(L, p.r_dom, hh, rhs), rhs)
+    B2 = _cn_halves(L, p.r_dom + lam, hh, rhs)
     del L
-    np.add(G11, np.eye(n_y), out=X)
-    X *= hh * lam[:, None]
-    G2 = np.linalg.solve(B2, rhs)
-    G22, G21 = G2[:, :n_y], G2[:, n_y:]
+    G22 = np.linalg.solve(B2, rhs)
+    np.add(G11, np.eye(n_y), out=rhs)
+    rhs *= hh * lam[:, None]
+    G21 = np.linalg.solve(B2, rhs)
+    del B2, rhs
 
     # One march of the columns [1; 0] and [0; 1].  The first gives the
     # accrual density proxy times the horizon (terminal data are linear

@@ -239,6 +239,13 @@ class TestMain:
         ({"model": {"rho": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, "0"], [0, 0, 0, 1]]}}, []),
         ({"sweep": {"values": ["-0.2"]}}, []),
         ({"grid": {"z_max": True}}, []),
+        ({"model": {"r_dom": -0.01}}, []),
+        ({"task": "sweep", "sweep": {"parameter": "r_dom", "values": [0.01, -0.01]}}, []),
+        ({"task": "sweep", "model": {"r_dom": -0.01},
+          "sweep": {"parameter": "gamma_z", "values": [0.0]}}, []),
+        ({"task": "benchmark", "model": {"r_dom": -0.01}}, []),
+        ({"task": "benchmark", "model": {"kappa_R": 0.3, "sigma_R": 0.2}}, []),
+        ({"task": "benchmark", "model": {"y0": 0.5}}, []),
     ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
             "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
             "mc.seed=-1", "mc.antithetic=string", "mc.antithetic=false", "seed=-1",
@@ -251,12 +258,24 @@ class TestMain:
             "output.dir=5", "T=string", "mc.step=string", "dt=string",
             "mc=null+seed", "T=true", "R0=true", "rho.R_z=numeric-string",
             "rho.R_z=true", "rho=matrix-with-true", "rho=matrix-with-string",
-            "sweep.values=numeric-string", "grid.z_max=true"])
+            "sweep.values=numeric-string", "grid.z_max=true", "price-r_dom<0",
+            "sweep-r_dom<0", "sweep-gamma_z-r_dom<0", "benchmark-r_dom<0",
+            "benchmark-stochastic-R", "benchmark-y0=0.5"])
     def test_bad_config_exits_2_before_any_solve(self, tmp_path, capsys, payload, argv):
         cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}, **payload})
         assert main(["--config", cfg, *argv]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_r_dom_refused_where_the_domestic_contract_is_priced(
+            self, tmp_path, capsys):
+        # mc-check prices the model alone; price, sweep and benchmark also
+        # price its domestic reduction, which pins rhat at r_dom
+        cfg = small_run(tmp_path, task="mc-check", model={"r_dom": -0.01},
+                        mc={"n_paths": 2000, "seed": 1})
+        assert main(["--config", cfg]) == 0
+        assert main(["--config", cfg, "--task", "price"]) == 2
+        assert "r_dom = -0.01 must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload, name", [
         ({"schedule": {"T": "5"}}, "T"),
@@ -364,11 +383,13 @@ class TestLegCsv:
 def test_cli_import_leaves_sparse_linalg_unloaded():
     # importing the command line pays for none of scipy.sparse.linalg,
     # the scipy.sparse package (the engine loads only its compiled
-    # kernels) or numpy.f2py, which scipy.sparse's array-API shim loads
+    # kernels), numpy.f2py, which scipy.sparse's array-API shim loads, or
+    # the sweep task's process pool
     src = str(Path(quantocds.__file__).resolve().parents[1])
     code = ("import json, sys, quantocds.cli\n"
             "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.sparse',"
-            " 'numpy.f2py') if name in sys.modules]))")
+            " 'numpy.f2py', 'multiprocessing', 'concurrent.futures.process')"
+            " if name in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert json.loads(out.stdout) == []
@@ -377,14 +398,15 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
 def test_cli_quote_leaves_scipy_linalg_unloaded(tmp_path):
     # a frozen-recovery quote runs the Crank-Nicolson oracle, which solves
     # with numpy alone: neither scipy.sparse.linalg nor scipy.linalg
-    # loads, nor the scipy.sparse package or numpy.f2py
+    # loads, nor the scipy.sparse package, numpy.f2py or a process pool
     src = str(Path(quantocds.__file__).resolve().parents[1])
     cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
     code = ("import json, sys\n"
             "from quantocds.cli import main\n"
             f"assert main(['--config', {cfg!r}]) == 0\n"
             "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.linalg',"
-            " 'scipy.sparse', 'numpy.f2py') if name in sys.modules]))")
+            " 'scipy.sparse', 'numpy.f2py', 'multiprocessing', 'concurrent.futures.process')"
+            " if name in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     report = json.loads((tmp_path / "out" / "spread_report.json").read_text())

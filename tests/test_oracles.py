@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,20 @@ class TestCnBenchmark:
         p = domestic_params(P.with_(**kw))
         assert cn_domestic_spread(p, schedule, n_y=n_y) == pytest.approx(
             splu_reference_spread(p, schedule, n_y), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n_y", [201, 401])
+    def test_build_traced_peak(self, n_y):
+        # three n_y-wide solves hold at most G11, B2, the right-hand side,
+        # G22 and G21 at once: about 5 blocks of n_y^2 doubles (6 while
+        # G22 and G21 came from one 2 n_y-wide solve).  tracemalloc sees
+        # numpy's arrays, not the copies LAPACK's solve makes internally
+        tracemalloc.start()
+        try:
+            cn_domestic_spread(P, SCHED, n_y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * 8 * n_y**2
 
     def test_protection_proportional_to_loss(self):
         # under frozen recovery only the protection leg carries R0, as 1 - R0
