@@ -72,13 +72,37 @@ class Csr:
     columns ``indices[indptr[i]:indptr[i+1]]``.  The arrays are those of
     ``scipy.sparse.csr_matrix``, with one index type, and scipy's
     kernels apply them: ``A @ x`` is ``csr_matvec`` and ``toarray`` is
-    ``csr_todense``, as in scipy, so they give scipy's bits."""
+    ``csr_todense``, as in scipy, so they give scipy's bits.
+
+    The kernels read without bounds checks, so a matrix is refused with
+    ValueError unless ``data`` and ``indices`` are vectors of one
+    length, ``indices`` and ``indptr`` share one index type (int32 or
+    int64), ``indptr`` holds rows + 1 pointers that start at 0, never
+    decrease and end at ``len(data)``, and every column index lies in
+    [0, columns).  The check reads every index once."""
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
     format = "csr"
+
+    def __post_init__(self):
+        m, n = self.shape
+        data, indices, indptr = self.data, self.indices, self.indptr
+        if data.ndim != 1 or indices.shape != data.shape:
+            raise ValueError(f"data and indices must be vectors of one length, "
+                             f"got shapes {data.shape} and {indices.shape}")
+        if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
+            raise ValueError(f"indices and indptr need one index type, int32 or int64, "
+                             f"got {indices.dtype} and {indptr.dtype}")
+        if m < 0 or n < 0 or indptr.shape != (m + 1,):
+            raise ValueError(f"a {m}x{n} matrix needs {m + 1} row pointers, "
+                             f"got shape {indptr.shape}")
+        if indptr[0] != 0 or indptr[-1] != data.size or (m and np.diff(indptr).min() < 0):
+            raise ValueError(f"row pointers must rise from 0 to {data.size} without decreasing")
+        if data.size and not (0 <= indices.min() and indices.max() < n):
+            raise ValueError(f"column indices must lie in [0, {n})")
 
     @property
     def nnz(self) -> int:

@@ -63,75 +63,123 @@ class StabilityError(RuntimeError):
 # [10]^4 operator (at most 243 600 nnz) stays on the calling thread.
 _MIN_PART_NNZ = 250_000
 
+# Entries of S^T whose slot tags ``stacked_transpose`` reads at a time:
+# the block's masks and hit lists stay far below the operator's size.
+_TAG_BLOCK = 1 << 16
+
 
 def stacked_transpose(grid: Grid4D, p: ModelParams) -> Csr:
     """S^T for the stacked operator S = [[A1, 0], [Lambda C, A2]] on ``grid``.
 
     L comes from ``operator_slots(grid, p)``, its coefficients evaluated
-    on ``grid``'s own nodes.  S itself is never built.  The left
-    block column [A1; Lambda C] is written as 2N CSR rows into one
-    buffer: row i of the top half holds the slots of A1 = L - r, row i
-    of the bottom half the coupling row lambda_i * C_i
-    (``coupling_shift_matrix``), lambda = e^y nodewise.  The slot table
-    is freed, and one CSR-to-CSC pass transposes the buffer into the
-    first N rows of S^T.  A2 = L - (r + lambda) - lambda*gamma_z*z*D1_z
-    differs from L only in slot 0 and, under an FX jump, in the z slots
-    that the FX drift term of L already lays out (``inert_axes``); the
-    compensator convection keeps discounted Z a martingale before
-    default.  Those slot columns of the buffer's top rows are
-    overwritten with A2's values, and a second pass transposes them
-    into the last N rows of S^T.  Every row comes out sorted, and
-    ``csr_eliminate_zeros`` drops exact zeros in place.  The returned
-    ``Csr`` always holds prefix views of the buffers, whatever share of
-    them survives, so the dropped zeros' tail stays allocated (20.8 MiB
-    held for 19.5 MiB of operator on [16]^4 with stochastic recovery;
-    15 000 slots for 14 600 entries on the default grid).  The
-    build peaks at the buffer plus S^T, 1.6-1.7 times the operator it
-    returns (traced with stochastic recovery: 10.2, 32.3 and 78.7 MiB
-    on [12]^4, [16]^4 and [20]^4).  Each entry is the float that the
-    term-by-term reference build gives, in the same place.
+    on ``grid``'s own nodes.  S itself is never built.  With nslots
+    slots per row of L and ``width`` entries per coupling row lambda_i
+    * C_i (``coupling_shift_matrix``, lambda = e^y nodewise), the left
+    block column [A1; Lambda C] of S holds head = N * (nslots + width)
+    entries.  The output arrays are allocated once, with room for
+    2 * head entries, and their two regions (first and last head
+    entries) are used in turn:
+
+    - the first region holds L's slot table, which ``operator_slots``
+      writes there;
+    - the second holds [A1; Lambda C] as 2N CSR rows: row i of the top
+      half the slots of A1 = L - r, row i of the bottom half the
+      coupling row.  The slot table is then spent, save A2's values
+      where A2 = L - (r + lambda) - lambda*gamma_z*z*D1_z differs from
+      L: slot 0 and, under an FX jump, the z slots that the FX drift
+      term of L already lays out (``inert_axes``).  The compensator
+      convection keeps discounted Z a martingale before default;
+    - one CSR-to-CSC pass transposes the second region into the first,
+      the N post-default rows [A1^T, (Lambda C)^T] of S^T;
+    - the N pre-default rows [0, A2^T] are written over the spent
+      second region.  A2^T has A1^T's pattern, so pre-default row j is
+      a copy of post-default row j with its columns moved past N, A2's
+      values written over the entries from the slots where A2 differs
+      from L, and its coupling entries set to zero.  Those entries are
+      found by one more CSR-to-CSC pass, over int8 tags of the
+      source's slots (at most 33), read ``_TAG_BLOCK`` entries at a
+      time.
+
+    Every row comes out sorted, ``csr_eliminate_zeros`` drops exact
+    zeros in place (the zeroed coupling copies with them), and both
+    arrays are then cut to the entries kept, so the returned ``Csr``
+    holds exactly its operator.  The build peaks at the two regions
+    plus one tag byte per entry, 1.2 times the operator it returns
+    (traced with stochastic recovery: 7.4, 23.4 and 57.1 MiB for
+    operators of 6.0, 19.5 and 48.2 MiB on [12]^4, [16]^4 and [20]^4).
+    Each entry is the float that the term-by-term reference build
+    gives, in the same place.
     """
-    slots, vals = operator_slots(grid, p)
     C = coupling_shift_matrix(grid, p)
-    n, nslots = grid.size, len(vals)
+    n = grid.size
     width = C.nnz // n              # every coupling row holds the same count
+    st_data = st_indices = None
+
+    def table(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Allocate the output arrays, indexed for the 2 * head entries
+        they hold until the zeros are dropped; the slot table is their
+        first region."""
+        nonlocal st_data, st_indices
+        head = n * (shape[0] + width)
+        st_data = np.empty(2 * head)
+        st_indices = np.empty(2 * head, dtype=index_dtype(2 * head))
+        return (st_indices[:n * shape[0]].reshape(shape),
+                st_data[:n * shape[0]].reshape(shape))
+
+    slots, vals = operator_slots(grid, p, table)
+    nslots = len(vals)
     top = n * nslots
     head = top + n * width
-    itype = index_dtype(head + top)
+    itype = st_indices.dtype
     lam = np.exp(grid.axes[2]).reshape(1, 1, -1, 1)
     # [A1; Lambda C], the left block column of S, as 2n CSR rows
-    data = np.empty(head)
-    indices = np.empty(head, dtype=itype)
+    data, indices = st_data[head:], st_indices[head:]
     a1 = data[:top].reshape(n, nslots)
     a1[:] = vals.reshape(nslots, n).T
     a1[:, 0] -= p.r_dom
     data[top:] = (C.data.reshape(grid.shape + (width,)) * lam[..., None]).ravel()
     indices[:top].reshape(n, nslots)[:] = slots.cols.reshape(nslots, n).T
     indices[top:] = C.indices
-    indptr = np.concatenate([nslots * np.arange(n),
-                             top + width * np.arange(n + 1)]).astype(itype)
-    # A2's values in the slots where it differs from L; then free the table
+    del C
+    indptr = np.concatenate([np.arange(0, top, nslots, dtype=itype),
+                             np.arange(top, head + 1, width, dtype=itype)])
+    # A2's values in the slots where it differs from L; the table is then spent
     vals[0] -= p.r_dom + lam
     touched = [0]
     if p.gamma_z != 0.0:
         slots.add(vals, -(lam * p.gamma_z * grid.axes[3]), (3,))
         touched = [slots._axis_slot(3, j) for j in range(3)]
-    a2 = vals[touched].reshape(len(touched), n).T
-    del slots, vals, C
-    st_data = np.empty(head + top)
-    st_indices = np.empty(head + top, dtype=itype)
+    a2 = vals[touched].reshape(len(touched), n)
+    del slots, vals
+    # each source entry's tag: its row of a2, -1 (another slot of A1) or
+    # -2 (coupling), carried into S^T's order by a pass whose row
+    # pointers and columns the value pass writes again
+    slot_tags = np.full(nslots, -1, dtype=np.int8)
+    slot_tags[touched] = np.arange(len(touched))
+    source_tags = st_data[:head].view(np.int8)[:head]
+    source_tags[:top].reshape(n, nslots)[:] = slot_tags
+    source_tags[top:] = -2
+    tags = np.empty(head, dtype=np.int8)
     st_indptr = np.empty(2 * n + 1, dtype=itype)
-    csr_tocsc(2 * n, n, indptr, indices, data,
-              st_indptr[:n + 1], st_indices[:head], st_data[:head])
-    a1[:, touched] = a2
-    # the tail's row pointers start at 0, over the head's last one
-    csr_tocsc(n, n, indptr[:n + 1], indices[:top], data[:top],
-              st_indptr[n:], st_indices[head:], st_data[head:])
-    st_indptr[n:] += head
-    st_indices[head:] += n
+    csr_tocsc(2 * n, n, indptr, indices, source_tags, st_indptr[:n + 1], st_indices[:head], tags)
+    csr_tocsc(2 * n, n, indptr, indices, data, st_indptr[:n + 1], st_indices[:head], st_data[:head])
+    del indptr
+    # the pre-default rows, over the spent source
+    st_data[head:] = st_data[:head]
+    np.add(st_indices[:head], n, out=st_indices[head:])
+    np.add(st_indptr[1:n + 1], head, out=st_indptr[n + 1:])
+    for lo in range(0, head, _TAG_BLOCK):
+        t = tags[lo:lo + _TAG_BLOCK]
+        hit = np.flatnonzero(t >= 0)
+        pre = st_data[head + lo:head + lo + t.size]
+        pre[hit] = a2[t[hit], st_indices[lo + hit]]
+        pre[t == -2] = 0.0
     csr_eliminate_zeros(2 * n, 2 * n, st_indptr, st_indices, st_data)
+    # no view of the two arrays is read after they are cut
     nnz = st_indptr[-1]
-    return Csr(st_data[:nnz], st_indices[:nnz], st_indptr, (2 * n, 2 * n))
+    st_data.resize(nnz, refcheck=False)
+    st_indices.resize(nnz, refcheck=False)
+    return Csr(st_data, st_indices, st_indptr, (2 * n, 2 * n))
 
 
 def coupling_shift_matrix(grid: Grid4D, p: ModelParams) -> Csr:

@@ -14,11 +14,11 @@ the node itself, two stencil neighbours along each axis some term
 differentiates along, and four corners for each mixed pair.  L is
 stored in those fixed slots (``StencilSlots``): each term adds its
 nodal coefficient times the per-axis stencil weight into its slots, in
-term order.  ``pde.stacked_transpose`` copies the slot values row-major
-into one buffer, frees the slot table and transposes that buffer
-straight into the transposed stacked operator of both pricing
-equations, so the untransposed operator is never built (its docstring
-gives the build's peak memory).
+term order.  ``pde.stacked_transpose`` has ``operator_slots`` write the
+table into the arrays of the transposed stacked operator of both
+pricing equations, copies the slot values row-major behind it and
+transposes them straight into that operator, so the untransposed
+operator is never built (its docstring gives the build's peak memory).
 
 Numerical note: every stencil is uniform with 3 nodes and centred on
 one of them, so the collocation system is solved in closed form.  A
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -208,20 +209,25 @@ class StencilSlots:
     mixed pair (a, b) in ``pairs`` owns four, the nodes reached by
     moving to a non-self stencil position along both axes.
     ``cols[s]`` holds slot s's column for every row, as a grid-shaped
-    array; a slot-value array has the same shape.
+    array; a slot-value array has the same shape.  ``cols``, if given,
+    is the integer array of that shape the columns are written into.
 
     The per-axis weights are kept in slot order: entry 0 is the node
     itself, entries 1 and 2 its two neighbours.  A D2 row listed in
     ``zeroed`` as (axis, row index) carries zero weights.
     """
 
-    def __init__(self, grid: Grid4D, axes, pairs, zeroed=()):
+    def __init__(self, grid: Grid4D, axes, pairs, zeroed=(), cols=None):
         self.shape = shape = grid.shape
         self._first = {}
         self._d1, self._d2 = {}, {}
-        nslots = 1 + 2 * len(axes) + 4 * len(pairs)
+        table = (self.count(axes, pairs),) + shape
         node = np.arange(grid.size, dtype=np.int32).reshape(shape)
-        self.cols = np.empty((nslots,) + shape, dtype=np.int32)
+        if cols is None:
+            cols = np.empty(table, dtype=np.int32)
+        elif cols.shape != table:
+            raise ValueError(f"slot columns need shape {table}, got {cols.shape}")
+        self.cols = cols
         self.cols[0] = node
         offsets = {}
         for i, k in enumerate(axes):
@@ -239,12 +245,17 @@ class StencilSlots:
             offsets[k] = ((lo[:, None] + order - rows).T.reshape(bshape)
                           * math.prod(shape[k + 1:]))
             self._first[k] = s = 1 + 2 * i
-            self.cols[s:s + 2] = node + offsets[k][1:]
+            np.add(node, offsets[k][1:], out=self.cols[s:s + 2])
         for i, (a, b) in enumerate(pairs):
             self._first[a, b] = s = 1 + 2 * len(axes) + 4 * i
             for ja in (1, 2):
-                self.cols[s:s + 2] = node + offsets[a][ja] + offsets[b][1:]
+                np.add(node, offsets[a][ja] + offsets[b][1:], out=self.cols[s:s + 2])
                 s += 2
+
+    @staticmethod
+    def count(axes, pairs) -> int:
+        """Slots per row: the node, two per axis and four per mixed pair."""
+        return 1 + 2 * len(axes) + 4 * len(pairs)
 
     def _axis_slot(self, k: int, j: int) -> int:
         """Slot of slot-order stencil position j along axis k."""
@@ -269,7 +280,9 @@ class StencilSlots:
                 vals[s] += coef * (self._d1[a][ja] * self._d1[b][jb])
 
 
-def operator_slots(grid: Grid4D, p: ModelParams) -> tuple[StencilSlots, np.ndarray]:
+def operator_slots(grid: Grid4D, p: ModelParams,
+                   table: Callable[[tuple[int, ...]], tuple[np.ndarray, np.ndarray]],
+                   ) -> tuple[StencilSlots, np.ndarray]:
     """Slot layout of L on ``grid`` and the slot values of L.
 
     L's terms are the ``operator_terms`` of ``grid``.  Slots are laid
@@ -279,6 +292,11 @@ def operator_slots(grid: Grid4D, p: ModelParams) -> tuple[StencilSlots, np.ndarr
     a vanishing-second-derivative boundary lose the D2 weights normal to
     that boundary; degenerate-pde boundaries keep the PDE row, whose
     normal diffusion coefficient vanishes there by itself.
+
+    ``table`` is called with the table's shape (slots, then
+    ``grid.shape``) and returns the integer and the float array of that
+    shape that take the slot columns and values, so the caller places
+    the table inside its own allocation.
     """
     terms = operator_terms(grid, p)
     live = sorted({k for _, term_axes in terms for k in term_axes})
@@ -287,8 +305,10 @@ def operator_slots(grid: Grid4D, p: ModelParams) -> tuple[StencilSlots, np.ndarr
     zeroed = [(k, row) for k in live
               for row, b in zip((0, -1), _AXIS_BOUNDARIES[k])
               if regimes[b] is BoundaryKind.VANISHING_SECOND_DERIVATIVE]
-    slots = StencilSlots(grid, live, pairs, zeroed)
-    vals = np.zeros(slots.cols.shape)
+    shape = (StencilSlots.count(live, pairs),) + grid.shape
+    cols, vals = table(shape)
+    vals.fill(0.0)
+    slots = StencilSlots(grid, live, pairs, zeroed, cols)
     for coef, k in terms:
         slots.add(vals, coef, k)
     return slots, vals

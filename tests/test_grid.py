@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import quantocds
-from quantocds.grid import (Grid4D, GridConfig, ScalarField, build_grid,
+from quantocds.grid import (Csr, Grid4D, GridConfig, ScalarField, build_grid,
                             cell_slices, interpolate, interpolation_matrix)
 from quantocds.model import ModelParams
 from reference_operator import as_scipy
@@ -150,6 +150,55 @@ def test_csr_products_are_scipys():
     assert E.indices.dtype == E.indptr.dtype == np.int32
     assert np.array_equal(E @ x, ref @ x)
     assert np.array_equal(E.toarray(), ref.toarray())
+
+
+_I32 = np.int32
+_BAD_CSR = {
+    # a column past the matrix: the kernel would read past x
+    "index-past-columns": (np.array([1.0, 2.0]), np.array([0, 5], _I32),
+                           np.array([0, 1, 2], _I32), (2, 2)),
+    "negative-index": (np.array([1.0, 2.0]), np.array([0, -1], _I32),
+                       np.array([0, 1, 2], _I32), (2, 2)),
+    "lengths-differ": (np.array([1.0, 2.0]), np.array([0], _I32),
+                       np.array([0, 1, 1], _I32), (2, 2)),
+    "data-not-vector": (np.ones((1, 2)), np.array([[0, 1]], _I32),
+                        np.array([0, 1, 2], _I32), (2, 2)),
+    "index-types-differ": (np.array([1.0, 2.0]), np.array([0, 1], np.int64),
+                           np.array([0, 1, 2], _I32), (2, 2)),
+    "float-indices": (np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                      np.array([0.0, 1.0, 2.0]), (2, 2)),
+    "int16-indices": (np.array([1.0, 2.0]), np.array([0, 1], np.int16),
+                      np.array([0, 1, 2], np.int16), (2, 2)),
+    "too-few-pointers": (np.array([1.0, 2.0]), np.array([0, 1], _I32),
+                         np.array([0, 2], _I32), (2, 2)),
+    "too-many-pointers": (np.array([1.0, 2.0]), np.array([0, 1], _I32),
+                          np.array([0, 1, 2, 2], _I32), (2, 2)),
+    "pointers-start-past-0": (np.array([1.0, 2.0]), np.array([0, 1], _I32),
+                              np.array([1, 1, 2], _I32), (2, 2)),
+    "pointers-decrease": (np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1], _I32),
+                          np.array([0, 2, 1, 3], _I32), (3, 2)),
+    "pointers-end-short": (np.array([1.0, 2.0]), np.array([0, 1], _I32),
+                           np.array([0, 1, 1], _I32), (2, 2)),
+    "pointers-end-long": (np.array([1.0, 2.0]), np.array([0, 1], _I32),
+                          np.array([0, 1, 3], _I32), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CSR))
+def test_csr_refuses_malformed_arrays(case):
+    # the kernels read without bounds checks, so a malformed matrix is
+    # refused when it is made, before any product reads past an array
+    with pytest.raises(ValueError):
+        Csr(*_BAD_CSR[case])
+
+
+def test_csr_accepts_well_formed_arrays():
+    # empty rows, an empty matrix and int64 indices are well formed
+    A = Csr(np.array([1.0, 2.0]), np.array([1, 0], np.int64),
+            np.array([0, 0, 2, 2], np.int64), (3, 2))
+    assert np.array_equal(A @ np.array([1.0, 10.0]), [0.0, 12.0, 0.0])
+    empty = Csr(np.empty(0), np.empty(0, _I32), np.zeros(3, _I32), (2, 4))
+    assert np.array_equal(empty.toarray(), np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("first", ["quantocds", "scipy.sparse"])

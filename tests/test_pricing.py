@@ -761,6 +761,10 @@ _OPERATOR_CASES = {
                       None),
     # the largest slot table, the one refined-grid marches
     "correlated-n16": (_CORRELATED, _GRID16),
+    # every mixed pair with both jumps: A2's z slots patched in rows
+    # that also carry 16-wide coupling columns
+    "all-rho-jumps": (_STOCHASTIC_R.with_(rho=_RHO_ALL, gamma_z=-0.5, gamma_rhat=0.5),
+                      GridConfig(n_R=7, n_rhat=6, n_y=8, n_z=5)),
 }
 # every case also through the domestic reduction
 OPERATOR_PINS = {**_OPERATOR_CASES,
@@ -807,10 +811,15 @@ class TestOperatorPins:
         g = build_grid(grid_cfg or GridConfig(), p)
         assert same_csr(stacked_transpose(g, p), reference_stacked(g, p)[0])
 
-    def test_build_peak_within_1_8x_operator(self):
-        # the build holds [A1; Lambda C] and S^T, never S: its traced
-        # peak stays under 1.8 times the operator it returns (2.7 times
-        # while S and S^T were held at once)
+    def test_build_peak_within_1_5x_operator(self):
+        # the build holds one allocation of twice the left block column of
+        # S, never S or a second copy of it beside both halves of S^T: its
+        # traced peak stays under 1.5 times the operator it returns (2.7
+        # times while S and S^T were held at once, 1.69 while the
+        # row-major buffer sat beside both halves).  tracemalloc counts
+        # allocations, not touched pages; after a process's first quote
+        # the allocator reuses freed pages, so allocations are what sets
+        # the resident peak, and writing pages late would not lower it
         g = build_grid(GridConfig(n_R=12, n_rhat=12, n_y=12, n_z=12), _CORRELATED)
         tracemalloc.start()
         try:
@@ -818,7 +827,11 @@ class TestOperatorPins:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * (St.data.nbytes + St.indices.nbytes + St.indptr.nbytes)
+        assert peak <= 1.5 * (St.data.nbytes + St.indices.nbytes + St.indptr.nbytes)
+        # the arrays held are exactly the operator: no dropped zeros'
+        # tail stays allocated behind a prefix view
+        assert St.data.size == St.indices.size == St.nnz
+        assert St.data.base is None and St.indices.base is None
 
     @pytest.mark.parametrize("frozen", [(), ("R",)], ids=["live-R", "frozen-R"])
     @settings(max_examples=20, deadline=None)

@@ -4,7 +4,7 @@ import scipy.sparse as sps
 
 from quantocds.grid import Grid4D, GridConfig, build_grid
 from quantocds.model import ModelParams
-from quantocds.rbffd import StencilSlots, rbf_fd_weights
+from quantocds.rbffd import StencilSlots, operator_slots, rbf_fd_weights
 from reference_operator import (axis_operators, engine_blocks, lift_axis_operator,
                                 same_csr, slot_axis_operators, slots_csr)
 
@@ -291,3 +291,31 @@ class TestAssembleL:
         L_corr, _ = engine_blocks(g, p.with_(rho=rho))
         L_none, _ = engine_blocks(g, p)
         assert abs(L_corr - L_none).max() > 1e-6
+
+    def test_table_written_whole_into_the_callers_arrays(self):
+        # operator_slots writes every entry of the arrays it is handed,
+        # whatever they held and whichever index type they have: tables
+        # placed over garbage and over zeros are equal
+        rho = np.eye(4)
+        rho[0, 2] = rho[2, 0] = 0.8
+        p = ModelParams().with_(sigma_R=0.3, kappa_R=0.5, rho=rho, gamma_z=-0.4)
+        g = build_grid(GridConfig(n_R=5, n_rhat=6, n_y=4, n_z=7), p)
+        held = []
+
+        def table(fill, dtype):
+            def make(shape):
+                held.append((np.full(shape, fill, dtype=dtype), np.full(shape, float(fill))))
+                return held[-1]
+            return make
+
+        clean, clean_vals = operator_slots(g, p, table(0, np.int32))
+        dirty, dirty_vals = operator_slots(g, p, table(-7, np.int64))
+        assert dirty.cols is held[1][0] and dirty_vals is held[1][1]
+        assert np.array_equal(dirty.cols, clean.cols)
+        assert np.array_equal(dirty_vals, clean_vals)
+        assert (clean.cols >= 0).all() and (clean.cols < g.size).all()
+
+    def test_slot_columns_of_the_wrong_shape_refused(self):
+        g = build_grid(GridConfig(), ModelParams())
+        with pytest.raises(ValueError, match="slot columns need shape"):
+            StencilSlots(g, (0, 3), [(0, 3)], cols=np.empty((8,) + g.shape, dtype=np.int32))
