@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .rbffd import operator_slots, operator_terms
 csr_eliminate_zeros = sparsetools.csr_eliminate_zeros
 csr_matvec = sparsetools.csr_matvec
 csr_tocsc = sparsetools.csr_tocsc
+csr_todense = sparsetools.csr_todense
 
 __all__ = [
     "StabilityError",
@@ -253,7 +255,7 @@ def _cores() -> int:
 _Record = Callable[[np.ndarray, int], "float | np.ndarray"]
 
 
-def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
+def rk4_sweep(A: Csr, v0: np.ndarray | Csr, h: float, nsteps: int,
               record: _Record | Sequence[_Record]) -> np.ndarray | tuple[np.ndarray, ...]:
     """Fixed-step RK4 recording ``record(v, k)`` after every step.
 
@@ -275,10 +277,13 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     the same four SpMVs, with the scalings and adds done in place.
 
     A is a square CSR matrix: a ``grid.Csr`` or scipy's ``csr_matrix``,
-    whose ``format`` is ``"csr"``, and ``v0`` a vector of its row count.
+    whose ``format`` is ``"csr"``, and ``v0`` a vector of its row count,
+    which the sweep copies, or a CSR matrix of one such row, which the
+    sweep writes straight into the state it marches (``csr_todense``,
+    the kernel of ``toarray``), so that no dense v0 is held beside it.
     Any other input raises ValueError before any kernel call, since the
-    arrays of a CSC matrix read as CSR are its transpose and the kernel
-    reads ``v`` without bounds checks.  Its
+    arrays of a CSC matrix read as CSR are its transpose and the kernels
+    read ``v`` without bounds checks.  Its
     ``indptr``, ``indices`` and ``data`` (as float64) are read once, and
     every SpMV calls scipy's compiled kernel ``csr_matvec`` (the one
     ``A @ v`` ends in) into preallocated buffers, so a step allocates
@@ -293,11 +298,14 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     (named ``rk4-rows-i``) tile i's.  Otherwise the calling thread
     marches every row and records every tile.  Per stage a thread zeroes
     its slice, runs the kernel on its rows and applies the Horner update
-    to them; at the end of a step it tests its rows of v for finiteness
-    and runs its tiles' records.  The threads meet at one
-    ``threading.Barrier`` after every stage, as the next SpMV reads every
-    row; the kernel, the elementwise updates and the records' numpy
-    calls release the interpreter lock, so the tiles run at once.  After
+    to them; at the end of a step it tests its rows of v for finiteness,
+    by their minimum and maximum (NaN and infinities reach one of them),
+    and runs its tiles' records.  A sweep holds, beside A, its three
+    state buffers of m doubles and what its records hold.  The threads
+    meet at one ``threading.Barrier`` after every stage, as the next SpMV
+    reads every row; the kernel, the elementwise updates and the
+    records' numpy calls release the interpreter lock, so the tiles run
+    at once.  After
     a step's last meeting every thread reads whether all rows are
     finite: if not, the helpers return and the calling thread raises.
     Each helper sets its own floating-point error state, as numpy keeps
@@ -311,9 +319,14 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
     if getattr(A, "format", None) != "csr":
         raise ValueError(f"rk4_sweep needs a CSR matrix, got {type(A).__name__}")
     m, n = A.shape
-    v = np.array(v0, dtype=np.float64)
-    if m != n or v.shape != (m,):
-        raise ValueError(f"need a square CSR matrix and v0 of shape ({m},), got {m}x{n}, {v.shape}")
+    row = getattr(v0, "format", None) == "csr"
+    v = np.zeros(m) if row else np.array(v0, dtype=np.float64)
+    if m != n or (v0.shape != (1, m) if row else v.shape != (m,)):
+        raise ValueError(f"need a square CSR matrix and v0 of shape ({m},) or (1, {m}), "
+                         f"got {m}x{n}, {np.shape(v0)}")
+    if row:
+        csr_todense(1, m, v0.indptr, v0.indices, v0.data.astype(np.float64, copy=False),
+                    v.reshape(1, m))
     indptr, indices = A.indptr, A.indices
     data = A.data.astype(np.float64, copy=False)
     single = callable(record)
@@ -322,7 +335,6 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
         raise ValueError(f"{len(pieces)} record tiles do not divide {m} rows")
     size = m // len(pieces)
     w, spare = np.empty(m), np.empty(m)
-    finite = np.empty(m, dtype=bool)
     tiles = [v[i * size:(i + 1) * size] for i in range(len(pieces))]
     outs = []
     for piece, tile in zip(pieces, tiles):
@@ -339,7 +351,7 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
         """Step thread r's rows, meeting the other threads after every stage."""
         lo, hi = r * m // threads, (r + 1) * m // threads
         rows, ptr = hi - lo, indptr[lo:hi + 1]
-        own, a, b, fin = v[lo:hi], w[lo:hi], spare[lo:hi], finite[lo:hi]
+        own, a, b = v[lo:hi], w[lo:hi], spare[lo:hi]
         stages = ((v, a, h / 4.0), (w, b, h / 3.0), (spare, a, h / 2.0))
         mine = [(outs[r], pieces[r], tiles[r])] if split else list(zip(outs, pieces, tiles))
         for k in range(1, nsteps + 1):
@@ -354,7 +366,8 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
             csr_matvec(rows, n, ptr, indices, data, w, b)
             b *= h
             own += b
-            ok[r] = np.isfinite(own, out=fin).all()
+            ok[r] = not rows or (isfinite(np.minimum.reduce(own))
+                                 and isfinite(np.maximum.reduce(own)))
             if ok[r]:
                 for out, piece, tile in mine:
                     out[k] = piece(tile, k)
@@ -388,8 +401,9 @@ def rk4_sweep(A: Csr, v0: np.ndarray, h: float, nsteps: int,
                                       daemon=True)
             helper.start()
             helpers.append(helper)
-        # overflow past the stability limit is handled: every step is
-        # tested with isfinite and raises StabilityError
+        # overflow past the stability limit is handled: every step's
+        # rows are tested for finiteness, and a non-finite one raises
+        # StabilityError
         with np.errstate(over="ignore", invalid="ignore"):
             march(0)
     except threading.BrokenBarrierError:

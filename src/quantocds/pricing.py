@@ -25,7 +25,10 @@ Because the operators are time independent and T enters only as that
 once.  Only the readout at x0 is ever used, so the pricer marches the
 readout row backward under the transposed stacked operator (the adjoint
 of the three forward sweeps) and takes every leg as a dot product with
-its payoff; one sweep gives w and all three density proxies.
+its payoff row; one sweep gives w and the density proxy of every kind
+asked.  The sweep's inputs are data: ``solve_grid``, S^T
+(``pde.stacked_transpose``), ``readout_row`` and ``payoff_rows`` feed
+``leg_curves``, and ``QuantoCdsPricer`` composes them.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
+from .grid import (Csr, Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
                    interpolation_matrix)
 from .model import ModelParams, require_integers, require_real
 from .pde import inert_axes, rk4_sweep, stacked_transpose
@@ -47,6 +50,10 @@ __all__ = [
     "DegenerateAnnuityError",
     "TERMINAL_KINDS",
     "terminal_condition",
+    "payoff_rows",
+    "solve_grid",
+    "readout_row",
+    "leg_curves",
     "par_spread",
     "QuantoCdsPricer",
     "domestic_params",
@@ -186,18 +193,23 @@ def terminal_condition(kind: str, grid: Grid4D, p: ModelParams) -> ScalarField:
     """Nodal terminal field of the step-1 solve for the given kind, per
     unit horizon: the density proxy at horizon T is the solve from this
     field divided by T (``QuantoCdsPricer.leg_curves``)."""
-    if kind not in TERMINAL_KINDS:
-        raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
-    _, terminals = _payoffs(grid, p)
-    return ScalarField(grid, terminals[TERMINAL_KINDS.index(kind)])
+    return ScalarField(grid, payoff_rows(grid, p, (kind,))[1])
 
 
-def _payoffs(grid: Grid4D, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The nodal z, and the (3, N) block of terminal fields, one row per
-    kind of ``TERMINAL_KINDS``, from one set of coordinate fields."""
-    R, _, _, z = grid.coordinate_fields()
-    fx = z * (1.0 + p.gamma_z)
-    return z, np.stack([R * fx, (1.0 - R) * fx, fx])
+def payoff_rows(grid: Grid4D, p: ModelParams, kinds) -> np.ndarray:
+    """The (1 + len(kinds), N) payoffs of a leg sweep on ``grid``: row 0
+    the nodal z, the pre-default payoff of w, then the post-default
+    terminal of each kind of ``kinds`` in turn.  Each row is written by
+    broadcasting the R and z axes, the only coordinates they read."""
+    R, z = grid.axes[0][:, None, None, None], grid.axes[3]
+    factors = {"recovery": R, "protection": 1.0 - R, "accrual": 1.0}
+    rows = np.empty((1 + len(kinds),) + grid.shape)
+    rows[0] = z
+    for row, kind in zip(rows[1:], kinds):
+        if kind not in factors:
+            raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
+        np.multiply(factors[kind], z * (1.0 + p.gamma_z), out=row)
+    return rows.reshape(len(rows), -1)
 
 
 def par_spread(terms: LegTerms) -> float:
@@ -208,24 +220,59 @@ def par_spread(terms: LegTerms) -> float:
     return float(np.sum(terms.B)) / denom
 
 
-def sweep_legs(St, u0: np.ndarray, h: float, nsteps: int, pre: np.ndarray,
-               post: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leg dots of the adjoint sweep u_k = P(h St)^k u0, k = 0..nsteps.
+def solve_grid(grid: Grid4D, p: ModelParams) -> Grid4D:
+    """``grid`` cut to the nodes a sweep from the readout at x0 reaches
+    (see ``QuantoCdsPricer``): on each inert axis (``pde.inert_axes``)
+    the two slices whose cell holds x0, or the single node R0 on a
+    frozen R axis, and every node of the other axes."""
+    inert = inert_axes(grid, p)
+    axes = [a[k] for a, k in zip(grid.axes, cell_slices(grid, p.x0, inert))]
+    if 0 in inert:
+        axes[0] = np.array([p.R0])
+    return Grid4D(tuple(axes))
+
+
+def readout_row(grid: Grid4D, x0) -> Csr:
+    """The 1 x N row that reads a field on ``grid`` out at the point x0:
+    multilinear interpolation, extrapolated from the boundary cell
+    outside the hull (``interpolation_matrix``)."""
+    return interpolation_matrix(grid, x0)
+
+
+def leg_curves(St: Csr, readout: Csr, payoffs: np.ndarray,
+               schedule: CdsSchedule) -> np.ndarray:
+    """Curves of the payoff rows at every quadrature date, from one
+    adjoint sweep u_k = P(h St)^k [0; r], k = 0..nsteps, of the readout
+    row r under St; row i of the result is the curve of payoff row i.
 
     St is the transposed stacked operator on 2N rows: u[:N] is its
-    post-default half and u[N:] its pre-default half.  Returns the rows
-    ``pre @ u_k[N:]`` and ``post @ u_k[:N]`` for every k, row 0 included;
-    ``pre`` and ``post`` hold one payoff (1D) or one payoff per row
-    (2D).  The two dots are the record tiles of ``rk4_sweep``, so on an
-    operator split in its two halves each half's thread takes its own
-    dot.  They are taken by ``np.einsum``, which calls no BLAS: a dot
+    post-default half and u[N:] its pre-default half.  Row 0 of
+    ``payoffs`` (``payoff_rows``) pairs with the pre-default half and
+    gives w.  The other rows are post-default terminals per unit
+    horizon, so their step-k dots are divided by the horizon k*h, which
+    gives density proxies.  The two sets of dots are the record tiles
+    of ``pde.rk4_sweep``, so on an operator split in its two halves each
+    half's thread takes its own.  The sweep starts from r as a sparse
+    row and holds, beside St, its three state buffers and these
+    payoffs.
+
+    The dots are taken by ``np.einsum``, which calls no BLAS: a dot
     sums in one order on one thread, so the legs' bits and speed do not
-    depend on the BLAS thread count.
+    depend on the BLAS thread count.  einsum sums every row of a block
+    of two or more rows in one order, but a lone row of more than 8192
+    entries in another, so a lone terminal is read as a block of two
+    equal rows: a curve's bits do not depend on the kinds swept with it.
     """
-    post_dots, pre_dots = rk4_sweep(St, u0, h, nsteps,
-                                    (lambda u, k: np.einsum("...j,j->...", post, u),
-                                     lambda u, k: np.einsum("...j,j->...", pre, u)))
-    return pre_dots, post_dots
+    pre, post = payoffs[0], payoffs[1:]
+    n = len(pre)
+    if len(post) == 1:
+        post = np.broadcast_to(post, (2, n))
+    u0 = Csr(readout.data, readout.indices + n, readout.indptr, (1, 2 * n))
+    dots, w = rk4_sweep(St, u0, schedule.quad_step, schedule.m * schedule.n_quad,
+                        (lambda u, k: np.einsum("...j,j->...", post, u),
+                         lambda u, k: np.einsum("...j,j->...", pre, u)))
+    densities = dots[1:, :len(payoffs) - 1] / schedule.quad_dates[:, None]
+    return np.vstack([w[1:], densities.T])
 
 
 class QuantoCdsPricer:
@@ -239,18 +286,20 @@ class QuantoCdsPricer:
     acting on (post-default, pre-default) fields.  The legs only need
     the market-state readout r (multilinear interpolation at x0 =
     (R0, rhat0, y0, z0)) of P(hS)^k v0, where P is the RK4 step
-    polynomial, so the pricer keeps only S^T and sweeps u_k = P(hS^T)^k
-    [0; r] once; each leg is the dot product of u_k with its payoff.
-    With a truncated z axis (deep FX devaluation) the readout row
-    extrapolates the nearly-z-linear fields from the boundary cell.
+    polynomial, so the pricer keeps only S^T and r and sweeps u_k =
+    P(hS^T)^k [0; r] once per quote; each leg is the dot product of u_k
+    with its payoff (``leg_curves``).  With a truncated z axis (deep FX
+    devaluation) the readout row extrapolates the nearly-z-linear fields
+    from the boundary cell.
 
     S couples no two slices of an inert axis (``pde.inert_axes``:
     frozen recovery, a frozen foreign rate without a rate jump, a
     frozen hazard), so the sweep started from r stays on the two slices
     of each inert axis that bracket x0 and is exactly zero elsewhere.
-    The pricer therefore builds S^T, r and the payoffs on ``solve_grid``,
-    the configured ``grid`` cut to those two slices on every inert
-    axis; its rows are the full-grid rows, entry for entry.
+    The pricer therefore builds S^T, r and the payoffs on
+    ``solve_grid``, the configured ``grid`` cut to those two slices on
+    every inert axis (``solve_grid(grid, p)``); its rows are the
+    full-grid rows, entry for entry.
 
     A frozen R axis goes further, to the single node R0.  R is inert
     only when kappa_R = sigma_R = 0, and then no coefficient of S reads
@@ -264,13 +313,16 @@ class QuantoCdsPricer:
     ``pde.stacked_transpose(solve_grid, p)``, which evaluates every
     coefficient at the solve grid's own nodes (R0 on a frozen R axis);
     ``inert_axes`` finds the same axes on ``solve_grid`` as on ``grid``.
-    S^T is the largest array a quote holds.  Its build peaks at 1.2
-    times S^T (see ``stacked_transpose``), below the sweep, which holds
-    S^T and about 13 vectors of N doubles (traced on [16]^4 with
-    stochastic recovery: build 23.4 MiB, sweep 26.1 MiB, S^T 19.5 MiB).
-    S^T and the interpolation rows are ``grid.Csr`` matrices (see
-    ``grid``); the readout row is kept dense.  ``spmv`` counts the SpMVs
-    of every sweep the pricer ran.
+    A built pricer holds S^T, the quote's largest array, and the
+    readout row ``readout`` as a sparse 1 x N ``grid.Csr``.  A sweep
+    reads only the payoff rows its legs need: ``spread`` the w,
+    protection and accrual rows, ``g_curve`` the w row and its kind's.
+    S^T's build peaks at 1.2 times S^T (see ``stacked_transpose``),
+    just below a spread's sweep, which holds S^T, its three state
+    vectors of 2N doubles and three payoff rows, 9.1 N doubles in all
+    above the built pricer (traced on [16]^4 with stochastic recovery:
+    build 23.4 MiB, sweep 24.0 MiB, S^T 19.5 MiB).  ``spmv`` counts the
+    SpMVs of every sweep the pricer ran.
     """
 
     def __init__(self, p: ModelParams, grid_cfg: GridConfig | None = None):
@@ -278,51 +330,33 @@ class QuantoCdsPricer:
         self.grid_cfg = grid_cfg or GridConfig()
         self.grid = build_grid(self.grid_cfg, self.p)
         self.inert_axes = inert_axes(self.grid, self.p)
-        keep = cell_slices(self.grid, self.p.x0, self.inert_axes)
-        axes = [a[k] for a, k in zip(self.grid.axes, keep)]
-        if 0 in self.inert_axes:
-            axes[0] = np.array([self.p.R0])
-        self.solve_grid = g = Grid4D(tuple(axes))
-        self._stacked = stacked_transpose(g, self.p)
-        self._readout = interpolation_matrix(g, self.p.x0[None, :]).toarray()[0]
+        self.solve_grid = solve_grid(self.grid, self.p)
+        self._stacked = stacked_transpose(self.solve_grid, self.p)
+        self.readout = readout_row(self.solve_grid, self.p.x0)
         self.spmv = 0
+
+    def _curves(self, schedule: CdsSchedule, kinds) -> dict[str, np.ndarray]:
+        """w and the density proxy of each kind of ``kinds`` at every
+        quadrature date, from one sweep of the module's ``leg_curves``."""
+        payoffs = payoff_rows(self.solve_grid, self.p, kinds)
+        curves = leg_curves(self._stacked, self.readout, payoffs, schedule)
+        self.spmv += 4 * schedule.m * schedule.n_quad
+        return dict(zip(("w",) + tuple(kinds), curves))
 
     def leg_curves(self, schedule: CdsSchedule) -> dict[str, np.ndarray]:
         """w and the density proxy of every terminal kind at every
-        quadrature date, from one adjoint sweep (``sweep_legs``).
-
-        The pre-default half u[N:] of the sweep pairs with the terminal
-        z (w, whose post-default value vanishes); the post-default half
-        u[:N] pairs with the (3, N) block of post-default terminals, one
-        row per kind.  The terminals are per unit horizon, so the step-k
-        density dot is divided by the horizon k*h.  Each dot goes into
-        its own per-step row.  The two halves are the sweep's two record
-        tiles, so on an operator split one thread per tile
-        (``pde.rk4_sweep``) the thread owning the post-default rows takes
-        the density dots and the thread owning the pre-default rows the
-        w dot.
-        """
-        g = self.solve_grid
-        z, densities = _payoffs(g, self.p)
-        u0 = np.concatenate([np.zeros(g.size), self._readout])
-        nsteps = schedule.m * schedule.n_quad
-        w, dots = sweep_legs(self._stacked, u0, schedule.quad_step, nsteps, z, densities)
-        self.spmv += 4 * nsteps
-        curves = {"w": w[1:]}
-        for i, kind in enumerate(TERMINAL_KINDS):
-            curves[kind] = dots[1:, i] / schedule.quad_dates
-        return curves
+        quadrature date, from one adjoint sweep."""
+        return self._curves(schedule, TERMINAL_KINDS)
 
     def g_curve(self, kind: str, schedule: CdsSchedule) -> np.ndarray:
         """Density proxy of one kind at every quadrature date."""
-        if kind not in TERMINAL_KINDS:
-            raise ValueError(f"unknown terminal kind {kind!r}; expected one of {TERMINAL_KINDS}")
-        return self.leg_curves(schedule)[kind]
+        return self._curves(schedule, (kind,))[kind]
 
     def spread(self, schedule: CdsSchedule) -> tuple[float, LegTerms]:
         """Par spread and the quadrature cell integrals A_i, B_i, C_i,
-        D_i (i = 1..m) it is priced from."""
-        terms = LegTerms.from_curves(self.leg_curves(schedule), schedule)
+        D_i (i = 1..m) it is priced from, swept with the protection and
+        accrual terminals only: no leg reads the recovery curve."""
+        terms = LegTerms.from_curves(self._curves(schedule, ("protection", "accrual")), schedule)
         return par_spread(terms), terms
 
 

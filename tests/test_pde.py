@@ -192,7 +192,7 @@ class TestRk4:
         # whether v is recorded whole or as its two halves
         pricer = pricer_case(which)
         A, n = pricer._stacked, pricer.solve_grid.size
-        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        v0 = np.concatenate([np.zeros(n), pricer.readout.toarray()[0]])
         probe = np.random.default_rng(5).standard_normal(2 * n)
         for record in (lambda v, k: v.copy(), lambda v, k: probe @ v):
             got = rk4_sweep(A, v0, 5.0 / 120, 120, record)
@@ -208,7 +208,7 @@ class TestRk4:
         # whole or as its two halves
         pricer = QuantoCdsPricer(ModelParams().with_(sigma_y=25.0))
         A, n = pricer._stacked, pricer.solve_grid.size
-        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        v0 = np.concatenate([np.zeros(n), pricer.readout.toarray()[0]])
         payoff = pricer.solve_grid.coordinate_fields()[3]
         with pytest.raises(StabilityError, match="step") as want:
             horner_reference_sweep(A, v0, 5.0 / 120, 120, lambda v, k: v[0])
@@ -235,7 +235,7 @@ class TestRk4:
         # into an error there would reach the caller instead)
         pricer = QuantoCdsPricer(ModelParams().with_(sigma_y=25.0))
         A, n = pricer._stacked, pricer.solve_grid.size
-        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        v0 = np.concatenate([np.zeros(n), pricer.readout.toarray()[0]])
         payoff = pricer.solve_grid.coordinate_fields()[3]
         with pytest.raises(StabilityError, match="step") as got:
             rk4_sweep(A, v0, 5.0 / 120, 120, (lambda u, k: u[0], lambda u, k: payoff @ u))
@@ -254,7 +254,7 @@ class TestRk4:
         monkeypatch.setattr(pde, "_cores", lambda: cores)
         pricer = pricer_case(which)
         A, n = pricer._stacked, pricer.solve_grid.size
-        v0 = np.concatenate([np.zeros(n), pricer._readout])
+        v0 = np.concatenate([np.zeros(n), pricer.readout.toarray()[0]])
         payoffs = np.random.default_rng(5).standard_normal((3, n))
         post, pre = rk4_sweep(A, v0, 5.0 / 120, 120,
                               (lambda u, k: u.copy(), lambda u, k: np.dot(payoffs, u)))
@@ -295,6 +295,82 @@ class TestRk4:
                 np.arange(rows + 1), (rows, cols))
         with pytest.raises(ValueError, match="square CSR matrix"):
             rk4_sweep(A, np.ones(size), 0.1, 2, lambda v, k: v[0])
+
+    @pytest.mark.parametrize("which", ["defaults", "fx-sweep-quote", "correlated-stochastic-R"])
+    @pytest.mark.parametrize("threads", ["one", "split"])
+    def test_sparse_initial_row_bit_identical_to_dense(self, which, threads, monkeypatch):
+        # the readout row as a 1 x 2N CSR matrix is written straight into
+        # the marched state: every state and every record equals the
+        # sweep from its dense vector, whole or in two tiles, on one
+        # thread and split in halves
+        if threads == "split":
+            monkeypatch.setattr(pde, "_MIN_PART_NNZ", 1)
+            monkeypatch.setattr(pde, "_cores", lambda: 2)
+        pricer = pricer_case(which)
+        A, n, r = pricer._stacked, pricer.solve_grid.size, pricer.readout
+        row = Csr(r.data, r.indices + n, r.indptr, (1, 2 * n))
+        v0 = np.concatenate([np.zeros(n), r.toarray()[0]])
+        assert np.array_equal(row.toarray()[0], v0)
+        probe = np.random.default_rng(5).standard_normal(n)
+        for record in ((lambda v, k: v.copy(),),
+                       (lambda u, k: u.copy(), lambda u, k: np.einsum("j,j->", probe, u))):
+            got = rk4_sweep(A, row, 5.0 / 120, 120, record)
+            want = rk4_sweep(A, v0, 5.0 / 120, 120, record)
+            assert all(map(np.array_equal, got, want))
+
+    def test_dense_initial_state_is_copied(self):
+        # a vector v0 is marched on a copy: the caller's array is unchanged
+        A = sps.diags([-1.0, -2.0], format="csr")
+        v0 = np.ones(2)
+        rk4_sweep(A, v0, 0.1, 3, lambda v, k: v[0])
+        assert np.array_equal(v0, np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 4), (1, 6)],
+                             ids=["two-rows", "narrow", "wide"])
+    def test_refuses_mismatched_sparse_row(self, shape, monkeypatch):
+        # a CSR initial state must be one row as wide as the operator:
+        # the densifying kernel writes without bounds checks, so any
+        # other shape is refused before any kernel call
+        def no_kernel(*args):
+            raise AssertionError("kernel called on a mismatched initial row")
+
+        monkeypatch.setattr(pde, "csr_matvec", no_kernel)
+        monkeypatch.setattr(pde, "csr_todense", no_kernel)
+        A = Csr(-np.ones(5), np.arange(5), np.arange(6), (5, 5))
+        rows, cols = shape
+        v0 = Csr(np.ones(rows), np.zeros(rows, dtype=np.int64), np.arange(rows + 1), shape)
+        with pytest.raises(ValueError, match="square CSR matrix"):
+            rk4_sweep(A, v0, 0.1, 2, lambda v, k: v[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tiles", [1, 2])
+    def test_finiteness_verdict_matches_reference(self, bad, tiles):
+        # under an operator of no entries the state keeps its values, so
+        # NaN, +inf and -inf each stay for the min/max test to find (+inf
+        # only through the maximum, -inf only through the minimum): it
+        # raises at the step, and with the message, of the reference
+        # loop's elementwise test, and lets the largest finite values of
+        # both signs pass
+        A = Csr(np.empty(0), np.empty(0, dtype=np.int32), np.zeros(5, dtype=np.int32), (4, 4))
+        record = (lambda u, k: u.copy(),) * tiles
+        for at in range(4):
+            v0 = np.ones(4)
+            v0[at] = bad
+            with pytest.raises(StabilityError, match="step 1/3") as got:
+                rk4_sweep(A, v0, 0.1, 3, record)
+            with pytest.raises(StabilityError) as want:
+                horner_reference_sweep(A, v0, 0.1, 3, lambda v, k: v.copy())
+            assert str(got.value) == str(want.value)
+        big = np.finfo(float).max
+        v0 = np.array([big, -big, big, -big])
+        got = rk4_sweep(A, v0, 0.1, 3, record)
+        assert np.array_equal(np.hstack(got), np.tile(v0, (4, 1)))
+
+    def test_empty_state_marches(self):
+        # an empty state is finite, as the elementwise test found it
+        A = Csr(np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
+        got = rk4_sweep(A, np.empty(0), 0.1, 3, lambda v, k: v.sum())
+        assert np.array_equal(got, np.zeros(4))
 
     def test_reused_record_buffer_gives_distinct_rows(self):
         # a record that returns one array every step still gives one row

@@ -225,6 +225,64 @@ class TestGFamily:
             assert g_pm == pytest.approx(gb[j], rel=1e-5)
 
 
+class TestCurveSelection:
+    """A sweep reads only the payoff rows of the curves it is asked for."""
+
+    @pytest.mark.parametrize("p", [P, _CORRELATED], ids=["defaults", "correlated"])
+    def test_each_kind_alone_equals_all_kinds(self, p):
+        # the correlated solve grid has 10 000 nodes, past the 8192 at
+        # which einsum sums a lone row in another order than a block
+        pricer = QuantoCdsPricer(p)
+        curves = pricer.leg_curves(SCHED)
+        assert set(curves) == {"w", *TERMINAL_KINDS}
+        for kind in TERMINAL_KINDS:
+            assert np.array_equal(pricer.g_curve(kind, SCHED), curves[kind]), kind
+            payoffs = pricing.payoff_rows(pricer.solve_grid, p, (kind,))
+            w, alone = pricing.leg_curves(pricer._stacked, pricer.readout, payoffs, SCHED)
+            assert np.array_equal(w, curves["w"]) and np.array_equal(alone, curves[kind])
+
+    def test_spread_sweeps_protection_and_accrual_only(self, monkeypatch):
+        # the post-default tile of a spread's sweep carries exactly the
+        # protection and accrual dots, which equal the all-kinds sweep's
+        pricer = QuantoCdsPricer(_CORRELATED)
+        curves = pricer.leg_curves(SCHED)
+        tiles = []
+
+        def kept(*args):
+            tiles.append(rk4_sweep(*args))
+            return tiles[-1]
+
+        monkeypatch.setattr(pricing, "rk4_sweep", kept)
+        _, legs = pricer.spread(SCHED)
+        (post, pre), = tiles
+        assert post.shape == (SCHED.m + 1, 2) and pre.shape == (SCHED.m + 1,)
+        assert np.array_equal(post[1:, 0] / SCHED.quad_dates, curves["protection"])
+        assert np.array_equal(post[1:, 1] / SCHED.quad_dates, curves["accrual"])
+        assert np.array_equal(pre[1:], curves["w"])
+        want = LegTerms.from_curves(curves, SCHED)
+        for leg in "ABCD":
+            assert np.array_equal(getattr(legs, leg), getattr(want, leg)), leg
+
+    @pytest.mark.parametrize("gamma_z", [0.0, -0.3, -1.0, 0.4])
+    def test_payoff_rows_bit_identical_to_coordinate_fields(self, gamma_z):
+        # the rows broadcast from the R and z axes equal the terminals
+        # written from the meshgridded coordinate fields, bit for bit, in
+        # the order of the kinds asked
+        p = _CORRELATED.with_(gamma_z=gamma_z)
+        g = build_grid(GridConfig(n_R=7, n_rhat=5, n_y=6, n_z=9), p)
+        R, _, _, z = g.coordinate_fields()
+        fx = z * (1.0 + p.gamma_z)
+        want = {"recovery": R * fx, "protection": (1.0 - R) * fx, "accrual": fx}
+        for kind in TERMINAL_KINDS:
+            assert np.array_equal(terminal_condition(kind, g, p).values, want[kind]), kind
+        kinds = ("accrual", "recovery")
+        rows = pricing.payoff_rows(g, p, kinds)
+        assert rows.shape == (3, g.size)
+        assert np.array_equal(rows, np.stack([z] + [want[k] for k in kinds]))
+        with pytest.raises(ValueError, match="kind"):
+            pricing.payoff_rows(g, p, ("protection", "w"))
+
+
 class TestLegTerms:
     def test_accrual_nonnegative(self, pricer):
         terms = pricer.spread(SCHED)[1]
@@ -561,7 +619,7 @@ def _legs_digest(legs: LegTerms) -> str:
     return h.hexdigest()
 
 
-# quanto_basis bit for bit, recorded with ``sweep_legs`` taking its dots
+# quanto_basis bit for bit, recorded with ``leg_curves`` taking its dots
 # by ``np.einsum``: s and s_d as float hex, the per-coupon leg arrays as a
 # digest of their bytes
 QUANTO_BASIS_PINS = {
@@ -781,7 +839,7 @@ class TestOperatorPins:
         pricer = QuantoCdsPricer(p, grid_cfg)
         St, readout = reference_stacked(pricer.solve_grid, p)
         assert same_csr(pricer._stacked, St)
-        assert np.array_equal(pricer._readout, readout)
+        assert np.array_equal(pricer.readout.toarray()[0], readout)
         # the solve grid is a fixed point: the pricer's S^T is the one
         # build, made on the grid it holds, and that grid keeps the
         # inert axes of the configured grid
@@ -833,6 +891,33 @@ class TestOperatorPins:
         assert St.data.size == St.indices.size == St.nnz
         assert St.data.base is None and St.indices.base is None
 
+    def test_pricer_holds_operator_and_spread_sweep_within_bound(self):
+        # a built pricer holds S^T, its grids' axes and the sparse readout
+        # row: at most 1 KiB of array data beside S^T (a dense readout row
+        # took N doubles).  A spread's sweep holds S^T, its three state
+        # buffers of 2N doubles and the three payoff rows its legs read:
+        # its traced peak above the built pricer stays under 9.5 N
+        # doubles (12.36 N while a dense initial state sat beside the
+        # sweep's copy of it, with the unread recovery row and a
+        # finiteness mask of 2N bytes)
+        cfg = GridConfig(n_R=12, n_rhat=12, n_y=12, n_z=12)
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(arrays)
+            pricer = QuantoCdsPricer(_CORRELATED, cfg)
+            after = tracemalloc.take_snapshot().filter_traces(arrays)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pricer.spread(SCHED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        St, n = pricer._stacked, pricer.solve_grid.size
+        grown = sum(d.size_diff for d in after.compare_to(before, "filename"))
+        assert grown <= St.data.nbytes + St.indices.nbytes + St.indptr.nbytes + 1024
+        assert peak - held <= 9.5 * 8 * n
+
     @pytest.mark.parametrize("frozen", [(), ("R",)], ids=["live-R", "frozen-R"])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -844,7 +929,7 @@ class TestOperatorPins:
         pricer = QuantoCdsPricer(p, GridConfig(n_R=n[0], n_rhat=n[1], n_y=n[2], n_z=n[3]))
         St, readout = reference_stacked(pricer.solve_grid, p)
         assert same_csr(pricer._stacked, St)
-        assert np.array_equal(pricer._readout, readout)
+        assert np.array_equal(pricer.readout.toarray()[0], readout)
 
 
 _BELOW_ZERO = st.floats(-1e3, -1e-9)
