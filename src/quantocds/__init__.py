@@ -14,7 +14,7 @@ from .oracles import (McConfig, McEstimate, cn_domestic_spread,
 from .pde import StabilityError, jump_shift, rk4_sweep
 from .pricing import (CdsSchedule, LegTerms, QuantoCdsPricer, SpreadReport,
                       domestic_params, domestic_spread, par_spread,
-                      quanto_basis, terminal_condition)
+                      quanto_basis)
 from .rbffd import StencilWeights, rbf_fd_weights
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "StencilWeights", "rbf_fd_weights",
     "StabilityError", "jump_shift", "rk4_sweep",
     "CdsSchedule", "LegTerms", "SpreadReport", "QuantoCdsPricer",
-    "terminal_condition", "par_spread", "domestic_params",
+    "par_spread", "domestic_params",
     "domestic_spread", "quanto_basis",
     "McConfig", "McEstimate", "credit_triangle", "mc_spread",
     "cn_domestic_spread", "mc_leg_estimates",

@@ -54,7 +54,6 @@ class RunConfig:
     grid: GridConfig
     schedule: CdsSchedule
     task: str
-    workers: int = 1
     sweep_parameter: str | None = None
     sweep_values: list[float] = field(default_factory=list)
     mc: McConfig = field(default_factory=McConfig)
@@ -142,8 +141,8 @@ def _parse(raw: dict) -> RunConfig:
         grid = GridConfig(**grid)
 
     solver = _section(raw, "solver", _SOLVER_KEYS, integers=("n_quad", "workers"))
-    # legacy key: the march step is the quadrature step T/(m*n_quad), so
-    # dt is checked and otherwise ignored
+    # legacy keys: checked, otherwise ignored.  The march step is the
+    # quadrature step T/(m*n_quad), and every task runs in this process
     dt, workers = solver.get("dt", 0.05), solver.get("workers", 1)
     with _checked("solver"):
         if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not 0.0 < dt < np.inf:
@@ -192,7 +191,7 @@ def _parse(raw: dict) -> RunConfig:
         raise ConfigError("output.dir must be a string")
 
     return RunConfig(model=model, grid=grid, schedule=schedule,
-                     task=task, workers=workers,
+                     task=task,
                      sweep_parameter=sweep_param, sweep_values=sweep_vals,
                      mc=mc, out_dir=Path(out_dir))
 
@@ -272,31 +271,14 @@ def _task_price(cfg: RunConfig) -> None:
           f"basis = {report.basis_bps:.4f} bps")
 
 
-def _sweep_one(args) -> tuple[float, float, float]:
-    p, grid, schedule, parameter, value = args
-    pv = apply_sweep_value(p, parameter, value)
-    pricer = QuantoCdsPricer(pv, grid)
-    s, _ = pricer.spread(schedule)
-    s_d = domestic_spread(pv, schedule, method="pde4d", grid_cfg=grid)
-    return value, s, s_d
-
-
 def _task_sweep(cfg: RunConfig) -> None:
-    jobs = [(cfg.model, cfg.grid, cfg.schedule,
-             cfg.sweep_parameter, v) for v in cfg.sweep_values]
-    if cfg.workers > 1:
-        # imported here: the pool's modules (multiprocessing, socket,
-        # subprocess, logging) are about 1 MiB that no other task uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(j) for j in jobs]
     rows = []
-    for value, s, s_d in results:
-        ref = (1.0 + value) * s_d if cfg.sweep_parameter == "gamma_z" else ""
-        rows.append([value, 1e4 * s, 1e4 * s_d, 1e4 * (s - s_d),
-                     1e4 * ref if ref != "" else ""])
+    for value in cfg.sweep_values:
+        p = apply_sweep_value(cfg.model, cfg.sweep_parameter, value)
+        s, _ = QuantoCdsPricer(p, cfg.grid).spread(cfg.schedule)
+        s_d = domestic_spread(p, cfg.schedule, method="pde4d", grid_cfg=cfg.grid)
+        ref = 1e4 * ((1.0 + value) * s_d) if cfg.sweep_parameter == "gamma_z" else ""
+        rows.append([value, 1e4 * s, 1e4 * s_d, 1e4 * (s - s_d), ref])
     name = cfg.sweep_parameter.replace(".", "_")
     _write_csv(cfg.out_dir / f"sweep_{name}.csv", "sweep",
                ["value", "s_bps", "s_d_bps", "basis_bps", "reference_bps"],
@@ -371,8 +353,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--task", choices=_TASKS, help="replaces the config's task")
     ap.add_argument("--out", help="replaces output.dir")
-    ap.add_argument("--threads", type=int,
-                    help="replaces solver.workers, the sweep task's worker processes")
     ap.add_argument("--seed", type=int, help="replaces mc.seed")
     args = ap.parse_args(argv)
 
@@ -382,7 +362,6 @@ def main(argv=None) -> int:
         if args.task is not None:
             raw["task"] = args.task
         _override(raw, "output", "dir", args.out)
-        _override(raw, "solver", "workers", args.threads)
         _override(raw, "mc", "seed", args.seed)
         cfg = _parse(raw)
     except ConfigError as exc:

@@ -4,7 +4,7 @@ Leg construction follows the defaultable-bond decomposition: the coupon
 annuity sums the pre-default FX-converted discount factor w at the
 coupon dates; the protection and accrual legs integrate the
 default-density proxies obtained from the two-step solves.  Their
-terminal data per unit horizon (``terminal_condition``) are
+terminal data per unit horizon (``payoff_rows``, after its z row) are
 
     recovery kind    R * z * (1 + gamma_z)
     protection kind  (1 - R) * z * (1 + gamma_z)
@@ -38,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (Csr, Grid4D, GridConfig, ScalarField, build_grid, cell_slices,
-                   interpolation_matrix)
+from .grid import Csr, Grid4D, GridConfig, build_grid, cell_slices, interpolation_matrix
 from .model import ModelParams, require_integers, require_real
 from .pde import inert_axes, rk4_sweep, stacked_transpose
 
@@ -49,7 +48,6 @@ __all__ = [
     "SpreadReport",
     "DegenerateAnnuityError",
     "TERMINAL_KINDS",
-    "terminal_condition",
     "payoff_rows",
     "solve_grid",
     "readout_row",
@@ -187,13 +185,6 @@ class SpreadReport:
             "accrual_annuity": float(np.sum(self.legs.accrual())),
             "meta": self.meta,
         }
-
-
-def terminal_condition(kind: str, grid: Grid4D, p: ModelParams) -> ScalarField:
-    """Nodal terminal field of the step-1 solve for the given kind, per
-    unit horizon: the density proxy at horizon T is the solve from this
-    field divided by T (``QuantoCdsPricer.leg_curves``)."""
-    return ScalarField(grid, payoff_rows(grid, p, (kind,))[1])
 
 
 def payoff_rows(grid: Grid4D, p: ModelParams, kinds) -> np.ndarray:

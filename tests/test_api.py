@@ -35,7 +35,7 @@ PUBLIC_NAMES = [
     "cn_domestic_spread", "credit_triangle", "domestic_params",
     "domestic_spread", "interpolate", "jump_shift", "mc_leg_estimates",
     "mc_spread", "par_spread", "quanto_basis", "rbf_fd_weights",
-    "rk4_sweep", "terminal_condition", "validate_params",
+    "rk4_sweep", "validate_params",
 ]
 
 

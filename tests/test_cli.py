@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -46,7 +47,7 @@ class TestConfigParsing:
         assert np.array_equal(cfg.model.rho, np.eye(4))
         assert cfg.schedule.T == 5.0 and cfg.schedule.m == 120
         assert cfg.grid.n_R == 10
-        assert cfg.schedule.n_quad == 1 and cfg.workers == 1
+        assert cfg.schedule.n_quad == 1
         assert cfg.task == "price"
 
     def test_unknown_keys_rejected(self, tmp_path):
@@ -81,8 +82,8 @@ class TestConfigParsing:
             "grid": {"n_y": 12.0}, "schedule": {"m": 24.0},
             "solver": {"n_quad": 2.0, "workers": 1.0},
             "mc": {"n_paths": 2000.0, "seed": 3.0}}))
-        assert (cfg.grid.n_y, cfg.schedule.m, cfg.schedule.n_quad, cfg.workers,
-                cfg.mc.n_paths, cfg.mc.seed) == (12, 24, 2, 1, 2000, 3)
+        assert (cfg.grid.n_y, cfg.schedule.m, cfg.schedule.n_quad,
+                cfg.mc.n_paths, cfg.mc.seed) == (12, 24, 2, 2000, 3)
         assert all(type(v) is int for v in (cfg.grid.n_y, cfg.schedule.m,
                                             cfg.mc.n_paths, cfg.mc.seed))
 
@@ -144,15 +145,26 @@ class TestMain:
         assert strip(body1) == strip(body2)
         assert len(strip(body1)) == 2 + 2
 
-    def test_sweep_parallel_workers_match_serial(self, tmp_path):
-        cfg = small_run(tmp_path, task="sweep",
-                        sweep={"parameter": "gamma_z", "values": [0.0, -0.5]})
-        assert main(["--config", cfg, "--threads", "2"]) == 0
-        par = (tmp_path / "out" / "sweep_gamma_z.csv").read_text().splitlines()
-        assert main(["--config", cfg, "--threads", "1"]) == 0
-        ser = (tmp_path / "out" / "sweep_gamma_z.csv").read_text().splitlines()
+    def test_sweep_workers_key_steers_nothing(self, tmp_path):
+        # solver.workers is a legacy key: 1 and 2 write the same body, and
+        # the sweep runs in the calling process, which loads no process pool
+        sweep = {"parameter": "gamma_z", "values": [0.0, -0.5]}
+        out = tmp_path / "out" / "sweep_gamma_z.csv"
         strip = lambda ls: [l for l in ls if not l.startswith("# generated=")]
-        assert strip(par) == strip(ser)
+        assert main(["--config", small_run(tmp_path, task="sweep", sweep=sweep,
+                                           solver={"workers": 1})]) == 0
+        one = strip(out.read_text().splitlines())
+        cfg = small_run(tmp_path, task="sweep", sweep=sweep, solver={"workers": 2})
+        src = str(Path(quantocds.__file__).resolve().parents[1])
+        code = ("import json, sys\n"
+                "from quantocds.cli import main\n"
+                f"assert main(['--config', {cfg!r}]) == 0\n"
+                "print(json.dumps([name for name in ('multiprocessing',"
+                " 'concurrent.futures.process') if name in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert strip(out.read_text().splitlines()) == one
 
     def test_mc_check_task(self, tmp_path):
         cfg = small_run(tmp_path, task="mc-check",
@@ -193,7 +205,6 @@ class TestMain:
         ({"schedule": {"T": -1}}, []),
         ({"task": "sweep", "sweep": {"parameter": "gamma_z", "values": [-1.5]}}, []),
         ({"solver": {"workers": 0}}, []),
-        ({}, ["--threads", "0"]),
         ({"solver": {"dt": 0.0}}, []),
         ({"solver": {"dt": float("nan")}}, []),
         ({"model": {"r_dom": float("nan")}}, []),
@@ -246,8 +257,8 @@ class TestMain:
         ({"task": "benchmark", "model": {"r_dom": -0.01}}, []),
         ({"task": "benchmark", "model": {"kappa_R": 0.3, "sigma_R": 0.2}}, []),
         ({"task": "benchmark", "model": {"y0": 0.5}}, []),
-    ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "threads=0",
-            "dt=0", "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
+    ], ids=["n_quad=0", "T=-1", "sweep-gamma_z=-1.5", "workers=0", "dt=0",
+            "dt=nan", "r_dom=nan", "T=inf", "sweep-no-parameter",
             "mc.seed=-1", "mc.antithetic=string", "mc.antithetic=false", "seed=-1",
             "mc.seed=1.5", "mc.n_paths=2500.9", "m=12.5", "n_quad=1.5",
             "workers=1.5", "grid.n_y=10.7", "mc.seed=true",
@@ -266,6 +277,24 @@ class TestMain:
         assert main(["--config", cfg, *argv]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_refused(self, tmp_path, capsys):
+        # every task runs in one process, so no flag sets a process count
+        cfg = write_config(tmp_path, {"output": {"dir": str(tmp_path / "out")}})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_offers_exactly_the_four_flags(self, capsys):
+        # the flags play the role ACCEPTED_KEYS plays for config keys: a
+        # new or returning flag is a deliberate edit of this set
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert flags == {"-h", "--help", "--config", "--task", "--out", "--seed"}
 
     def test_negative_r_dom_refused_where_the_domestic_contract_is_priced(
             self, tmp_path, capsys):
@@ -303,7 +332,7 @@ class TestMain:
         _solve_domestic.cache_clear()
         cfg = small_run(tmp_path, task="sweep",
                         sweep={"parameter": "gamma_z", "values": [-0.3, -0.2, -0.1]})
-        assert main(["--config", cfg, "--threads", "1"]) == 0
+        assert main(["--config", cfg]) == 0
         assert len(inits) == 4
         assert [p.gamma_z for p in inits].count(0.0) == 1
 
@@ -384,7 +413,7 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     # importing the command line pays for none of scipy.sparse.linalg,
     # the scipy.sparse package (the engine loads only its compiled
     # kernels), numpy.f2py, which scipy.sparse's array-API shim loads, or
-    # the sweep task's process pool
+    # a process pool
     src = str(Path(quantocds.__file__).resolve().parents[1])
     code = ("import json, sys, quantocds.cli\n"
             "print(json.dumps([name for name in ('scipy.sparse.linalg', 'scipy.sparse',"
@@ -416,7 +445,7 @@ def test_cli_quote_leaves_scipy_linalg_unloaded(tmp_path):
 
 def test_cli_import_starts_no_thread():
     # the Monte Carlo helper thread lives only inside a call of the block
-    # loop; the sweep pool forks, which must not happen while it runs
+    # loop, so importing the command line starts no thread
     src = str(Path(quantocds.__file__).resolve().parents[1])
     code = "import threading, quantocds.cli; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -450,6 +479,16 @@ _OWNERS = {"model": ModelParams, "grid": GridConfig, "schedule": CdsSchedule,
 _EXTRA_KEYS = [(None, "extra"), *[(name, "extra") for name in ACCEPTED_KEYS],
                *[(name, f.name) for name, cls in _OWNERS.items()
                  for f in fields(cls) if f.name not in ACCEPTED_KEYS[name]]]
+
+
+def test_shipped_configs_load_without_legacy_keys():
+    # solver.dt and solver.workers steer nothing, so no shipped config sets them
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        load_config(path)
+        solver = json.loads(path.read_text()).get("solver", {})
+        assert not {"dt", "workers"} & set(solver), path.name
 
 
 class TestAcceptedKeys:

@@ -99,7 +99,7 @@ class TestBuiltOnce:
             ModelParams().with_(**{field: value})
 
     def test_pickle_round_trip(self):
-        # as a sweep with workers > 1 sends a set to its worker processes
+        # pickling is public: a set round-trips by value, its rho still read-only
         rho = np.eye(4)
         rho[1, 3] = rho[3, 1] = -0.4
         p = ModelParams(gamma_z=-0.3, sigma_R=0.2, kappa_R=0.5, rho=rho)

@@ -26,7 +26,7 @@ from quantocds.pricing import (TERMINAL_KINDS, CdsSchedule,
                                DegenerateAnnuityError, LegTerms,
                                QuantoCdsPricer, _solve_domestic,
                                domestic_params, domestic_spread, par_spread,
-                               quanto_basis, terminal_condition)
+                               quanto_basis)
 from quantocds.rbffd import operator_terms
 from reference_operator import as_scipy, engine_blocks, reference_stacked, same_csr
 
@@ -103,33 +103,30 @@ class TestSchedule:
 class TestTerminalCondition:
     def test_protection_node_value(self):
         g = build_grid(GridConfig(), P)
-        tc = terminal_condition("protection", g, P)
+        tc = pricing.payoff_rows(g, P, ("protection",))[1]
         R, _, _, z = g.coordinate_fields()
         node = np.argmin(np.abs(R - 4.0 / 9.0) + np.abs(z - 4.0 / 3.0))
         # generic node check: (1-R) z per unit horizon
-        assert tc.values[node] == pytest.approx((1 - R[node]) * z[node], rel=1e-12)
+        assert tc[node] == pytest.approx((1 - R[node]) * z[node], rel=1e-12)
         # over T = 5 the quoted example values R = 0.45, z = 1.15 give 0.1265
         assert (1 - 0.45) * 1.15 / 5.0 == pytest.approx(0.1265)
 
     def test_superposition_identity_nodewise(self):
         g = build_grid(GridConfig(), P)
-        tg = terminal_condition("recovery", g, P).values
-        tb = terminal_condition("protection", g, P).values
-        tt = terminal_condition("accrual", g, P).values
+        tg, tb, tt = pricing.payoff_rows(g, P, ("recovery", "protection", "accrual"))[1:]
         assert np.abs(tg + tb - tt).max() < 1e-14
 
     def test_full_devaluation_kills_terminals(self):
         p = P.with_(gamma_z=-1.0)
         g = build_grid(GridConfig(), p)
-        tb = terminal_condition("protection", g, p)
-        tt = terminal_condition("accrual", g, p)
-        assert np.all(tb.values == 0.0)
-        assert np.all(tt.values == 0.0)
+        tb, tt = pricing.payoff_rows(g, p, ("protection", "accrual"))[1:]
+        assert np.all(tb == 0.0)
+        assert np.all(tt == 0.0)
 
     def test_unknown_kind_rejected(self):
         g = build_grid(GridConfig(), P)
         with pytest.raises(ValueError, match="kind"):
-            terminal_condition("w", g, P)
+            pricing.payoff_rows(g, P, ("w",))
 
 
 def forward_system(p: ModelParams, grid_cfg: GridConfig | None = None):
@@ -154,7 +151,7 @@ def forward_curves(p: ModelParams, schedule: CdsSchedule,
     nsteps, h = schedule.m * schedule.n_quad, schedule.quad_step
     curves = {"w": rk4_sweep(A2, z, h, nsteps, lambda v, k: (r @ v)[0])[1:]}
     for kind in TERMINAL_KINDS:
-        v0 = np.concatenate([terminal_condition(kind, g, p).values, np.zeros(n)])
+        v0 = np.concatenate([pricing.payoff_rows(g, p, (kind,))[1], np.zeros(n)])
         vals = rk4_sweep(S, v0, h, nsteps, lambda v, k: (r @ v[n:])[0])
         curves[kind] = vals[1:] / schedule.quad_dates
     return curves
@@ -218,7 +215,7 @@ class TestGFamily:
         gb = pricer.g_curve("protection", SCHED)
         for j in (23, 119):
             nu = SCHED.quad_dates[j]
-            v0 = np.concatenate([terminal_condition("protection", g, P).values,
+            v0 = np.concatenate([pricing.payoff_rows(g, P, ("protection",))[1],
                                  np.zeros(n)])
             g_pm = rk4_sweep(S, v0, SCHED.quad_step, j + 1,
                              lambda v, k: (r @ v[n:])[0])[-1] / nu
@@ -274,7 +271,7 @@ class TestCurveSelection:
         fx = z * (1.0 + p.gamma_z)
         want = {"recovery": R * fx, "protection": (1.0 - R) * fx, "accrual": fx}
         for kind in TERMINAL_KINDS:
-            assert np.array_equal(terminal_condition(kind, g, p).values, want[kind]), kind
+            assert np.array_equal(pricing.payoff_rows(g, p, (kind,))[1], want[kind]), kind
         kinds = ("accrual", "recovery")
         rows = pricing.payoff_rows(g, p, kinds)
         assert rows.shape == (3, g.size)
