@@ -18,11 +18,12 @@ the oracle loads neither ``scipy.sparse.linalg`` nor ``scipy.linalg``
 """
 from __future__ import annotations
 
+import itertools
 import math
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,10 +54,12 @@ class McConfig:
     """Monte Carlo controls.  Paths are simulated in blocks of
     ``block_size``, block b on the Philox stream of ``seed`` jumped b
     times, so a result reproduces at a fixed seed and block size.  A
-    helper thread draws the next block's normals while the current
-    block marches.  Each coupon interval runs in equal Euler steps,
-    ``round(interval / step)`` of them, or more if that many would
-    exceed 1/48 yr."""
+    buffer keeps the first half of a block's normals; the second half
+    is drawn again, from the Philox state saved at its start, as the
+    march reaches it.  A helper thread draws the next block while the
+    current block marches.  Each coupon interval runs in equal Euler
+    steps, ``round(interval / step)`` of them, or more if that many
+    would exceed 1/48 yr."""
 
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
@@ -102,19 +105,20 @@ def _mean_reverting(out, x, level, kappa, theta, dt, vol, dw, tmp) -> None:
     out += np.multiply(vol, dw, out=tmp)
 
 
-def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
+def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.ndarray],
                     expo: np.ndarray, row_read: Callable[[], None]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of paths; returns per-path samples of the protection
     leg, the annuity (coupon plus accrual, discounted and FX converted)
     and the survival-weighted discounted terminal FX Z_T e^{-rT} 1.
 
-    ``normals[k]`` holds the step-k normals of every path and ``expo``
+    ``normals`` yields one (paths, 4) row per step, the step-k normals
+    of every path (a (steps, paths, 4) array does), and ``expo`` holds
     every path's default threshold.  ``row_read()`` is called once per
-    step, after the last read of ``normals[k]``, so the row may then be
+    step, after the last read of its row, so the row may then be
     overwritten.  The Euler step updates preallocated arrays in place.
     """
-    nsteps, n = normals.shape[:2]
+    n = len(expo)
     dt = dtc / nsub
     sqdt = np.sqrt(dt)
     cholT = np.ascontiguousarray(np.linalg.cholesky(p.rho + 1e-14 * np.eye(4)).T)
@@ -136,8 +140,8 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
     newly = np.empty(n, bool)
 
     t = 0.0
-    for k in range(nsteps):
-        np.matmul(normals[k], cholT, out=dW)
+    for k, row in enumerate(normals):
+        np.matmul(row, cholT, out=dW)
         row_read()
         dW *= sqdt
         np.exp(Y, out=lam)
@@ -218,6 +222,14 @@ def mc_spread(p: ModelParams, schedule: CdsSchedule,
     return McEstimate(float(s), float(se), cfg.n_paths, cfg.seed)
 
 
+def _resume(state: dict) -> np.random.Generator:
+    """A generator that draws on from a saved Philox ``state``: a
+    counter-based stream restarts there with the same bits."""
+    bitgen = np.random.Philox()
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
 def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     """Per-path samples of ``cfg.n_paths`` paths, simulated in blocks.
 
@@ -226,38 +238,92 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     step within 1/48 yr, so the step that runs is ``dtc / nsub``.
 
     Block b draws from Philox(seed) jumped b times: first the normals of
-    all its steps as one (steps, paths, 4) array, then the default
-    thresholds.  One buffer holds the normals of every block.  A
-    helper thread draws block b + 1 into it row by row while this thread
-    marches block b, writing row k only once the march has read row k:
-    row k of a block lies within rows 0..k of any block at least as
-    large, and blocks shrink only at the end.
+    all its steps, one (paths, 4) row per step, then the default
+    thresholds.  One buffer holds the first ``K = ceil(steps / 2)`` rows
+    of every block; the other rows, the block's tail, are drawn twice
+    from the Philox state saved at row K instead of being kept.  A
+    helper thread draws block b + 1 while this thread marches block b:
+    its K stored rows, writing row k only once the march has read row k
+    (row k of a block lies within rows 0..k of any block at least as
+    large, and blocks shrink only at the end), then its tail into one
+    discarded row, then its thresholds.  This thread draws each tail row
+    of a block again just before its step, except in the last block,
+    whose tail the helper, idle by then, draws itself: tail row i into
+    stored row i once the march has read that row (the tail has at most
+    K rows).
     """
     dtc = schedule.coupon_interval
     nsub = max(1, round(dtc / cfg.step), math.ceil(_MIN_STEPS_PER_YEAR * dtc - 1e-9))
     nsteps = schedule.m * nsub
+    kept = math.ceil(nsteps / 2)          # K, the stored rows of a block
     sizes = [min(cfg.block_size, cfg.n_paths - start)
              for start in range(0, cfg.n_paths, cfg.block_size)]
-    buf = np.empty(nsteps * sizes[0] * 4)
-    blocks = [buf[:nsteps * n * 4].reshape(nsteps, n, 4) for n in sizes]
+    buf = np.empty(kept * sizes[0] * 4)
+    blocks = [buf[:kept * n * 4].reshape(kept, n, 4) for n in sizes]
 
-    rows_read = threading.Semaphore(0)    # released once per step marched
+    rows_read = threading.Semaphore(0)    # released once per stored row marched
+    marched = itertools.count()           # steps marched, over all blocks
     stop = threading.Event()
-    thresholds = queue.SimpleQueue()      # each block's thresholds, or the helper's error
+    # per block its tail's Philox state and its thresholds, then one
+    # token per tail row of the last block, or the helper's error
+    handoff = queue.SimpleQueue()
+
+    def row_free() -> bool:
+        """Wait until the march has read one more stored row; False once
+        the march has stopped."""
+        rows_read.acquire()
+        return not stop.is_set()
 
     def draw() -> None:
         try:
-            for block, normals in enumerate(blocks):
-                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
-                for row in normals:
-                    if block:
-                        rows_read.acquire()
-                    if stop.is_set():
+            discard = np.empty((sizes[0], 4))
+            for block, stored in enumerate(blocks):
+                bitgen = np.random.Philox(key=cfg.seed).jumped(block)
+                rng = np.random.Generator(bitgen)
+                for row in stored:
+                    if block and not row_free():
                         return
                     rng.standard_normal(out=row)
-                thresholds.put(rng.exponential(size=normals.shape[1]))
+                tail = bitgen.state
+                n = stored.shape[1]
+                for _ in range(nsteps - kept):
+                    rng.standard_normal(out=discard[:n])
+                handoff.put((tail, rng.exponential(size=n)))
+            # the last block's tail, drawn again into its stored rows
+            rng = _resume(tail)
+            for row in stored[:nsteps - kept]:
+                if not row_free():
+                    return
+                rng.standard_normal(out=row)
+                handoff.put(None)
         except BaseException as exc:      # raised again by the marching thread
-            thresholds.put(exc)
+            handoff.put(exc)
+
+    def take():
+        item = handoff.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def row_read() -> None:
+        if next(marched) % nsteps < kept:
+            rows_read.release()
+
+    redrawn = np.empty((sizes[0], 4))
+
+    def rows(stored: np.ndarray, tail: dict, last: bool):
+        """One block's rows in step order: the stored rows, then the tail."""
+        yield from stored
+        if last:
+            for row in stored[:nsteps - kept]:
+                take()                    # the helper has drawn this tail row
+                yield row
+        else:
+            rng = _resume(tail)
+            row = redrawn[:stored.shape[1]]
+            for _ in range(nsteps - kept):
+                rng.standard_normal(out=row)
+                yield row
 
     # a daemon, so that a helper stuck by a fault cannot keep the
     # interpreter from exiting
@@ -265,11 +331,10 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     helper.start()
     parts = ([], [], [])
     try:
-        for normals in blocks:
-            expo = thresholds.get()
-            if isinstance(expo, BaseException):
-                raise expo
-            samples = _simulate_block(p, dtc, nsub, normals, expo, rows_read.release)
+        for block, stored in enumerate(blocks):
+            tail, expo = take()
+            normals = rows(stored, tail, block == len(blocks) - 1)
+            samples = _simulate_block(p, dtc, nsub, normals, expo, row_read)
             for store, sample in zip(parts, samples):
                 store.append(sample)
     finally:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -192,20 +193,60 @@ def call_bounded(fn, timeout: float = 120.0) -> dict:
     return box
 
 
+# stored rows of a block's normals under SCHED at step 1/48: half of 240
+KEPT = 120
+
+
+def fail_draw(monkeypatch, block: int, resumed: bool, draw: int, message: str) -> None:
+    """Make draw number ``draw`` (from 0) of ``standard_normal`` raise in
+    the generator on ``block``'s substream that starts at the block's
+    start, or with ``resumed`` in the one that resumes it from the state
+    saved at its tail.  Both are read from the Philox counter: jumped(b)
+    sets its third word to b and leaves the first two at 0, so the fault
+    does not depend on the order in which the threads make generators.
+    The failing draw first sleeps a little, so the other thread is
+    waiting by the time it raises."""
+    real = np.random.Generator
+
+    class FailingGenerator:
+        def __init__(self, bitgen):
+            counter = bitgen.state["state"]["counter"]
+            self.fails = counter[2] == block and bool(counter[:2].any()) == resumed
+            self.draws = 0
+            self.rng = real(bitgen)
+
+        def standard_normal(self, out):
+            if self.fails and self.draws == draw:
+                time.sleep(0.1)
+                raise RuntimeError(message)
+            self.draws += 1
+            return self.rng.standard_normal(out=out)
+
+        def exponential(self, size):
+            return self.rng.exponential(size=size)
+
+    monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+
+
 class TestBlockOverlap:
     """A helper thread draws block b + 1 while block b marches."""
 
-    @pytest.mark.parametrize("cfg", [
-        McConfig(),
-        McConfig(n_paths=30_000, block_size=7_000),
-        McConfig(n_paths=3001, seed=2, block_size=1000),
-        McConfig(n_paths=3000, seed=5, block_size=3000),
-        McConfig(n_paths=3000, seed=3, step=1.0 / 100.0)],
+    @pytest.mark.parametrize("cfg, sched", [
+        (McConfig(), SCHED),
+        (McConfig(n_paths=30_000, block_size=7_000), SCHED),
+        (McConfig(n_paths=3001, seed=2, block_size=1000), SCHED),
+        (McConfig(n_paths=3000, seed=5, block_size=3000), SCHED),
+        (McConfig(n_paths=3000, seed=3, step=1.0 / 100.0), SCHED),
+        # 505 steps: 253 stored rows and a tail of 252
+        (McConfig(n_paths=3000, seed=4, block_size=1000, step=1.0 / 100.0),
+         CdsSchedule(T=5.0, m=101)),
+        # one step: its tail has no rows
+        (McConfig(n_paths=3000, seed=6, block_size=1000), CdsSchedule(T=1.0 / 48.0, m=1))],
         ids=["defaults", "short-last-block", "one-path-last-block", "one-block",
-             "step=1/100"])
-    def test_matches_serial_reference(self, cfg):
-        got = _run_blocks(P, SCHED, cfg)
-        want = serial_reference_blocks(P, SCHED, cfg)
+             "step=1/100", "odd-steps", "one-step"])
+    def test_matches_serial_reference(self, cfg, sched):
+        got = _run_blocks(P, sched, cfg)
+        want = serial_reference_blocks(P, sched, cfg)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_concurrent_calls_under_fast_switching(self):
@@ -257,28 +298,42 @@ class TestBlockOverlap:
         assert threading.active_count() == before
 
     def test_draw_error_reaches_the_caller(self, monkeypatch):
-        real = np.random.Generator
-        made = []
-
-        class FailingGenerator:
-            def __init__(self, bitgen):
-                made.append(self)
-                self.block = len(made) - 1
-                self.rng = real(bitgen)
-
-            def standard_normal(self, out):
-                if self.block == 1:
-                    raise RuntimeError("draw failed on block 1")
-                return self.rng.standard_normal(out=out)
-
-            def exponential(self, size):
-                return self.rng.exponential(size=size)
-
-        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        fail_draw(monkeypatch, block=1, resumed=False, draw=0, message="draw failed on block 1")
         before = threading.active_count()
         box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
         assert "draw failed on block 1" in str(box["error"])
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("block, resumed, draw, message", [
+        # the helper's first pass, past the stored rows: the march waits
+        # for block 1's thresholds
+        (1, False, KEPT, "draw failed in block 1's discarded tail"),
+        # the helper draws the last block's tail while the march waits
+        # for each row
+        (3, True, 5, "draw failed in the last block's tail"),
+        # the marching thread draws block 0's tail again
+        (0, True, 5, "redraw failed in block 0's tail")],
+        ids=["discarded-tail", "last-tail", "redrawn-tail"])
+    def test_tail_error_reaches_the_caller(self, monkeypatch, block, resumed, draw, message):
+        fail_draw(monkeypatch, block, resumed, draw, message)
+        before = threading.active_count()
+        box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
+        assert message in str(box["error"])
+        assert threading.active_count() == before
+
+    def test_traced_peak_below_full_buffer(self):
+        # the buffer holds KEPT of a block's 240 rows of normals; numpy
+        # reports its arrays to tracemalloc, from every thread
+        cfg = McConfig(n_paths=4000, block_size=2000)
+        # a first call imports what seeding a Philox generator needs
+        _run_blocks(P, SCHED, McConfig(n_paths=1000))
+        tracemalloc.start()
+        try:
+            _run_blocks(P, SCHED, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 8 * 240 * cfg.block_size * 4
 
     def test_euler_step_within_cap(self, monkeypatch):
         # T = 5, m = 100: round(0.05 * 48) = 2 steps of 0.025 yr per
