@@ -54,12 +54,12 @@ class McConfig:
     """Monte Carlo controls.  Paths are simulated in blocks of
     ``block_size``, block b on the Philox stream of ``seed`` jumped b
     times, so a result reproduces at a fixed seed and block size.  A
-    buffer keeps the first half of a block's normals; the second half
-    is drawn again, from the Philox state saved at its start, as the
-    march reaches it.  A helper thread draws the next block while the
-    current block marches.  Each coupon interval runs in equal Euler
-    steps, ``round(interval / step)`` of them, or more if that many
-    would exceed 1/48 yr."""
+    buffer keeps the first third of a block's normals; the other rows
+    are drawn again, from the Philox state saved where they start, as
+    the march reaches them.  A helper thread draws the next block while
+    the current block marches.  Each coupon interval runs in equal
+    Euler steps, ``round(interval / step)`` of them, or more if that
+    many would exceed 1/48 yr."""
 
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
@@ -117,12 +117,19 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.
     every path's default threshold.  ``row_read()`` is called once per
     step, after the last read of its row, so the row may then be
     overwritten.  The Euler step updates preallocated arrays in place.
+    A mean-reverting factor with kappa = sigma = 0 (R under frozen
+    recovery, rhat under a frozen foreign rate, y under a frozen hazard)
+    is updated on the first step only, which clips R into its range:
+    each later update would add +-0 and return its input bit for bit.
     """
     n = len(expo)
     dt = dtc / nsub
     sqdt = np.sqrt(dt)
     cholT = np.ascontiguousarray(np.linalg.cholesky(p.rho + 1e-14 * np.eye(4)).T)
     r, gz = p.r_dom, p.gamma_z
+    frozen_R, frozen_rr, frozen_Y = (
+        kappa == 0.0 and sigma == 0.0 for kappa, sigma in
+        ((p.kappa_R, p.sigma_R), (p.kappa_rhat, p.sigma_rhat), (p.kappa_y, p.sigma_y)))
 
     # float arrays even for integral fields ("y0": -40 in a config):
     # the Euler step writes floats into them in place
@@ -169,14 +176,16 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.
         # factor's new value is written to the spare array x, which then
         # trades places with it; Z reads the old rhat, so rhat goes last.
         # Defaulted paths keep moving, but no output reads them again.
-        np.subtract(1.0, R, out=vol)
-        vol *= R
-        np.sqrt(np.clip(vol, 0.0, None, out=vol), out=vol)
-        vol *= p.sigma_R
-        _mean_reverting(x, R, R, p.kappa_R, p.theta_R, dt, vol, dW[:, 0], tmp)
-        R, x = np.clip(x, 1e-9, 1.0 - 1e-9, out=x), R
-        _mean_reverting(x, Y, Y, p.kappa_y, p.theta_y, dt, p.sigma_y, dW[:, 3], tmp)
-        Y, x = x, Y
+        if k == 0 or not frozen_R:
+            np.subtract(1.0, R, out=vol)
+            vol *= R
+            np.sqrt(np.clip(vol, 0.0, None, out=vol), out=vol)
+            vol *= p.sigma_R
+            _mean_reverting(x, R, R, p.kappa_R, p.theta_R, dt, vol, dW[:, 0], tmp)
+            R, x = np.clip(x, 1e-9, 1.0 - 1e-9, out=x), R
+        if k == 0 or not frozen_Y:
+            _mean_reverting(x, Y, Y, p.kappa_y, p.theta_y, dt, p.sigma_y, dW[:, 3], tmp)
+            Y, x = x, Y
         np.subtract(r, rr, out=x)
         x -= np.multiply(lam, gz, out=tmp)
         x *= dt
@@ -184,11 +193,12 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.
         x += np.multiply(p.sigma_z, dW[:, 2], out=tmp)
         x *= Z
         Z, x = np.maximum(x, 0.0, out=x), Z
-        np.clip(rr, 0.0, None, out=rp)
-        np.sqrt(rp, out=vol)
-        vol *= p.sigma_rhat
-        _mean_reverting(x, rr, rp, p.kappa_rhat, p.theta_rhat, dt, vol, dW[:, 1], tmp)
-        rr, x = x, rr
+        if k == 0 or not frozen_rr:
+            np.clip(rr, 0.0, None, out=rp)
+            np.sqrt(rp, out=vol)
+            vol *= p.sigma_rhat
+            _mean_reverting(x, rr, rp, p.kappa_rhat, p.theta_rhat, dt, vol, dW[:, 1], tmp)
+            rr, x = x, rr
         t = (k + 1) * dt
         if (k + 1) % nsub == 0:
             np.multiply(Z, np.exp(-r * t), out=tmp)
@@ -239,7 +249,7 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
 
     Block b draws from Philox(seed) jumped b times: first the normals of
     all its steps, one (paths, 4) row per step, then the default
-    thresholds.  One buffer holds the first ``K = ceil(steps / 2)`` rows
+    thresholds.  One buffer holds the first ``K = ceil(steps / 3)`` rows
     of every block; the other rows, the block's tail, are drawn twice
     from the Philox state saved at row K instead of being kept.  A
     helper thread draws block b + 1 while this thread marches block b:
@@ -248,21 +258,24 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     large, and blocks shrink only at the end), then its tail into one
     discarded row, then its thresholds.  This thread draws each tail row
     of a block again just before its step, except in the last block,
-    whose tail the helper, idle by then, draws itself: tail row i into
-    stored row i once the march has read that row (the tail has at most
-    K rows).
+    whose tail the helper, idle by then, draws itself into the stored
+    rows used as a ring: step s into row s mod K, once the march has
+    read step s - K, the row's previous occupant.
     """
     dtc = schedule.coupon_interval
     nsub = max(1, round(dtc / cfg.step), math.ceil(_MIN_STEPS_PER_YEAR * dtc - 1e-9))
     nsteps = schedule.m * nsub
-    kept = math.ceil(nsteps / 2)          # K, the stored rows of a block
+    kept = math.ceil(nsteps / 3)          # K, the stored rows of a block
     sizes = [min(cfg.block_size, cfg.n_paths - start)
              for start in range(0, cfg.n_paths, cfg.block_size)]
     buf = np.empty(kept * sizes[0] * 4)
     blocks = [buf[:kept * n * 4].reshape(kept, n, 4) for n in sizes]
 
-    rows_read = threading.Semaphore(0)    # released once per stored row marched
+    # released once per step marched that frees a stored row: the first
+    # K steps of a block, every step of the last block
+    rows_read = threading.Semaphore(0)
     marched = itertools.count()           # steps marched, over all blocks
+    last_start = (len(blocks) - 1) * nsteps
     stop = threading.Event()
     # per block its tail's Philox state and its thresholds, then one
     # token per tail row of the last block, or the helper's error
@@ -291,10 +304,10 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
                 handoff.put((tail, rng.exponential(size=n)))
             # the last block's tail, drawn again into its stored rows
             rng = _resume(tail)
-            for row in stored[:nsteps - kept]:
+            for i in range(nsteps - kept):
                 if not row_free():
                     return
-                rng.standard_normal(out=row)
+                rng.standard_normal(out=stored[i % kept])
                 handoff.put(None)
         except BaseException as exc:      # raised again by the marching thread
             handoff.put(exc)
@@ -306,7 +319,8 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
         return item
 
     def row_read() -> None:
-        if next(marched) % nsteps < kept:
+        step = next(marched)
+        if step % nsteps < kept or step >= last_start:
             rows_read.release()
 
     redrawn = np.empty((sizes[0], 4))
@@ -315,9 +329,9 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
         """One block's rows in step order: the stored rows, then the tail."""
         yield from stored
         if last:
-            for row in stored[:nsteps - kept]:
+            for i in range(nsteps - kept):
                 take()                    # the helper has drawn this tail row
-                yield row
+                yield stored[i % kept]
         else:
             rng = _resume(tail)
             row = redrawn[:stored.shape[1]]

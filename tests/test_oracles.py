@@ -175,6 +175,78 @@ def serial_reference_blocks(p: ModelParams, schedule, cfg: McConfig):
     return tuple(np.concatenate(s) for s in parts)
 
 
+def euler_reference_block(p: ModelParams, dtc: float, nsub: int, normals: np.ndarray,
+                          expo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference march of one block: every factor's Euler update on every
+    step, frozen or not; ``_simulate_block`` must match it bit for bit."""
+    n = len(expo)
+    dt = dtc / nsub
+    sqdt = np.sqrt(dt)
+    cholT = np.ascontiguousarray(np.linalg.cholesky(p.rho + 1e-14 * np.eye(4)).T)
+    r, gz = p.r_dom, p.gamma_z
+    R = np.full(n, p.R0, dtype=float)
+    rr = np.full(n, p.rhat0, dtype=float)
+    Y = np.full(n, p.y0, dtype=float)
+    Z = np.full(n, p.z0, dtype=float)
+    gam = np.zeros(n)
+    alive = np.ones(n, bool)
+    prot = np.zeros(n)
+    annuity = np.zeros(n)
+    accr = np.zeros(n)
+    dW = np.empty((4, n)).T
+    lam, gam_next, x, vol, rp, tmp = (np.empty(n) for _ in range(6))
+    newly = np.empty(n, bool)
+    t = 0.0
+    for k, row in enumerate(normals):
+        np.matmul(row, cholT, out=dW)
+        dW *= sqdt
+        np.exp(Y, out=lam)
+        np.multiply(lam, dt, out=gam_next)
+        gam_next += gam
+        np.greater_equal(gam_next, expo, out=newly)
+        newly &= alive
+        if newly.any():
+            d = np.flatnonzero(newly)
+            frac = np.clip((expo[d] - gam[d])
+                           / np.maximum(lam[d] * dt, 1e-300), 0.0, 1.0)
+            td = t + frac * dt
+            zd = Z[d] * (1.0 + (r - rr[d] - lam[d] * gz) * frac * dt)
+            zd = zd * (1.0 + gz)
+            disc = np.exp(-r * td)
+            prot[d] = (1.0 - R[d]) * zd * disc
+            n_cpn = np.floor(td / dtc)
+            accr[d] = zd * disc * (td - n_cpn * dtc)
+            alive[d] = False
+        gam, gam_next = gam_next, gam
+        np.subtract(1.0, R, out=vol)
+        vol *= R
+        np.sqrt(np.clip(vol, 0.0, None, out=vol), out=vol)
+        vol *= p.sigma_R
+        oracles._mean_reverting(x, R, R, p.kappa_R, p.theta_R, dt, vol, dW[:, 0], tmp)
+        R, x = np.clip(x, 1e-9, 1.0 - 1e-9, out=x), R
+        oracles._mean_reverting(x, Y, Y, p.kappa_y, p.theta_y, dt, p.sigma_y, dW[:, 3], tmp)
+        Y, x = x, Y
+        np.subtract(r, rr, out=x)
+        x -= np.multiply(lam, gz, out=tmp)
+        x *= dt
+        x += 1.0
+        x += np.multiply(p.sigma_z, dW[:, 2], out=tmp)
+        x *= Z
+        Z, x = np.maximum(x, 0.0, out=x), Z
+        np.clip(rr, 0.0, None, out=rp)
+        np.sqrt(rp, out=vol)
+        vol *= p.sigma_rhat
+        oracles._mean_reverting(x, rr, rp, p.kappa_rhat, p.theta_rhat, dt, vol, dW[:, 1], tmp)
+        rr, x = x, rr
+        t = (k + 1) * dt
+        if (k + 1) % nsub == 0:
+            np.multiply(Z, np.exp(-r * t), out=tmp)
+            tmp *= dtc
+            np.add(annuity, tmp, out=annuity, where=alive)
+    w_final = np.where(alive, Z * np.exp(-r * t), 0.0)
+    return prot, annuity + accr, w_final
+
+
 def call_bounded(fn, timeout: float = 120.0) -> dict:
     """Run ``fn`` on a daemon thread, so a deadlock fails the test
     instead of hanging the suite; returns its result or error."""
@@ -193,8 +265,8 @@ def call_bounded(fn, timeout: float = 120.0) -> dict:
     return box
 
 
-# stored rows of a block's normals under SCHED at step 1/48: half of 240
-KEPT = 120
+# stored rows of a block's normals under SCHED at step 1/48: a third of 240
+KEPT = 80
 
 
 def fail_draw(monkeypatch, block: int, resumed: bool, draw: int, message: str) -> None:
@@ -237,13 +309,16 @@ class TestBlockOverlap:
         (McConfig(n_paths=3001, seed=2, block_size=1000), SCHED),
         (McConfig(n_paths=3000, seed=5, block_size=3000), SCHED),
         (McConfig(n_paths=3000, seed=3, step=1.0 / 100.0), SCHED),
-        # 505 steps: 253 stored rows and a tail of 252
+        # 505 steps: 169 stored rows and a tail of 336, which laps the
+        # ring of stored rows once and fills 167 of them again
         (McConfig(n_paths=3000, seed=4, block_size=1000, step=1.0 / 100.0),
          CdsSchedule(T=5.0, m=101)),
+        # two steps: one stored row, which the tail's one row reuses
+        (McConfig(n_paths=3000, seed=7, block_size=1000), CdsSchedule(T=2.0 / 48.0, m=1)),
         # one step: its tail has no rows
         (McConfig(n_paths=3000, seed=6, block_size=1000), CdsSchedule(T=1.0 / 48.0, m=1))],
         ids=["defaults", "short-last-block", "one-path-last-block", "one-block",
-             "step=1/100", "odd-steps", "one-step"])
+             "step=1/100", "odd-steps", "two-steps", "one-step"])
     def test_matches_serial_reference(self, cfg, sched):
         got = _run_blocks(P, sched, cfg)
         want = serial_reference_blocks(P, sched, cfg)
@@ -309,11 +384,12 @@ class TestBlockOverlap:
         # for block 1's thresholds
         (1, False, KEPT, "draw failed in block 1's discarded tail"),
         # the helper draws the last block's tail while the march waits
-        # for each row
+        # for each row, on its first and on its second lap of the ring
         (3, True, 5, "draw failed in the last block's tail"),
+        (3, True, KEPT + 5, "draw failed in the last block's tail, second lap"),
         # the marching thread draws block 0's tail again
         (0, True, 5, "redraw failed in block 0's tail")],
-        ids=["discarded-tail", "last-tail", "redrawn-tail"])
+        ids=["discarded-tail", "last-tail", "last-tail-second-lap", "redrawn-tail"])
     def test_tail_error_reaches_the_caller(self, monkeypatch, block, resumed, draw, message):
         fail_draw(monkeypatch, block, resumed, draw, message)
         before = threading.active_count()
@@ -325,7 +401,7 @@ class TestBlockOverlap:
         # the buffer holds KEPT of a block's 240 rows of normals; numpy
         # reports its arrays to tracemalloc, from every thread
         cfg = McConfig(n_paths=4000, block_size=2000)
-        # a first call imports what seeding a Philox generator needs
+        # a first call imports numpy.random, which numpy loads lazily
         _run_blocks(P, SCHED, McConfig(n_paths=1000))
         tracemalloc.start()
         try:
@@ -333,7 +409,7 @@ class TestBlockOverlap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * 8 * 240 * cfg.block_size * 4
+        assert peak < 0.4 * 8 * 240 * cfg.block_size * 4
 
     def test_euler_step_within_cap(self, monkeypatch):
         # T = 5, m = 100: round(0.05 * 48) = 2 steps of 0.025 yr per
@@ -348,6 +424,29 @@ class TestBlockOverlap:
         monkeypatch.setattr(oracles, "_simulate_block", march)
         mc_spread(P, CdsSchedule(T=5.0, m=100), McConfig(n_paths=1000))
         assert nsubs == [3]
+
+
+class TestFrozenFactors:
+    """A factor with kappa = sigma = 0 is updated on the first step only."""
+
+    @pytest.mark.parametrize("p", [
+        P,
+        P.with_(R0=0.0),
+        P.with_(R0=1.0),
+        P.with_(kappa_rhat=0.0, sigma_rhat=0.0),
+        P.with_(kappa_y=0.0, sigma_y=0.0),
+        P.with_(sigma_R=0.3, kappa_R=0.5, rho=_RHO_RZ, gamma_z=-0.5)],
+        ids=["frozen-R", "frozen-R-R0=0", "frozen-R-R0=1", "frozen-rhat",
+             "frozen-y", "correlated-stochastic-R"])
+    def test_matches_euler_reference(self, p):
+        n, nsub = 2000, 4
+        rng = np.random.Generator(np.random.Philox(key=9))
+        normals = rng.standard_normal((SCHED.m * nsub, n, 4))
+        expo = rng.exponential(size=n)
+        dtc = SCHED.coupon_interval
+        got = _simulate_block(p, dtc, nsub, normals, expo, lambda: None)
+        want = euler_reference_block(p, dtc, nsub, normals, expo)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestLegEstimates:
