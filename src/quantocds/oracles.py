@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from . import pde
 from .grid import Grid4D, interpolation_matrix
 from .model import ModelParams, require_integers, require_real
 from .pricing import CdsSchedule, LegTerms, par_spread
@@ -53,13 +53,12 @@ def credit_triangle(lam: float, R: float) -> float:
 class McConfig:
     """Monte Carlo controls.  Paths are simulated in blocks of
     ``block_size``, block b on the Philox stream of ``seed`` jumped b
-    times, so a result reproduces at a fixed seed and block size.  A
-    buffer keeps the first third of a block's normals; the other rows
-    are drawn again, from the Philox state saved where they start, as
-    the march reaches them.  A helper thread draws the next block while
-    the current block marches.  Each coupon interval runs in equal
-    Euler steps, ``round(interval / step)`` of them, or more if that
-    many would exceed 1/48 yr."""
+    times, so a result reproduces at a fixed seed and block size.  Each
+    block runs on one thread, up to one per core: it draws its normals
+    once to reach its default thresholds, then again, one step's row at
+    a time, as its march reads them, so no block's normals are stored.
+    Each coupon interval runs in equal Euler steps, ``round(interval /
+    step)`` of them, or more if that many would exceed 1/48 yr."""
 
     n_paths: int = 100_000
     step: float = 1.0 / 48.0
@@ -106,17 +105,17 @@ def _mean_reverting(out, x, level, kappa, theta, dt, vol, dw, tmp) -> None:
 
 
 def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.ndarray],
-                    expo: np.ndarray, row_read: Callable[[], None]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    expo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of paths; returns per-path samples of the protection
     leg, the annuity (coupon plus accrual, discounted and FX converted)
     and the survival-weighted discounted terminal FX Z_T e^{-rT} 1.
 
     ``normals`` yields one (paths, 4) row per step, the step-k normals
     of every path (a (steps, paths, 4) array does), and ``expo`` holds
-    every path's default threshold.  ``row_read()`` is called once per
-    step, after the last read of its row, so the row may then be
-    overwritten.  The Euler step updates preallocated arrays in place.
+    every path's default threshold.  A row is read only during its own
+    step, before the next row is asked for, so a generator may yield the
+    same array every step.  The Euler step updates preallocated arrays
+    in place.
     A mean-reverting factor with kappa = sigma = 0 (R under frozen
     recovery, rhat under a frozen foreign rate, y under a frozen hazard)
     is updated on the first step only, which clips R into its range:
@@ -149,7 +148,6 @@ def _simulate_block(p: ModelParams, dtc: float, nsub: int, normals: Iterable[np.
     t = 0.0
     for k, row in enumerate(normals):
         np.matmul(row, cholT, out=dW)
-        row_read()
         dW *= sqdt
         np.exp(Y, out=lam)
         # left-rectangle intensity integration; default when the
@@ -232,14 +230,6 @@ def mc_spread(p: ModelParams, schedule: CdsSchedule,
     return McEstimate(float(s), float(se), cfg.n_paths, cfg.seed)
 
 
-def _resume(state: dict) -> np.random.Generator:
-    """A generator that draws on from a saved Philox ``state``: a
-    counter-based stream restarts there with the same bits."""
-    bitgen = np.random.Philox()
-    bitgen.state = state
-    return np.random.Generator(bitgen)
-
-
 def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
     """Per-path samples of ``cfg.n_paths`` paths, simulated in blocks.
 
@@ -249,115 +239,65 @@ def _run_blocks(p: ModelParams, schedule, cfg: McConfig):
 
     Block b draws from Philox(seed) jumped b times: first the normals of
     all its steps, one (paths, 4) row per step, then the default
-    thresholds.  One buffer holds the first ``K = ceil(steps / 3)`` rows
-    of every block; the other rows, the block's tail, are drawn twice
-    from the Philox state saved at row K instead of being kept.  A
-    helper thread draws block b + 1 while this thread marches block b:
-    its K stored rows, writing row k only once the march has read row k
-    (row k of a block lies within rows 0..k of any block at least as
-    large, and blocks shrink only at the end), then its tail into one
-    discarded row, then its thresholds.  This thread draws each tail row
-    of a block again just before its step, except in the last block,
-    whose tail the helper, idle by then, draws itself into the stored
-    rows used as a ring: step s into row s mod K, once the march has
-    read step s - K, the row's previous occupant.
+    thresholds.  A block is one job, run on one thread.  Its locate pass
+    draws every row into the thread's one row and throws it away, to
+    reach the thresholds; its march then draws each row again, from a
+    fresh generator on the same substream, just before the step that
+    reads it.  A counter-based stream restarts at a block's start on any
+    thread, so no block is stored.  The calling thread and
+    ``min(cores, blocks) - 1`` helpers (``cores`` from ``pde._cores``)
+    claim block indices from one counter until none is left; each
+    block's samples go into its own slot and are concatenated in block
+    order, so the bits do not depend on which thread ran which block.
+    A worker that raises stops the others before they claim another
+    block, and the calling thread joins every helper before it returns
+    or raises that error.
     """
     dtc = schedule.coupon_interval
     nsub = max(1, round(dtc / cfg.step), math.ceil(_MIN_STEPS_PER_YEAR * dtc - 1e-9))
     nsteps = schedule.m * nsub
-    kept = math.ceil(nsteps / 3)          # K, the stored rows of a block
-    sizes = [min(cfg.block_size, cfg.n_paths - start)
-             for start in range(0, cfg.n_paths, cfg.block_size)]
-    buf = np.empty(kept * sizes[0] * 4)
-    blocks = [buf[:kept * n * 4].reshape(kept, n, 4) for n in sizes]
-
-    # released once per step marched that frees a stored row: the first
-    # K steps of a block, every step of the last block
-    rows_read = threading.Semaphore(0)
-    marched = itertools.count()           # steps marched, over all blocks
-    last_start = (len(blocks) - 1) * nsteps
+    starts = range(0, cfg.n_paths, cfg.block_size)
+    samples = [None] * len(starts)
+    claim = itertools.count()
     stop = threading.Event()
-    # per block its tail's Philox state and its thresholds, then one
-    # token per tail row of the last block, or the helper's error
-    handoff = queue.SimpleQueue()
+    errors = []
 
-    def row_free() -> bool:
-        """Wait until the march has read one more stored row; False once
-        the march has stopped."""
-        rows_read.acquire()
-        return not stop.is_set()
-
-    def draw() -> None:
+    def work() -> None:
         try:
-            discard = np.empty((sizes[0], 4))
-            for block, stored in enumerate(blocks):
-                bitgen = np.random.Philox(key=cfg.seed).jumped(block)
-                rng = np.random.Generator(bitgen)
-                for row in stored:
-                    if block and not row_free():
-                        return
-                    rng.standard_normal(out=row)
-                tail = bitgen.state
-                n = stored.shape[1]
-                for _ in range(nsteps - kept):
-                    rng.standard_normal(out=discard[:n])
-                handoff.put((tail, rng.exponential(size=n)))
-            # the last block's tail, drawn again into its stored rows
-            rng = _resume(tail)
-            for i in range(nsteps - kept):
-                if not row_free():
+            row = np.empty((min(cfg.block_size, cfg.n_paths), 4))
+            while not stop.is_set():
+                block = next(claim)
+                if block >= len(starts):
                     return
-                rng.standard_normal(out=stored[i % kept])
-                handoff.put(None)
-        except BaseException as exc:      # raised again by the marching thread
-            handoff.put(exc)
+                normals = row[:min(cfg.block_size, cfg.n_paths - starts[block])]
+                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
+                for _ in range(nsteps):
+                    rng.standard_normal(out=normals)
+                expo = rng.exponential(size=len(normals))
+                rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(block))
+                samples[block] = _simulate_block(
+                    p, dtc, nsub, (rng.standard_normal(out=normals) for _ in range(nsteps)),
+                    expo)
+        except BaseException as exc:      # raised again by the calling thread
+            errors.append(exc)
+            stop.set()
 
-    def take():
-        item = handoff.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def row_read() -> None:
-        step = next(marched)
-        if step % nsteps < kept or step >= last_start:
-            rows_read.release()
-
-    redrawn = np.empty((sizes[0], 4))
-
-    def rows(stored: np.ndarray, tail: dict, last: bool):
-        """One block's rows in step order: the stored rows, then the tail."""
-        yield from stored
-        if last:
-            for i in range(nsteps - kept):
-                take()                    # the helper has drawn this tail row
-                yield stored[i % kept]
-        else:
-            rng = _resume(tail)
-            row = redrawn[:stored.shape[1]]
-            for _ in range(nsteps - kept):
-                rng.standard_normal(out=row)
-                yield row
-
-    # a daemon, so that a helper stuck by a fault cannot keep the
-    # interpreter from exiting
-    helper = threading.Thread(target=draw, name="mc-normals", daemon=True)
-    helper.start()
-    parts = ([], [], [])
+    helpers = []
     try:
-        for block, stored in enumerate(blocks):
-            tail, expo = take()
-            normals = rows(stored, tail, block == len(blocks) - 1)
-            samples = _simulate_block(p, dtc, nsub, normals, expo, row_read)
-            for store, sample in zip(parts, samples):
-                store.append(sample)
+        for i in range(1, min(pde._cores(), len(starts))):
+            # a daemon, so that a helper stuck by a fault cannot keep the
+            # interpreter from exiting
+            helper = threading.Thread(target=work, name=f"mc-blocks-{i}", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        work()
     finally:
-        # a helper waiting for a row the march will no longer read
-        # wakes, sees the stop and returns
         stop.set()
-        rows_read.release()
-        helper.join()
-    return tuple(np.concatenate(s) for s in parts)
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return tuple(np.concatenate(s) for s in zip(*samples))
 
 
 def _estimate(sample: np.ndarray, cfg: McConfig) -> McEstimate:

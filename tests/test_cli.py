@@ -444,7 +444,7 @@ def test_cli_quote_leaves_scipy_linalg_unloaded(tmp_path):
 
 
 def test_cli_import_starts_no_thread():
-    # the Monte Carlo helper thread lives only inside a call of the block
+    # the Monte Carlo helper threads live only inside a call of the block
     # loop, so importing the command line starts no thread
     src = str(Path(quantocds.__file__).resolve().parents[1])
     code = "import threading, quantocds.cli; print(threading.active_count())"

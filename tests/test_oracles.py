@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from quantocds import oracles
+from quantocds import oracles, pde
 from quantocds.grid import Grid4D, interpolation_matrix
 from quantocds.model import ModelParams, ParameterError
 from quantocds.oracles import (CN_Y_MIN, McConfig, _fd_axis_ops, _run_blocks,
@@ -169,8 +169,7 @@ def serial_reference_blocks(p: ModelParams, schedule, cfg: McConfig):
         normals = buf[:nsteps * n * 4].reshape(nsteps, n, 4)
         rng.standard_normal(out=normals)
         expo = rng.exponential(size=n)
-        for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo,
-                                                         lambda: None)):
+        for store, sample in zip(parts, _simulate_block(p, dtc, nsub, normals, expo)):
             store.append(sample)
     return tuple(np.concatenate(s) for s in parts)
 
@@ -265,31 +264,30 @@ def call_bounded(fn, timeout: float = 120.0) -> dict:
     return box
 
 
-# stored rows of a block's normals under SCHED at step 1/48: a third of 240
-KEPT = 80
-
-
-def fail_draw(monkeypatch, block: int, resumed: bool, draw: int, message: str) -> None:
+def fail_draw(monkeypatch, block: int, generator: int, draw: int, message: str,
+              delay: float = 0.1) -> None:
     """Make draw number ``draw`` (from 0) of ``standard_normal`` raise in
-    the generator on ``block``'s substream that starts at the block's
-    start, or with ``resumed`` in the one that resumes it from the state
-    saved at its tail.  Both are read from the Philox counter: jumped(b)
-    sets its third word to b and leaves the first two at 0, so the fault
-    does not depend on the order in which the threads make generators.
-    The failing draw first sleeps a little, so the other thread is
-    waiting by the time it raises."""
+    generator number ``generator`` made on ``block``'s substream: 0 is
+    the block's locate pass, 1 its march.  The block is read from the
+    Philox counter, whose third word jumped(b) sets to b; one thread
+    makes both generators of a block, so the fault does not depend on
+    which thread runs it.  The failing draw first sleeps ``delay``
+    seconds, so the other workers are busy with blocks of their own by
+    the time it raises."""
     real = np.random.Generator
+    made = {}
 
     class FailingGenerator:
         def __init__(self, bitgen):
-            counter = bitgen.state["state"]["counter"]
-            self.fails = counter[2] == block and bool(counter[:2].any()) == resumed
+            b = int(bitgen.state["state"]["counter"][2])
+            made[b] = made.get(b, -1) + 1
+            self.fails = b == block and made[b] == generator
             self.draws = 0
             self.rng = real(bitgen)
 
         def standard_normal(self, out):
             if self.fails and self.draws == draw:
-                time.sleep(0.1)
+                time.sleep(delay)
                 raise RuntimeError(message)
             self.draws += 1
             return self.rng.standard_normal(out=out)
@@ -301,7 +299,7 @@ def fail_draw(monkeypatch, block: int, resumed: bool, draw: int, message: str) -
 
 
 class TestBlockOverlap:
-    """A helper thread draws block b + 1 while block b marches."""
+    """Each block runs on one thread, up to one thread per core."""
 
     @pytest.mark.parametrize("cfg, sched", [
         (McConfig(), SCHED),
@@ -309,13 +307,12 @@ class TestBlockOverlap:
         (McConfig(n_paths=3001, seed=2, block_size=1000), SCHED),
         (McConfig(n_paths=3000, seed=5, block_size=3000), SCHED),
         (McConfig(n_paths=3000, seed=3, step=1.0 / 100.0), SCHED),
-        # 505 steps: 169 stored rows and a tail of 336, which laps the
-        # ring of stored rows once and fills 167 of them again
+        # 505 steps, an odd count
         (McConfig(n_paths=3000, seed=4, block_size=1000, step=1.0 / 100.0),
          CdsSchedule(T=5.0, m=101)),
-        # two steps: one stored row, which the tail's one row reuses
+        # two steps
         (McConfig(n_paths=3000, seed=7, block_size=1000), CdsSchedule(T=2.0 / 48.0, m=1)),
-        # one step: its tail has no rows
+        # one step
         (McConfig(n_paths=3000, seed=6, block_size=1000), CdsSchedule(T=1.0 / 48.0, m=1))],
         ids=["defaults", "short-last-block", "one-path-last-block", "one-block",
              "step=1/100", "odd-steps", "two-steps", "one-step"])
@@ -325,8 +322,8 @@ class TestBlockOverlap:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_concurrent_calls_under_fast_switching(self):
-        # more threads than cores, switching every 10 us: a row drawn
-        # before the march has read it would change the samples
+        # more threads than cores, switching every 10 us: a row that
+        # two workers shared would change the samples
         cfgs = [McConfig(n_paths=2050, seed=s, block_size=150 if s == 1 else 200)
                 for s in range(3)]
         want = [serial_reference_blocks(P, SCHED, cfg) for cfg in cfgs]
@@ -356,7 +353,7 @@ class TestBlockOverlap:
         assert threading.active_count() == before
 
     def test_march_error_stops_the_helper(self, monkeypatch):
-        # the helper then waits for rows of block 1 that are never read
+        # the other worker is then busy with a block of its own
         real = oracles._simulate_block
         calls = []
 
@@ -373,33 +370,71 @@ class TestBlockOverlap:
         assert threading.active_count() == before
 
     def test_draw_error_reaches_the_caller(self, monkeypatch):
-        fail_draw(monkeypatch, block=1, resumed=False, draw=0, message="draw failed on block 1")
+        fail_draw(monkeypatch, block=1, generator=0, draw=0, message="draw failed on block 1")
         before = threading.active_count()
         box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
         assert "draw failed on block 1" in str(box["error"])
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("block, resumed, draw, message", [
-        # the helper's first pass, past the stored rows: the march waits
-        # for block 1's thresholds
-        (1, False, KEPT, "draw failed in block 1's discarded tail"),
-        # the helper draws the last block's tail while the march waits
-        # for each row, on its first and on its second lap of the ring
-        (3, True, 5, "draw failed in the last block's tail"),
-        (3, True, KEPT + 5, "draw failed in the last block's tail, second lap"),
-        # the marching thread draws block 0's tail again
-        (0, True, 5, "redraw failed in block 0's tail")],
-        ids=["discarded-tail", "last-tail", "last-tail-second-lap", "redrawn-tail"])
-    def test_tail_error_reaches_the_caller(self, monkeypatch, block, resumed, draw, message):
-        fail_draw(monkeypatch, block, resumed, draw, message)
+    @pytest.mark.parametrize("block, generator, draw, message", [
+        # block 1's locate pass, on its first row and past a third of them
+        (1, 0, 0, "draw failed in block 1's locate pass"),
+        (1, 0, 100, "draw failed in block 1's locate pass, row 100"),
+        # the march of the first and of the last block
+        (0, 1, 5, "draw failed in block 0's march"),
+        (3, 1, 5, "draw failed in the last block's march")],
+        ids=["locate-first-row", "locate-row-100", "march-first-block", "march-last-block"])
+    def test_block_error_reaches_the_caller(self, monkeypatch, block, generator, draw, message):
+        fail_draw(monkeypatch, block, generator, draw, message)
         before = threading.active_count()
         box = call_bounded(lambda: mc_spread(P, SCHED, McConfig(n_paths=4000, block_size=1000)))
         assert message in str(box["error"])
         assert threading.active_count() == before
 
+    def test_error_stops_every_worker_before_its_next_block(self, monkeypatch):
+        # block 0's locate pass fails at once: each other worker may
+        # finish the block it holds, but claims no other
+        fail_draw(monkeypatch, block=0, generator=0, draw=0,
+                  message="draw failed on block 0", delay=0.0)
+        real = oracles._simulate_block
+        marches = []
+
+        def march(*args):
+            marches.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "_simulate_block", march)
+        cfg = McConfig(n_paths=4000, block_size=500)
+        threads = min(pde._cores(), 8)
+        box = call_bounded(lambda: _run_blocks(P, SCHED, cfg))
+        assert "draw failed on block 0" in str(box["error"])
+        assert len(marches) <= threads - 1
+
+    def test_threads_bounded_by_cores_and_blocks(self, monkeypatch):
+        real = oracles._simulate_block
+        names = set()
+
+        def march(*args):
+            names.add(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "_simulate_block", march)
+        for blocks in (1, 2, 5):
+            cfg = McConfig(n_paths=1000 * blocks, seed=blocks, block_size=1000)
+            want = serial_reference_blocks(P, SCHED, cfg)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(pde, "_cores", lambda cores=cores: cores)
+                names.clear()
+                got = _run_blocks(P, SCHED, cfg)
+                assert len(names) == min(cores, blocks), (cores, blocks, names)
+                if cores == 1:
+                    assert names == {threading.current_thread().name}
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_traced_peak_below_full_buffer(self):
-        # the buffer holds KEPT of a block's 240 rows of normals; numpy
-        # reports its arrays to tracemalloc, from every thread
+        # a block's 240 rows of normals would take 8 * 240 * block_size
+        # * 4 bytes; each worker holds one row.  numpy reports its arrays
+        # to tracemalloc, from every thread
         cfg = McConfig(n_paths=4000, block_size=2000)
         # a first call imports numpy.random, which numpy loads lazily
         _run_blocks(P, SCHED, McConfig(n_paths=1000))
@@ -409,7 +444,7 @@ class TestBlockOverlap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.4 * 8 * 240 * cfg.block_size * 4
+        assert peak < 0.1 * 8 * 240 * cfg.block_size * 4
 
     def test_euler_step_within_cap(self, monkeypatch):
         # T = 5, m = 100: round(0.05 * 48) = 2 steps of 0.025 yr per
@@ -444,7 +479,7 @@ class TestFrozenFactors:
         normals = rng.standard_normal((SCHED.m * nsub, n, 4))
         expo = rng.exponential(size=n)
         dtc = SCHED.coupon_interval
-        got = _simulate_block(p, dtc, nsub, normals, expo, lambda: None)
+        got = _simulate_block(p, dtc, nsub, normals, expo)
         want = euler_reference_block(p, dtc, nsub, normals, expo)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
